@@ -6,8 +6,9 @@ One tick of the recursion updates only the active coordinates:
 
 where nu(n, i) counts how often agent i was active on ticks m < n, and the
 drive for agent i is evaluated on that agent's own (possibly stale) view of
-the iterate.  Every run mode funnels through :func:`apply_tick`, so traced
-runs, light runs, and paired runs cannot drift apart numerically.
+the iterate.  Every run mode iterates :func:`tick_loop`, which draws with
+:func:`draw_tick` and updates with :func:`apply_tick`, so traced runs,
+light runs, and paired runs cannot drift apart numerically.
 
 An optional projection region turns the plain step into the projective
 variant: whenever the tentative iterate leaves the open outer ball, it is
@@ -56,13 +57,11 @@ __all__ = [
     "TickInfo",
     "RunResult",
     "RuntimeBundle",
+    "build_field",
     "build_runtime",
-    "delayed_view",
     "draw_tick",
     "apply_tick",
-    "sa_step",
-    "sa_step_into",
-    "projective_step",
+    "tick_loop",
     "run",
     "run_light",
 ]
@@ -150,11 +149,6 @@ class IterateHistory:
         if self._window is not None:
             raise HistoryWindowError("snapshot needs full history storage")
         return self._buf[: upto + 1].copy()
-
-
-def delayed_view(history: IterateHistory, tau: np.ndarray, n: int) -> np.ndarray:
-    """Convenience wrapper for :meth:`IterateHistory.gather`."""
-    return history.gather(n, np.asarray(tau, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +261,15 @@ class TickSample:
 
 @dataclass(eq=False)
 class TickInfo:
-    """What one applied tick did (step sizes read before advancing)."""
+    """What one applied tick did (step sizes read before advancing).
+
+    ``drive`` is the field evaluated on each agent's view; with zero
+    delays every view is the pre-tick iterate, so it is ``field(x_n)``.
+    """
 
     active: np.ndarray
     step: np.ndarray
+    drive: np.ndarray
     eps: np.ndarray
     noise: np.ndarray
     projected: bool
@@ -323,21 +322,22 @@ def apply_tick(state: SimState, field: Field, sample: TickSample,
     return TickInfo(
         active=active,
         step=a_vec,
+        drive=drive,
         eps=sample.eps,
         noise=sample.noise,
         projected=projected,
     )
 
 
-def sa_step(state: SimState, field: Field, models: StochasticModels) -> TickInfo:
-    """Draw and apply one unprojected tick."""
-    return apply_tick(state, field, draw_tick(state, models), region=None)
-
-
-def projective_step(state: SimState, field: Field, models: StochasticModels,
-                    region: ProjectionRegion) -> TickInfo:
-    """Draw and apply one tick followed by the radial pull-back."""
-    return apply_tick(state, field, draw_tick(state, models), region=region)
+def tick_loop(state: SimState, bundle: RuntimeBundle,
+              region: ProjectionRegion | None):
+    """Draw and apply ``bundle.horizon`` ticks, yielding ``(n, sample,
+    info)`` after each one.  The one tick loop every run driver iterates.
+    """
+    field, models = bundle.field, bundle.models
+    for n in range(bundle.horizon):
+        sample = draw_tick(state, models)
+        yield n, sample, apply_tick(state, field, sample, region=region)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +362,8 @@ class RuntimeBundle:
     surface: Any = None
 
 
-def _build_field(cfg: RunConfig) -> tuple[Field, FiniteMDP | None, Any]:
+def build_field(cfg: RunConfig) -> tuple[Field, FiniteMDP | None, Any]:
+    """The drive of a config, plus its MDP or gradient surface if any."""
     d = cfg.dimension
     obj = cfg.objective
     if isinstance(obj, QuadraticObjective):
@@ -409,7 +410,7 @@ def _build_field(cfg: RunConfig) -> tuple[Field, FiniteMDP | None, Any]:
 
 def build_runtime(cfg: RunConfig) -> RuntimeBundle:
     d = cfg.dimension
-    field, mdp, surface = _build_field(cfg)
+    field, mdp, surface = build_field(cfg)
     if cfg.x0 is not None:
         x0 = np.asarray(cfg.x0, dtype=float).copy()
     else:
@@ -441,7 +442,7 @@ def build_runtime(cfg: RunConfig) -> RuntimeBundle:
 # run drivers
 
 
-def run(cfg: RunConfig, window: int | None = None) -> RunTrace:
+def run(cfg: RunConfig) -> RunTrace:
     """Execute a full traced run.
 
     The trace row for tick n holds the pre-update iterate x_n together
@@ -455,78 +456,60 @@ def run(cfg: RunConfig, window: int | None = None) -> RunTrace:
         bundle.region.project(bundle.x0) if bundle.region is not None
         else (bundle.x0, False)
     )
-    state = SimState.create(x0, bundle.schedule, bundle.steps,
-                            capacity=N, window=window)
+    state = SimState.create(x0, bundle.schedule, bundle.steps, capacity=N)
 
-    x_tr = np.zeros((N + 1, d))
     active_tr = np.zeros((N + 1, d), dtype=bool)
     step_tr = np.zeros((N + 1, d))
     eps_tr = np.zeros(N + 1)
     res_tr = np.zeros(N + 1)
     proj_tr = np.zeros(N + 1, dtype=bool)
-    cnt_tr = np.zeros((N + 1, d), dtype=np.int64)
-    track_noise = not bundle.models.noise.is_zero
-    xi_tr = np.zeros((N + 1, d)) if track_noise else None
+    xi_tr = None if bundle.models.noise.is_zero else np.zeros((N + 1, d))
 
     meta = {
         "seed": bundle.seed,
         "config": bundle.config_dict,
         "initial_projection": projected0,
     }
+    field = bundle.field
+    zero_delay = bundle.models.delays.always_zero
 
-    def partial(upto: int) -> RunTrace:
+    def residual(x: np.ndarray) -> float:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.linalg.norm(field.vector(x)))
+
+    def trace(upto: int) -> RunTrace:
+        counters = np.zeros((upto + 1, d), dtype=np.int64)
+        np.cumsum(active_tr[:upto], axis=0, dtype=np.int64, out=counters[1:])
         return RunTrace(
             meta=meta,
-            x=x_tr[: upto + 1].copy(),
-            active=active_tr[: upto + 1].copy(),
-            step=step_tr[: upto + 1].copy(),
-            eps_norm=eps_tr[: upto + 1].copy(),
-            residual=res_tr[: upto + 1].copy(),
-            projected=proj_tr[: upto + 1].copy(),
-            counters=cnt_tr[: upto + 1].copy(),
-            noise_sum=None if xi_tr is None else xi_tr[: upto + 1].copy(),
+            x=state.history.snapshot(upto),
+            active=active_tr[: upto + 1],
+            step=step_tr[: upto + 1],
+            eps_norm=eps_tr[: upto + 1],
+            residual=res_tr[: upto + 1],
+            projected=proj_tr[: upto + 1],
+            counters=counters,
+            noise_sum=None if xi_tr is None else xi_tr[: upto + 1],
         )
 
-    field = bundle.field
-    for n in range(N):
-        x_tr[n] = state.x
-        cnt_tr[n] = state.schedule.counters
-        with np.errstate(over="ignore", invalid="ignore"):
-            res_tr[n] = float(np.linalg.norm(field.vector(state.x)))
-        if xi_tr is not None:
-            xi_tr[n] = state.noise_sum
-        try:
-            info = sa_step_into(state, bundle)
-        except DivergenceError as exc:
-            exc.trace = partial(n)
-            raise
-        active_tr[n] = info.active
-        step_tr[n] = info.step
-        eps_tr[n] = float(np.linalg.norm(info.eps))
-        proj_tr[n] = info.projected
-
-    x_tr[N] = state.x
-    cnt_tr[N] = state.schedule.counters
-    res_tr[N] = float(np.linalg.norm(field.vector(state.x)))
-    if xi_tr is not None:
-        xi_tr[N] = state.noise_sum
-    return RunTrace(
-        meta=meta,
-        x=x_tr,
-        active=active_tr,
-        step=step_tr,
-        eps_norm=eps_tr,
-        residual=res_tr,
-        projected=proj_tr,
-        counters=cnt_tr,
-        noise_sum=xi_tr,
-    )
-
-
-def sa_step_into(state: SimState, bundle: RuntimeBundle) -> TickInfo:
-    """One tick against a bundle (projective when the bundle has a region)."""
-    sample = draw_tick(state, bundle.models)
-    return apply_tick(state, bundle.field, sample, region=bundle.region)
+    try:
+        for n, _, info in tick_loop(state, bundle, bundle.region):
+            active_tr[n] = info.active
+            step_tr[n] = info.step
+            eps_tr[n] = float(np.linalg.norm(info.eps))
+            with np.errstate(over="ignore", invalid="ignore"):
+                # without delays the tick's drive is already field(x_n)
+                drive = info.drive if zero_delay else field.vector(state.history.value(n))
+                res_tr[n] = float(np.linalg.norm(drive))
+            proj_tr[n] = info.projected
+            if xi_tr is not None:
+                xi_tr[n + 1] = state.noise_sum
+    except DivergenceError as exc:
+        res_tr[state.n] = residual(state.x)
+        exc.trace = trace(state.n)
+        raise
+    res_tr[N] = residual(state.x)
+    return trace(N)
 
 
 @dataclass(eq=False)
@@ -567,15 +550,11 @@ def run_light(cfg: RunConfig, xi_series: bool = False,
 
     xi_tr = np.zeros((N + 1, d)) if xi_series else None
     prod_max = 0.0
-    field, models, region = bundle.field, bundle.models, bundle.region
-    for n in range(N):
-        sample = draw_tick(state, models)
+    for n, sample, info in tick_loop(state, bundle, bundle.region):
         if delay_product_from is not None and n >= delay_product_from \
                 and sample.tau is not None:
-            a_vec = state.steps.a_of(state.schedule.counters)
-            scaled = sample.tau * (a_vec * sample.active)[None, :]
+            scaled = sample.tau * (info.step * sample.active)[None, :]
             prod_max = max(prod_max, float(scaled.max()))
-        apply_tick(state, field, sample, region=region)
         if xi_tr is not None:
             xi_tr[n + 1] = state.noise_sum
     return RunResult(

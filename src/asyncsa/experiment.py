@@ -30,7 +30,7 @@ from .config import (
     parse_run_config,
     set_by_path,
 )
-from .core import build_runtime, run_light
+from .core import build_field, run_light
 from .errors import ConfigError, DivergenceError
 from .fields import random_pd_matrix
 from .schedules import AllActive, HarmonicSteps
@@ -297,7 +297,7 @@ def _sweep_cell(args) -> dict:
         elif aggregate == "log-final-norm":
             value = math.log(max(float(np.linalg.norm(final)), 1e-300))
         else:
-            field = build_runtime(cfg).field
+            field, _, _ = build_field(cfg)
             value = float(np.linalg.norm(field.vector(final)))
         row.update(value=value, status="ok")
     except DivergenceError:

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._rng import DOMAIN_CHECK, DOMAIN_ERROR_ALT, stream
 from .config import RunConfig, run_config_to_dict
-from .core import SimState, TickSample, apply_tick, build_runtime, draw_tick
+from .core import SimState, TickSample, apply_tick, build_runtime, tick_loop
 from .errors import ConfigError
 from .norms import Norm, weighted_norm
 from .stochastics import make_error_sampler
@@ -92,10 +92,7 @@ def run_paired(cfg: RunConfig, coupled_errors: bool = True,
     error_gap = np.zeros(N)
     gap[0] = weighted_norm(x0_raw - x0_proj, norm)
 
-    field, models = bundle.field, bundle.models
-    for n in range(N):
-        sample = draw_tick(state_raw, models)
-        info_raw = apply_tick(state_raw, field, sample, region=None)
+    for n, sample, info_raw in tick_loop(state_raw, bundle, None):
         if alt_errors is None:
             sample_proj = sample
         else:
@@ -105,7 +102,7 @@ def run_paired(cfg: RunConfig, coupled_errors: bool = True,
                 noise=sample.noise,
             )
             error_gap[n] = weighted_norm(sample.eps - eps2, norm)
-        info_proj = apply_tick(state_proj, field, sample_proj, region=region)
+        info_proj = apply_tick(state_proj, bundle.field, sample_proj, region=region)
         step_bound[n] = float(info_raw.step[sample.active].max())
         if info_proj.projected:
             projection_ticks.append(n)

@@ -168,9 +168,6 @@ class _DelaySamplerBase:
             self._step(self._n)
         return self._cur
 
-    def sample_delay(self, j: int, i: int, n: int) -> int:
-        return int(self.matrix(n)[j, i])
-
     def _step(self, n: int) -> None:
         raise NotImplementedError
 
@@ -201,13 +198,14 @@ class _IidDelaySampler(_DelaySamplerBase):
         self._buf = np.zeros((0, d, d), dtype=np.int64)
         self._i = 0
 
-    def _draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def _draw(self, j: int, i: int, rng: np.random.Generator) -> np.ndarray:
+        """The next ``_CHUNK`` ages of pair (j, i) from its stream."""
         raise NotImplementedError
 
     def _refill(self) -> None:
         self._buf = np.zeros((_CHUNK, self.d, self.d), dtype=np.int64)
         for (j, i), rng in zip(self._pairs, self._rngs):
-            self._buf[:, j, i] = self._draw(rng, _CHUNK)
+            self._buf[:, j, i] = self._draw(j, i, rng)
         self._i = 0
 
     def _step(self, n: int) -> None:
@@ -222,25 +220,18 @@ class _UniformDelaySampler(_IidDelaySampler):
         self._tau_max = model.tau_max
         super().__init__(d, seed)
 
-    def _draw(self, rng, size):
-        return rng.integers(0, self._tau_max + 1, size=size)
+    def _draw(self, j, i, rng):
+        return rng.integers(0, self._tau_max + 1, size=_CHUNK)
 
 
 class _GeometricDelaySampler(_IidDelaySampler):
     def __init__(self, model: GeometricDelays, d: int, seed: int):
         mean = _pair_matrix_param(model.mean, d, "geometric mean")
         self._p = 1.0 / (1.0 + mean)
-        self._pair_p: float | None = None
         super().__init__(d, seed)
 
-    def _refill(self) -> None:
-        self._buf = np.zeros((_CHUNK, self.d, self.d), dtype=np.int64)
-        for (j, i), rng in zip(self._pairs, self._rngs):
-            self._buf[:, j, i] = rng.geometric(self._p[j, i], size=_CHUNK) - 1
-        self._i = 0
-
-    def _draw(self, rng, size):  # pragma: no cover - refill overridden
-        raise NotImplementedError
+    def _draw(self, j, i, rng):
+        return rng.geometric(self._p[j, i], size=_CHUNK) - 1
 
 
 class _StaleRefreshSampler(_DelaySamplerBase):

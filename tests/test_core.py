@@ -24,11 +24,13 @@ from asyncsa import (
     StaleRefreshDelays,
     UniformDelays,
     UniformNoise,
+    apply_tick,
     build_runtime,
+    draw_tick,
     run,
     run_light,
-    sa_step_into,
 )
+from asyncsa.fields import QuadraticField, ScaledIdentityField
 
 
 def _cfg(**kw) -> RunConfig:
@@ -138,8 +140,28 @@ def test_manual_stepping_matches_run():
     state = SimState.create(bundle.x0, bundle.schedule, bundle.steps,
                             capacity=3)
     for _ in range(3):
-        sa_step_into(state, bundle)
+        sample = draw_tick(state, bundle.models)
+        apply_tick(state, bundle.field, sample, region=bundle.region)
     assert np.array_equal(state.x, run(cfg).final_x)
+
+
+def test_zero_delay_run_evaluates_the_field_once_per_tick(monkeypatch):
+    # row n's residual reuses the drive of tick n; only x_N costs a call
+    cfg = _cfg(horizon=50, errors=ComponentUniformErrors(bound=0.2))
+    field = build_runtime(cfg).field
+    vector = QuadraticField.vector
+    calls = []
+
+    def counted(self, x):
+        calls.append(1)
+        return vector(self, x)
+
+    monkeypatch.setattr(QuadraticField, "vector", counted)
+    trace = run(cfg)
+    assert len(calls) == 51
+    assert trace.residual.tolist() == [
+        np.linalg.norm(vector(field, x)) for x in trace.x
+    ]
 
 
 def test_degenerate_delay_models_reduce_to_zero_delays():
@@ -223,6 +245,10 @@ def test_divergence_raises_with_truncated_trace():
     assert exc.trace is not None
     assert exc.trace.ticks == exc.n
     assert np.isfinite(exc.trace.x).all()
+    # row n is x_n, the last finite iterate; its residual is still recorded
+    with np.errstate(over="ignore"):
+        expected = np.linalg.norm(ScaledIdentityField(5.0, 2).vector(exc.trace.x[-1]))
+    assert exc.trace.residual[-1] == expected
 
 
 def test_divergence_in_light_run():
