@@ -1,13 +1,19 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from asyncsa import (
+    AgentSchedule,
+    AllActive,
+    BernoulliActivation,
     ComponentUniformErrors,
     ConfigError,
     FixedBiasErrors,
     GeometricDelays,
     NormBallErrors,
     RademacherNoise,
+    RoundRobin,
     StaleRefreshDelays,
     UniformDelays,
     UniformNoise,
@@ -16,6 +22,7 @@ from asyncsa import (
     ZeroErrors,
     ZeroNoise,
 )
+from asyncsa._rng import DOMAIN_ERROR_ALT
 from asyncsa.stochastics import (
     delay_model_from_config,
     error_model_from_config,
@@ -227,3 +234,94 @@ def test_noise_config_round_trip_and_errors():
         noise_model_from_config({"kind": "pink"})
     with pytest.raises(ConfigError):
         UniformNoise(level=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# stream digests: the first 4100 draws of every sampler cross one block
+# refill, so a change in how streams are cut into blocks or in the order
+# of draws shows here as a changed hash.
+
+_DRAWS = 4100
+_P_C = np.array([[0.5, 0.3, 0.7], [0.2, 0.5, 0.6], [0.9, 0.4, 0.5]])
+_BOX = WeightedMaxNorm(weights=[1.0, 2.0, 0.5])
+
+_DELAY_VARIANTS = {
+    "zero": ZeroDelays(),
+    "uniform": UniformDelays(tau_max=3),
+    "geometric": GeometricDelays(mean=2.0),
+    "geometric-matrix": GeometricDelays(mean=1.0 + 4.0 * _P_C),
+    "stale-symmetric": StaleRefreshDelays(p_c=0.4),
+    "stale-asymmetric": StaleRefreshDelays(p_c=0.4, symmetric=False),
+    "stale-matrix": StaleRefreshDelays(p_c=_P_C),
+}
+_ERROR_VARIANTS = {
+    "zero": ZeroErrors(),
+    "componentwise-uniform": ComponentUniformErrors(bound=0.4),
+    "fixed-bias": FixedBiasErrors(bias=[0.3, -0.4, 0.1]),
+    "euclidean-ball": NormBallErrors(bound=0.5),
+    "weighted-max-box": NormBallErrors(bound=0.5, norm=_BOX),
+}
+_NOISE_VARIANTS = {
+    "zero": ZeroNoise(),
+    "uniform": UniformNoise(level=0.05),
+    "rademacher": RademacherNoise(level=0.5),
+}
+_ACTIVATION_VARIANTS = {
+    "all": AllActive(),
+    "round-robin": RoundRobin(k=2),
+    "bernoulli-vector": BernoulliActivation(q=[0.2, 0.5, 0.9]),
+    "bernoulli-scalar": BernoulliActivation(q=0.3),
+}
+
+
+def _digest(draw) -> str:
+    h = hashlib.sha256()
+    for n in range(_DRAWS):
+        h.update(np.ascontiguousarray(draw(n)).tobytes())
+    return h.hexdigest()
+
+
+def _stream_digests() -> dict[str, str]:
+    out = {}
+    for name, model in _DELAY_VARIANTS.items():
+        out[f"delays/{name}"] = _digest(make_delay_sampler(model, D, seed=7).matrix)
+    for name, model in _ERROR_VARIANTS.items():
+        out[f"errors/{name}"] = _digest(make_error_sampler(model, D, seed=7).sample)
+        if name not in ("zero", "fixed-bias"):
+            alt = make_error_sampler(model, D, seed=7, domain=DOMAIN_ERROR_ALT)
+            out[f"errors/{name}/alt"] = _digest(alt.sample)
+    for name, model in _NOISE_VARIANTS.items():
+        out[f"noise/{name}"] = _digest(make_noise_sampler(model, D, seed=7).sample)
+    for name, policy in _ACTIVATION_VARIANTS.items():
+        out[f"activation/{name}"] = _digest(AgentSchedule.create(policy, D, seed=7).sampler.next)
+    return out
+
+
+_STREAM_DIGESTS = {
+    "delays/zero": "20cd4a123e0ed81ef1976a68f32504336b5beec8b825249b386a392e32e9c7eb",
+    "delays/uniform": "36b96c0d2caf6a0d466306e5ba7c8b57e1ce112349d662665b7cbe0c2f04130d",
+    "delays/geometric": "25b75ccfd8da44576ddddfa1d9a2fcfad1eda7756d1b861342437dab01135963",
+    "delays/geometric-matrix": "56dff389024e3170f1e6b15c963398ecdde56ffc11223bf371fb9ee878b56ab3",
+    "delays/stale-symmetric": "7d49bd1fb9a6d73b5f39cac6a7693318f1422ebcd3af072064c6bb680fd6fb29",
+    "delays/stale-asymmetric": "714ec1868684256deed865b316879ae3e6f0a276d2f1262a3061a296057da552",
+    "delays/stale-matrix": "072316c93eec9ab8f2b460f3e94fa656def4dd6062d0acae18b0329d8adbbf7e",
+    "errors/zero": "14e73ff538163c837a4fda31bf808926c265e65bd775c065f60d9d94827e4959",
+    "errors/componentwise-uniform": "ea9962940d985db2c24ba7ea5b1a22955565d5e45376a55687413a1644b41fb5",
+    "errors/componentwise-uniform/alt": "a5378496d5111fcbb6622d9115a58a80773fd0a521abd1148fb279513b71b2da",
+    "errors/fixed-bias": "72e819ecb60485458a7332e8aee1265b0812fb17c1b935e6d9c5a62128141ccc",
+    "errors/euclidean-ball": "ea4ab7a53c3915c8263aab9a2b42ae06b9140691d83e23034fcc36816b200132",
+    "errors/euclidean-ball/alt": "55e3640feb0bc16b3f824372e199e8d42957728ea59aba20444e00c313717c2c",
+    "errors/weighted-max-box": "20d7464ca6c1477436a2752ea4a8cc513d67f6d9af0996098895135ab71a5425",
+    "errors/weighted-max-box/alt": "f2ca812a5427b6d7d5ef6448f0e32eca46c0993183ef1468081eef75e992f389",
+    "noise/zero": "14e73ff538163c837a4fda31bf808926c265e65bd775c065f60d9d94827e4959",
+    "noise/uniform": "8d6f69eb7e8e3045b2b2c9c2b6c33af81278db353ac6b96df7ccd3fe491623f3",
+    "noise/rademacher": "3b48d4b15560342665aec15d2324e6854922581a0611d3c389019a54db751ab2",
+    "activation/all": "a5b92eddc8664d9b9d564eb542c0492cec3e306e941e71f99bbf957bc2ff2037",
+    "activation/round-robin": "2acdc0e5ae697f81d089b57284947cb99fe7ec61b8f25bb1ae2ac19b3247f3d0",
+    "activation/bernoulli-vector": "cc01d535fee9c93c8af86abc9dd9ca30ce4ff3b8e96cc7d19c003f3507c2c53e",
+    "activation/bernoulli-scalar": "3e88cba7091ec3c688d820dc7b2a4c8ca3fae2d9778574f6c9d0f55552c1a8ca",
+}
+
+
+def test_sampler_streams_are_frozen():
+    assert _stream_digests() == _STREAM_DIGESTS
