@@ -4,6 +4,9 @@ Each stochastic ingredient of a run draws from its own generator, keyed by
 the run seed plus a purpose tag (and, for delays, the ordered agent pair).
 Changing one model in a config therefore never shifts the sample sequence
 of another, and identical (config, seed) pairs replay bit-for-bit.
+
+Buffered streams are read through ``Rows``: draws come in blocks of
+``CHUNK`` rows, served one row per tick.
 """
 
 from __future__ import annotations
@@ -11,6 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+
+# Rows per drawn block.  Numpy gives the same draws however a stream is cut,
+# except for the Euclidean norm-ball errors, which draw all of a block's
+# normals before its radii: their bits depend on this value.
+CHUNK = 4096
 
 # Purpose tags; values are part of the reproducibility contract, do not reorder.
 DOMAIN_INIT = 0
@@ -28,3 +36,26 @@ def stream(seed: int, domain: int, *key: int) -> np.random.Generator:
     """Independent generator for (seed, domain, key...)."""
     entropy = (int(seed) & _MASK64, int(domain)) + tuple(int(k) for k in key)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+
+
+class Rows:
+    """The rows of ``fill(CHUNK)``, one per ``next()`` call.
+
+    A new block is drawn only when the current one is used up, so the
+    stream is consumed in whole blocks in call order.  The spent block is
+    released before ``fill`` runs, so at most one block is held at a time.
+    """
+
+    def __init__(self, fill):
+        self._fill = fill
+        self._block = ()
+        self._i = 0
+
+    def next(self) -> np.ndarray:
+        if self._i >= len(self._block):
+            self._block = ()  # release the spent block before fill allocates
+            self._block = self._fill(CHUNK)
+            self._i = 0
+        row = self._block[self._i]
+        self._i += 1
+        return row

@@ -23,7 +23,7 @@ from .config import (
     parse_run_config,
     parse_sweep_config,
 )
-from .core import build_runtime, run
+from .core import build_field, run
 from .diagnostics import (
     a2pg_stationarity_report,
     a2vi_residual_report,
@@ -141,7 +141,7 @@ def _cmd_a2vi(args) -> int:
         ),
     )
     trace = run(cfg)
-    mdp = build_runtime(cfg).mdp
+    _, mdp, _ = build_field(cfg)
     report = a2vi_residual_report(mdp, trace.final_x, eps_bound=args.eps,
                                   slack=args.slack)
     report["final_values"] = [float(v) for v in trace.final_x]
@@ -168,7 +168,7 @@ def _cmd_a2pg(args) -> int:
         ),
     )
     trace = run(cfg)
-    surface = build_runtime(cfg).surface
+    _, _, surface = build_field(cfg)
     report = a2pg_stationarity_report(surface, trace.final_x,
                                       eps_bound=args.eps, tol=args.tol)
     report["final_theta"] = [float(v) for v in trace.final_x]

@@ -11,6 +11,7 @@ embedded in every output file next to the seed.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -452,8 +453,10 @@ def parse_sweep_config(data: dict) -> SweepSpec:
         aggregate=str(aggregate),
     )
     parse_run_config(base)  # the base must stand on its own
-    for cell in spec.cells()[:1]:
-        probe = yaml.safe_load(yaml.safe_dump(base))
+    for cell in spec.cells():
+        if cell["replicate"]:
+            continue  # replicates differ only in their seed
+        probe = json.loads(json.dumps(base))
         for path, value in cell["overrides"].items():
             set_by_path(probe, path, value)
         parse_run_config(probe)

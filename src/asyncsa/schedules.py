@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import DOMAIN_ACTIVATION, stream
+from ._rng import DOMAIN_ACTIVATION, Rows, stream
 from .errors import ConfigError, InsufficientActivationError
 
 __all__ = [
@@ -243,29 +243,18 @@ class _RoundRobinSampler:
 
 
 class _BernoulliSampler:
-    _CHUNK = 4096
-
     def __init__(self, q: np.ndarray, d: int, seed: int):
         if q.size == 1:
             q = np.full(d, float(q[0]))
         if q.shape != (d,):
             raise ConfigError(f"bernoulli q must be scalar or length {d}")
         self._q = q
-        self._rng = stream(seed, DOMAIN_ACTIVATION)
-        self._buf = np.empty((0, d))
-        self._i = 0
-
-    def _row(self) -> np.ndarray:
-        if self._i >= len(self._buf):
-            self._buf = self._rng.random((self._CHUNK, len(self._q)))
-            self._i = 0
-        row = self._buf[self._i]
-        self._i += 1
-        return row
+        rng = stream(seed, DOMAIN_ACTIVATION)
+        self._rows = Rows(lambda size: rng.random((size, d)))
 
     def next(self, n: int) -> np.ndarray:
         while True:
-            mask = self._row() < self._q
+            mask = self._rows.next() < self._q
             if mask.any():
                 return mask
 

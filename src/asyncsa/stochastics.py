@@ -2,16 +2,21 @@
 
 Samplers draw from per-purpose seed streams (see asyncsa._rng): errors and
 noise each own one stream per run, delays own one stream per ordered agent
-pair, so swapping one model never perturbs the samples of another.
+pair, so swapping one model never perturbs the samples of another.  Every
+buffered stream is read through ``_rng.Rows``, one block of ``CHUNK``
+rows at a time; each kind's draw function is chosen in its ``make_*``
+factory, and zero or constant models draw nothing.
 
 Delay samplers serve a full (d, d) matrix per tick with entry [j, i] the
 age of agent i's view of component j; the diagonal is always 0 and every
 entry is clamped to the current tick.  They advance tick by tick and
 cannot rewind.
 
-Error samplers enforce their declared norm bound on every sample (checked
-vectorised at buffer refill).  Noise samplers have zero mean conditional
-on the past and components bounded by their level.
+Error samplers enforce their declared bound on every sample: each block
+is checked before any of its rows is served.  Componentwise-uniform and
+constant errors are checked vectorised by their largest component;
+norm-ball errors row by row in their own norm.  Noise samplers have zero
+mean conditional on the past and components bounded by their level.
 """
 
 from __future__ import annotations
@@ -20,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import DOMAIN_DELAY, DOMAIN_ERROR, DOMAIN_NOISE, stream
+from ._rng import DOMAIN_DELAY, DOMAIN_ERROR, DOMAIN_NOISE, Rows, stream
 from .errors import ConfigError
-from .norms import EuclideanNorm, Norm, WeightedMaxNorm, norm_from_config, unit_max_norm
+from .norms import EuclideanNorm, Norm, WeightedMaxNorm, norm_from_config
 
 __all__ = [
     "ZeroDelays",
@@ -43,8 +48,6 @@ __all__ = [
     "error_model_from_config",
     "noise_model_from_config",
 ]
-
-_CHUNK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +171,6 @@ class _DelaySamplerBase:
             self._step(self._n)
         return self._cur
 
-    def _step(self, n: int) -> None:
-        raise NotImplementedError
-
 
 class _ZeroDelaySampler(_DelaySamplerBase):
     always_zero = True
@@ -189,49 +189,24 @@ def _pair_matrix_param(value, d: int, name: str) -> np.ndarray:
 
 
 class _IidDelaySampler(_DelaySamplerBase):
-    """Shared machinery for per-pair i.i.d. age draws."""
+    """Per-pair i.i.d. ages; ``draw(rng, j, i, size)`` gives the next
+    ``size`` ages of pair (j, i) from that pair's stream."""
 
-    def __init__(self, d: int, seed: int):
+    def __init__(self, d: int, seed: int, draw):
         super().__init__(d)
-        self._pairs = [(j, i) for j in range(d) for i in range(d) if j != i]
-        self._rngs = [stream(seed, DOMAIN_DELAY, j, i) for j, i in self._pairs]
-        self._buf = np.zeros((0, d, d), dtype=np.int64)
-        self._i = 0
+        pairs = [(j, i) for j in range(d) for i in range(d) if j != i]
+        rngs = [stream(seed, DOMAIN_DELAY, j, i) for j, i in pairs]
 
-    def _draw(self, j: int, i: int, rng: np.random.Generator) -> np.ndarray:
-        """The next ``_CHUNK`` ages of pair (j, i) from its stream."""
-        raise NotImplementedError
+        def fill(size):
+            block = np.zeros((size, d, d), dtype=np.int64)
+            for (j, i), rng in zip(pairs, rngs):
+                block[:, j, i] = draw(rng, j, i, size)
+            return block
 
-    def _refill(self) -> None:
-        self._buf = np.zeros((_CHUNK, self.d, self.d), dtype=np.int64)
-        for (j, i), rng in zip(self._pairs, self._rngs):
-            self._buf[:, j, i] = self._draw(j, i, rng)
-        self._i = 0
+        self._rows = Rows(fill)
 
     def _step(self, n: int) -> None:
-        if self._i >= len(self._buf):
-            self._refill()
-        self._cur = np.minimum(self._buf[self._i], n)
-        self._i += 1
-
-
-class _UniformDelaySampler(_IidDelaySampler):
-    def __init__(self, model: UniformDelays, d: int, seed: int):
-        self._tau_max = model.tau_max
-        super().__init__(d, seed)
-
-    def _draw(self, j, i, rng):
-        return rng.integers(0, self._tau_max + 1, size=_CHUNK)
-
-
-class _GeometricDelaySampler(_IidDelaySampler):
-    def __init__(self, model: GeometricDelays, d: int, seed: int):
-        mean = _pair_matrix_param(model.mean, d, "geometric mean")
-        self._p = 1.0 / (1.0 + mean)
-        super().__init__(d, seed)
-
-    def _draw(self, j, i, rng):
-        return rng.geometric(self._p[j, i], size=_CHUNK) - 1
+        self._cur = np.minimum(self._rows.next(), n)
 
 
 class _StaleRefreshSampler(_DelaySamplerBase):
@@ -247,23 +222,15 @@ class _StaleRefreshSampler(_DelaySamplerBase):
         self._cols = np.array([i for _, i in pairs], dtype=np.intp)
         self._p = p[self._rows, self._cols]
         self._ages = np.zeros(len(pairs), dtype=np.int64)
-        self._rngs = [stream(seed, DOMAIN_DELAY, j, i) for j, i in pairs]
-        self._buf = np.zeros((0, len(pairs)))
-        self._i = 0
-
-    def _coins(self) -> np.ndarray:
-        if self._i >= len(self._buf):
-            self._buf = np.column_stack([rng.random(_CHUNK) for rng in self._rngs])
-            self._i = 0
-        row = self._buf[self._i]
-        self._i += 1
-        return row
+        rngs = [stream(seed, DOMAIN_DELAY, j, i) for j, i in pairs]
+        self._coins = Rows(
+            lambda size: np.column_stack([rng.random(size) for rng in rngs]))
 
     def _step(self, n: int) -> None:
         if n == 0:
             self._ages[:] = 0
         else:
-            coins = self._coins()
+            coins = self._coins.next()
             self._ages = np.where(coins < self._p, 0, self._ages + 1)
         cur = np.zeros((self.d, self.d), dtype=np.int64)
         cur[self._rows, self._cols] = self._ages
@@ -276,9 +243,13 @@ def make_delay_sampler(model: DelayModel, d: int, seed: int):
     if isinstance(model, ZeroDelays):
         return _ZeroDelaySampler(d)
     if isinstance(model, UniformDelays):
-        return _UniformDelaySampler(model, d, seed)
+        high = model.tau_max + 1
+        return _IidDelaySampler(
+            d, seed, lambda rng, j, i, size: rng.integers(0, high, size=size))
     if isinstance(model, GeometricDelays):
-        return _GeometricDelaySampler(model, d, seed)
+        p = 1.0 / (1.0 + _pair_matrix_param(model.mean, d, "geometric mean"))
+        return _IidDelaySampler(
+            d, seed, lambda rng, j, i, size: rng.geometric(p[j, i], size=size) - 1)
     if isinstance(model, StaleRefreshDelays):
         return _StaleRefreshSampler(model, d, seed)
     raise ConfigError(f"unknown delay model {model!r}")
@@ -358,108 +329,72 @@ class NormBallErrors:
 ErrorModel = ZeroErrors | ComponentUniformErrors | FixedBiasErrors | NormBallErrors
 
 
-class _ErrorSamplerBase:
-    """Per-tick error vectors; ``bound``/``norm`` echo the model contract."""
-
-    def __init__(self, model, d: int, bound: float, norm: Norm):
-        self.model = model
-        self.d = d
-        self.bound = float(bound)
-        self.norm = norm
-
-    def sample(self, n: int) -> np.ndarray:
-        raise NotImplementedError
+def _constant(vec: np.ndarray):
+    """A fill that serves ``vec`` in every row and draws nothing."""
+    return lambda size: np.broadcast_to(vec, (size, len(vec)))
 
 
-class _ZeroErrorSampler(_ErrorSamplerBase):
-    def __init__(self, model, d):
-        super().__init__(model, d, 0.0, EuclideanNorm())
-        self._zeros = np.zeros(d)
-
-    def sample(self, n: int) -> np.ndarray:
-        return self._zeros
+def _max_abs(rows: np.ndarray) -> float:
+    return float(np.abs(rows).max()) if len(rows) else 0.0
 
 
-class _BufferedErrorSampler(_ErrorSamplerBase):
-    def __init__(self, model, d, bound, norm, seed, domain=DOMAIN_ERROR):
-        super().__init__(model, d, bound, norm)
-        self._rng = stream(seed, domain)
-        self._buf = np.empty((0, d))
-        self._i = 0
+def _max_norm(norm: Norm):
+    return lambda rows: max(norm(row) for row in rows) if len(rows) else 0.0
 
-    def _fill(self, size: int) -> np.ndarray:
-        raise NotImplementedError
+
+class _ErrorSampler:
+    """Per-tick error vectors: the rows of ``fill``'s blocks.  Every block
+    is checked against ``bound`` before any of its rows is served;
+    ``worst(block)`` is the block's largest norm."""
+
+    def __init__(self, bound: float, fill, worst):
+        self.bound = bound = float(bound)
+
+        def checked(size):
+            block = fill(size)
+            top = worst(block)
+            if top > bound + 1e-9:
+                raise AssertionError(f"error sample breached its bound: {top} > {bound}")
+            return block
+
+        self._rows = Rows(checked)
 
     def sample(self, n: int) -> np.ndarray:
-        if self._i >= len(self._buf):
-            self._buf = self._fill(_CHUNK)
-            self._check(self._buf)
-            self._i = 0
-        row = self._buf[self._i]
-        self._i += 1
-        return row
-
-    def _check(self, rows: np.ndarray) -> None:
-        worst = max(self.norm(row) for row in rows) if len(rows) else 0.0
-        if worst > self.bound + 1e-9:
-            raise AssertionError(
-                f"error sample breached its bound: {worst} > {self.bound}"
-            )
-
-
-class _ComponentUniformSampler(_BufferedErrorSampler):
-    def __init__(self, model: ComponentUniformErrors, d, seed, domain=DOMAIN_ERROR):
-        super().__init__(model, d, model.bound, unit_max_norm(d), seed, domain)
-
-    def _fill(self, size):
-        return self._rng.uniform(0.0, self.model.bound / 2.0, size=(size, self.d))
-
-    def _check(self, rows):
-        worst = float(np.abs(rows).max()) if len(rows) else 0.0
-        if worst > self.bound + 1e-9:
-            raise AssertionError(
-                f"error sample breached its bound: {worst} > {self.bound}"
-            )
-
-
-class _FixedBiasSampler(_ErrorSamplerBase):
-    def __init__(self, model: FixedBiasErrors, d, seed):
-        if model.bias.shape != (d,):
-            raise ConfigError(f"fixed-bias vector must have length {d}")
-        super().__init__(model, d, float(np.linalg.norm(model.bias)), EuclideanNorm())
-        self._bias = model.bias.copy()
-
-    def sample(self, n: int) -> np.ndarray:
-        return self._bias
-
-
-class _NormBallSampler(_BufferedErrorSampler):
-    def __init__(self, model: NormBallErrors, d, seed, domain=DOMAIN_ERROR):
-        norm = model.norm
-        if isinstance(norm, WeightedMaxNorm) and norm.weights.shape != (d,):
-            raise ConfigError(f"norm weights must have length {d}")
-        super().__init__(model, d, model.bound, norm, seed, domain)
-
-    def _fill(self, size):
-        if isinstance(self.norm, WeightedMaxNorm):
-            half = self.bound * self.norm.weights
-            return self._rng.uniform(-half, half, size=(size, self.d))
-        g = self._rng.standard_normal((size, self.d))
-        g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
-        radii = self.bound * self._rng.random(size) ** (1.0 / self.d)
-        return g * radii[:, None]
+        return self._rows.next()
 
 
 def make_error_sampler(model: ErrorModel, d: int, seed: int,
                        domain: int = DOMAIN_ERROR):
     if isinstance(model, ZeroErrors):
-        return _ZeroErrorSampler(model, d)
-    if isinstance(model, ComponentUniformErrors):
-        return _ComponentUniformSampler(model, d, seed, domain)
+        return _ErrorSampler(0.0, _constant(np.zeros(d)), _max_abs)
     if isinstance(model, FixedBiasErrors):
-        return _FixedBiasSampler(model, d, seed)
+        if model.bias.shape != (d,):
+            raise ConfigError(f"fixed-bias vector must have length {d}")
+        bias = model.bias.copy()
+        # checked by its largest component, which never exceeds its norm
+        return _ErrorSampler(np.linalg.norm(bias), _constant(bias), _max_abs)
+    rng = stream(seed, domain)
+    if isinstance(model, ComponentUniformErrors):
+        half = model.bound / 2.0
+        return _ErrorSampler(
+            model.bound, lambda size: rng.uniform(0.0, half, size=(size, d)), _max_abs)
     if isinstance(model, NormBallErrors):
-        return _NormBallSampler(model, d, seed, domain)
+        norm, bound = model.norm, float(model.bound)
+        if isinstance(norm, WeightedMaxNorm):
+            if norm.weights.shape != (d,):
+                raise ConfigError(f"norm weights must have length {d}")
+            half = bound * norm.weights
+            return _ErrorSampler(
+                bound, lambda size: rng.uniform(-half, half, size=(size, d)),
+                _max_norm(norm))
+
+        def fill(size):
+            g = rng.standard_normal((size, d))
+            g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
+            radii = bound * rng.random(size) ** (1.0 / d)
+            return g * radii[:, None]
+
+        return _ErrorSampler(bound, fill, _max_norm(norm))
     raise ConfigError(f"unknown error model {model!r}")
 
 
@@ -508,73 +443,32 @@ class RademacherNoise:
 NoiseModel = ZeroNoise | UniformNoise | RademacherNoise
 
 
-class _NoiseSamplerBase:
-    is_zero = False
+class _NoiseSampler:
+    """Per-tick noise vectors: the rows of ``fill``'s blocks."""
 
-    def __init__(self, model, d: int, level: float):
-        self.model = model
-        self.d = d
-        self.level = float(level)
+    def __init__(self, fill, is_zero: bool = False):
+        self.is_zero = is_zero
+        self._rows = Rows(fill)
 
     def sample(self, n: int) -> np.ndarray:
-        raise NotImplementedError
-
-
-class _ZeroNoiseSampler(_NoiseSamplerBase):
-    is_zero = True
-
-    def __init__(self, model, d):
-        super().__init__(model, d, 0.0)
-        self._zeros = np.zeros(d)
-
-    def sample(self, n):
-        return self._zeros
-
-
-class _BufferedNoiseSampler(_NoiseSamplerBase):
-    def __init__(self, model, d, level, seed):
-        super().__init__(model, d, level)
-        self._rng = stream(seed, DOMAIN_NOISE)
-        self._buf = np.empty((0, d))
-        self._i = 0
-
-    def _fill(self, size: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def sample(self, n):
-        if self._i >= len(self._buf):
-            self._buf = self._fill(_CHUNK)
-            self._i = 0
-        row = self._buf[self._i]
-        self._i += 1
-        return row
-
-
-class _UniformNoiseSampler(_BufferedNoiseSampler):
-    def __init__(self, model: UniformNoise, d, seed):
-        super().__init__(model, d, model.level, seed)
-
-    def _fill(self, size):
-        return self._rng.uniform(-self.level, self.level, size=(size, self.d))
-
-
-class _RademacherSampler(_BufferedNoiseSampler):
-    def __init__(self, model: RademacherNoise, d, seed):
-        super().__init__(model, d, model.level, seed)
-
-    def _fill(self, size):
-        signs = self._rng.integers(0, 2, size=(size, self.d)) * 2 - 1
-        return self.level * signs.astype(float)
+        return self._rows.next()
 
 
 def make_noise_sampler(model: NoiseModel, d: int, seed: int):
     if isinstance(model, ZeroNoise):
-        return _ZeroNoiseSampler(model, d)
+        return _NoiseSampler(_constant(np.zeros(d)), is_zero=True)
+    if not isinstance(model, (UniformNoise, RademacherNoise)):
+        raise ConfigError(f"unknown noise model {model!r}")
+    rng = stream(seed, DOMAIN_NOISE)
+    level = float(model.level)
     if isinstance(model, UniformNoise):
-        return _UniformNoiseSampler(model, d, seed)
-    if isinstance(model, RademacherNoise):
-        return _RademacherSampler(model, d, seed)
-    raise ConfigError(f"unknown noise model {model!r}")
+        return _NoiseSampler(lambda size: rng.uniform(-level, level, size=(size, d)))
+
+    def fill(size):
+        signs = rng.integers(0, 2, size=(size, d)) * 2 - 1
+        return level * signs.astype(float)
+
+    return _NoiseSampler(fill)
 
 
 # ---------------------------------------------------------------------------

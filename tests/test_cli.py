@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -163,9 +165,12 @@ def test_reproduce_fig_command(tmp_path, capsys):
 
 
 def test_usage_error_exit_code():
+    # the child imports asyncsa from this checkout's src, installed or not
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "asyncsa.cli", "run"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 2
     assert "--config" in proc.stderr

@@ -236,6 +236,12 @@ def test_sweep_validation():
            "sweep": {"parameters": {"errors.nope": [1.0]}}}
     with pytest.raises(ConfigError, match="does not resolve"):
         parse_sweep_config(bad)
+    # every grid point is checked, not only the first
+    stale = {"kind": "stale-refresh", "p_c": 0.5}
+    late = {"base": dict(SWEEP_DOC["base"], delays=stale),
+            "sweep": {"parameters": {"delays.p_c": [0.5, 1.5]}}}
+    with pytest.raises(ConfigError, match="p_c"):
+        parse_sweep_config(late)
 
 
 def test_set_by_path():

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from asyncsa import (
     ZeroErrors,
     ZeroNoise,
 )
-from asyncsa._rng import DOMAIN_ERROR_ALT
+from asyncsa._rng import CHUNK, DOMAIN_ERROR_ALT
 from asyncsa.stochastics import (
     delay_model_from_config,
     error_model_from_config,
@@ -84,6 +85,22 @@ def test_geometric_delays_per_pair_matrix():
     draws = np.array([sampler.matrix(n) for n in range(200, 3200)])
     assert draws[:, 0, 1].mean() == pytest.approx(8.0, abs=0.8)
     assert draws[:, 1, 0].mean() == pytest.approx(2.0, abs=0.3)
+
+
+def test_iid_delay_refill_frees_the_spent_block_first():
+    d = 24
+    block = CHUNK * d * d * 8
+    tracemalloc.start()
+    try:
+        sampler = make_delay_sampler(UniformDelays(tau_max=3), d, seed=0)
+        sampler.matrix(0)
+        tracemalloc.reset_peak()
+        sampler.matrix(CHUNK)  # uses up the first block, then draws the second
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # holding the spent block while drawing the next would read ~2 blocks
+    assert peak < 1.5 * block
 
 
 def test_stale_refresh_starts_fresh_and_tracks_ages():
