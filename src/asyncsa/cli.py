@@ -141,9 +141,8 @@ def _cmd_a2vi(args) -> int:
         ),
     )
     trace = run(cfg)
-    _, mdp, _ = build_field(cfg)
-    report = a2vi_residual_report(mdp, trace.final_x, eps_bound=args.eps,
-                                  slack=args.slack)
+    report = a2vi_residual_report(build_field(cfg).mdp, trace.final_x,
+                                  eps_bound=args.eps, slack=args.slack)
     report["final_values"] = [float(v) for v in trace.final_x]
     if args.out:
         _write_trace(trace, args.out)
@@ -168,8 +167,7 @@ def _cmd_a2pg(args) -> int:
         ),
     )
     trace = run(cfg)
-    _, _, surface = build_field(cfg)
-    report = a2pg_stationarity_report(surface, trace.final_x,
+    report = a2pg_stationarity_report(build_field(cfg).surface, trace.final_x,
                                       eps_bound=args.eps, tol=args.tol)
     report["final_theta"] = [float(v) for v in trace.final_x]
     if args.out:

@@ -42,7 +42,7 @@ from .fields import (
     ScaledIdentityField,
     random_pd_matrix,
 )
-from .mdp import BellmanResidualField, FiniteMDP, load_fixture, random_mdp
+from .mdp import BellmanResidualField, load_fixture, random_mdp
 from .norms import Norm, norm_from_config, weighted_norm
 from .schedules import AgentSchedule, StepSizePolicy
 from .stochastics import make_delay_sampler, make_error_sampler, make_noise_sampler
@@ -358,27 +358,28 @@ class RuntimeBundle:
     region: ProjectionRegion | None
     x0: np.ndarray
     config_dict: dict
-    mdp: FiniteMDP | None = None
-    surface: Any = None
 
 
-def build_field(cfg: RunConfig) -> tuple[Field, FiniteMDP | None, Any]:
-    """The drive of a config, plus its MDP or gradient surface if any."""
+def build_field(cfg: RunConfig) -> Field:
+    """The drive of a config; a Bellman field carries its ``mdp`` and a
+    gradient field its ``surface``."""
     d = cfg.dimension
     obj = cfg.objective
     if isinstance(obj, QuadraticObjective):
         if isinstance(obj.matrices, str):
+            # agent i reads only row i of its own matrix M_i, so the drive
+            # is that of the one matrix whose row i is row i of M_i
             rng = stream(cfg.seed, DOMAIN_INSTANCE)
-            mats = np.stack([random_pd_matrix(d, rng) for _ in range(d)])
+            mats = np.stack([random_pd_matrix(d, rng)[i] for i in range(d)])
         else:
             mats = np.asarray(obj.matrices, dtype=float)
             if mats.shape not in ((d, d), (d, d, d)):
                 raise ConfigError(
                     f"quadratic matrices must have shape ({d}, {d}) or ({d}, {d}, {d})"
                 )
-        return QuadraticField(mats), None, None
+        return QuadraticField(mats)
     if isinstance(obj, ScaledIdentityObjective):
-        return ScaledIdentityField(obj.gain, d), None, None
+        return ScaledIdentityField(obj.gain, d)
     if isinstance(obj, BellmanObjective):
         if obj.fixture is not None:
             mdp = load_fixture(obj.fixture)
@@ -389,7 +390,7 @@ def build_field(cfg: RunConfig) -> tuple[Field, FiniteMDP | None, Any]:
             raise ConfigError(
                 f"dimension {d} does not match the {mdp.states}-state problem"
             )
-        return BellmanResidualField(mdp), mdp, None
+        return BellmanResidualField(mdp)
     if isinstance(obj, GradientObjective):
         if obj.surface == "rosenbrock":
             if d != 2:
@@ -404,13 +405,13 @@ def build_field(cfg: RunConfig) -> tuple[Field, FiniteMDP | None, Any]:
             if mat.shape != (d, d):
                 raise ConfigError(f"bowl matrix must have shape ({d}, {d})")
             surface = QuadraticBowl(mat)
-        return GradientDescentField(surface), None, surface
+        return GradientDescentField(surface)
     raise ConfigError(f"unsupported objective {type(obj).__name__}")
 
 
 def build_runtime(cfg: RunConfig) -> RuntimeBundle:
     d = cfg.dimension
-    field, mdp, surface = build_field(cfg)
+    field = build_field(cfg)
     if cfg.x0 is not None:
         x0 = np.asarray(cfg.x0, dtype=float).copy()
     else:
@@ -433,8 +434,6 @@ def build_runtime(cfg: RunConfig) -> RuntimeBundle:
         region=region,
         x0=x0,
         config_dict=run_config_to_dict(cfg, x0=x0),
-        mdp=mdp,
-        surface=surface,
     )
 
 

@@ -297,8 +297,7 @@ def _sweep_cell(args) -> dict:
         elif aggregate == "log-final-norm":
             value = math.log(max(float(np.linalg.norm(final)), 1e-300))
         else:
-            field, _, _ = build_field(cfg)
-            value = float(np.linalg.norm(field.vector(final)))
+            value = float(np.linalg.norm(build_field(cfg).vector(final)))
         row.update(value=value, status="ok")
     except DivergenceError:
         row.update(value=float("nan"), status="divergent")

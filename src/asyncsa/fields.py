@@ -1,18 +1,17 @@
 """Driving fields for the update rule x <- x + a * (f(view) + error + noise).
 
-A field exposes three evaluation surfaces:
+A field answers two evaluations:
 
 * ``vector(x)``        -- f at a single point, all components;
-* ``component(i, v)``  -- component i at that agent's (possibly stale) view;
-* ``vector_views(V)``  -- all components where column i of V is agent i's
-  view; the generic fallback loops over ``component``.
-
-``lipschitz`` is a global Lipschitz bound when one is known, else None.
+* ``vector_views(V)``  -- component i of f at column i of V, for every i at
+  once, where column i of the (d, d) matrix V is agent i's (possibly
+  stale) view of the iterate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Protocol
 
 import numpy as np
 
@@ -25,30 +24,23 @@ __all__ = [
     "QuadraticBowl",
     "Rosenbrock",
     "GradientDescentField",
-    "gradient_field",
     "random_pd_matrix",
 ]
 
 
-class Field:
+class Field(Protocol):
     d: int
-    lipschitz: float | None = None
 
-    def vector(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    def vector(self, x: np.ndarray) -> np.ndarray: ...
 
-    def component(self, i: int, view: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def vector_views(self, views: np.ndarray) -> np.ndarray:
-        return np.array([self.component(i, views[:, i]) for i in range(self.d)])
+    def vector_views(self, views: np.ndarray) -> np.ndarray: ...
 
 
-class QuadraticField(Field):
+class QuadraticField:
     """f_i(x) = -(M_i x)_i for one positive-definite matrix per agent.
 
     A single matrix is shared by all agents.  Only row i of M_i ever
-    enters component i, so the evaluation works off the stacked own-rows
+    enters component i, so the field keeps just the stacked own-rows
     matrix.
     """
 
@@ -58,43 +50,34 @@ class QuadraticField(Field):
             d = mats.shape[0]
             if mats.shape != (d, d):
                 raise ConfigError("quadratic field needs a square matrix")
-            mats = np.broadcast_to(mats, (d, d, d)).copy()
+            # a C-order copy: einsum's last bits depend on the layout
+            rows = np.array(mats, order="C")
         elif mats.ndim == 3:
             d = mats.shape[0]
             if mats.shape != (d, d, d):
                 raise ConfigError("quadratic field needs one (d, d) matrix per agent")
+            rows = mats[np.arange(d), np.arange(d)]
         else:
             raise ConfigError("quadratic field needs a matrix or a list of matrices")
         self.d = d
-        self.matrices = mats
-        self.rows = np.stack([mats[i, i, :] for i in range(d)])
-        self.lipschitz = float(
-            max(np.linalg.norm(mats[i], 2) for i in range(d))
-        )
+        self.rows = rows
 
     def vector(self, x):
         return -(self.rows @ x)
-
-    def component(self, i, view):
-        return float(-(self.rows[i] @ view))
 
     def vector_views(self, views):
         return -np.einsum("ij,ji->i", self.rows, views)
 
 
-class ScaledIdentityField(Field):
+class ScaledIdentityField:
     """f(x) = gain * x; gain=-1 is the classic stable line, +1 expansive."""
 
     def __init__(self, gain: float, d: int):
         self.gain = float(gain)
         self.d = int(d)
-        self.lipschitz = abs(self.gain)
 
     def vector(self, x):
         return self.gain * x
-
-    def component(self, i, view):
-        return self.gain * float(view[i])
 
     def vector_views(self, views):
         return self.gain * np.diagonal(views).copy()
@@ -148,7 +131,7 @@ class Rosenbrock:
         return (self.a - t1) ** 2 + self.b * (t2 - t1 * t1) ** 2
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
-        t1, t2 = float(theta[0]), float(theta[1])
+        t1, t2 = theta[0], theta[1]
         g1 = -2.0 * (self.a - t1) - 4.0 * self.b * t1 * (t2 - t1 * t1)
         g2 = 2.0 * self.b * (t2 - t1 * t1)
         return np.array([g1, g2])
@@ -157,24 +140,20 @@ class Rosenbrock:
 Surface = QuadraticBowl | Rosenbrock
 
 
-class GradientDescentField(Field):
+class GradientDescentField:
     """f(theta) = -grad pi(theta); the error model stands in for gradient
     estimator bias."""
 
     def __init__(self, surface: Surface):
         self.surface = surface
         self.d = surface.d
-        self.lipschitz = None
 
     def vector(self, x):
         return -self.surface.grad(x)
 
-    def component(self, i, view):
-        return float(-self.surface.grad(view)[i])
-
-
-def gradient_field(surface: Surface) -> GradientDescentField:
-    return GradientDescentField(surface)
+    def vector_views(self, views):
+        # grad of a (d, d) stack of view columns; agent i keeps entry i of column i
+        return -np.diagonal(self.surface.grad(views))
 
 
 def random_pd_matrix(

@@ -25,14 +25,12 @@ import numpy as np
 
 from ._rng import DOMAIN_MDP, stream
 from .errors import ConfigError, FixedPointError
-from .fields import Field
 from .norms import Norm, unit_max_norm
 
 __all__ = [
     "FiniteMDP",
     "bellman_apply",
     "BellmanResidualField",
-    "bellman_residual_field",
     "greedy_policy",
     "policy_value",
     "exact_fixed_point",
@@ -144,22 +142,15 @@ def policy_value(mdp: FiniteMDP, policy: np.ndarray) -> np.ndarray:
     return v
 
 
-class BellmanResidualField(Field):
+class BellmanResidualField:
     """f(J) = TJ - J; agent s owns component s of the value vector."""
 
     def __init__(self, mdp: FiniteMDP):
         self.mdp = mdp
         self.d = mdp.states
-        self.lipschitz = 1.0 + mdp.discount
 
     def vector(self, values):
         return bellman_apply(self.mdp, values) - values
-
-    def component(self, s, view):
-        if self.mdp.terminal is not None and s == self.mdp.terminal:
-            return float(-view[s])
-        q = self.mdp.costs[s] + self.mdp.discount * (self.mdp.transitions[s] @ view)
-        return float(q.min() - view[s])
 
     def vector_views(self, views):
         q = self.mdp.costs + self.mdp.discount * np.einsum(
@@ -169,10 +160,6 @@ class BellmanResidualField(Field):
         if self.mdp.terminal is not None:
             out[self.mdp.terminal] = -views[self.mdp.terminal, self.mdp.terminal]
         return out
-
-
-def bellman_residual_field(mdp: FiniteMDP) -> BellmanResidualField:
-    return BellmanResidualField(mdp)
 
 
 def exact_fixed_point(

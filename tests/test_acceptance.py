@@ -317,7 +317,7 @@ def test_08_biased_gradient_neighborhood():
             errors=NormBallErrors(bound=0.1),
         )
         res = run_light(cfg)
-        surface = build_runtime(cfg).surface
+        surface = build_runtime(cfg).field.surface
         rep = a2pg_stationarity_report(surface, res.final_x, eps_bound=0.1)
         rosen_hits += rep["ok"]
         worst_grad = max(worst_grad, rep["grad_norm"])

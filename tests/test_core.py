@@ -11,6 +11,8 @@ from asyncsa import (
     DivergenceError,
     EuclideanNorm,
     FixedBiasErrors,
+    GeometricDelays,
+    GradientObjective,
     HarmonicSteps,
     HistoryWindowError,
     IterateHistory,
@@ -30,7 +32,7 @@ from asyncsa import (
     run,
     run_light,
 )
-from asyncsa.fields import QuadraticField, ScaledIdentityField
+from asyncsa.fields import QuadraticBowl, QuadraticField, ScaledIdentityField
 
 
 def _cfg(**kw) -> RunConfig:
@@ -162,6 +164,22 @@ def test_zero_delay_run_evaluates_the_field_once_per_tick(monkeypatch):
     assert trace.residual.tolist() == [
         np.linalg.norm(vector(field, x)) for x in trace.x
     ]
+
+
+def test_delayed_gradient_run_takes_one_grad_per_tick(monkeypatch):
+    # every agent's view goes through one batched grad, not one grad each
+    cfg = _cfg(dimension=5, horizon=40, delays=GeometricDelays(mean=2.0),
+               objective=GradientObjective(surface="quadratic-bowl"))
+    grad = QuadraticBowl.grad
+    calls = []
+
+    def counted(self, theta):
+        calls.append(theta.shape)
+        return grad(self, theta)
+
+    monkeypatch.setattr(QuadraticBowl, "grad", counted)
+    run_light(cfg)
+    assert calls == [(5, 5)] * 40
 
 
 def test_degenerate_delay_models_reduce_to_zero_delays():

@@ -1,16 +1,24 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from asyncsa import (
+    BellmanResidualField,
     ConfigError,
     GradientDescentField,
     QuadraticBowl,
     QuadraticField,
     Rosenbrock,
     ScaledIdentityField,
-    gradient_field,
+    load_fixture,
+    random_mdp,
     random_pd_matrix,
 )
+
+import reference
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _tile_views(x: np.ndarray) -> np.ndarray:
@@ -23,7 +31,6 @@ def test_quadratic_field_shared_matrix():
     f = QuadraticField(m)
     x = np.array([1.0, -2.0])
     assert f.vector(x) == pytest.approx(-(m @ x))
-    assert f.component(0, x) == pytest.approx(-(m[0] @ x))
     assert f.vector_views(_tile_views(x)) == pytest.approx(f.vector(x))
 
 
@@ -44,18 +51,12 @@ def test_quadratic_field_stale_views():
     assert f.vector_views(views) == pytest.approx([-3.0, -30.0])
 
 
-def test_quadratic_field_lipschitz_is_largest_gain():
-    m = np.diag([0.5, 4.0])
-    assert QuadraticField(m).lipschitz == pytest.approx(4.0)
-
-
 def test_scaled_identity_field():
     f = ScaledIdentityField(-0.5, 3)
     x = np.array([2.0, -4.0, 6.0])
     assert f.vector(x) == pytest.approx([-1.0, 2.0, -3.0])
     views = np.diag(x)  # agent i sees only its own value on the diagonal
     assert f.vector_views(views) == pytest.approx(f.vector(x))
-    assert f.component(1, x) == pytest.approx(2.0)
 
 
 def test_quadratic_bowl_identities():
@@ -87,11 +88,9 @@ def test_rosenbrock_landmarks():
 
 def test_gradient_descent_field_is_negative_gradient():
     surf = QuadraticBowl(np.eye(2))
-    f = gradient_field(surf)
-    assert isinstance(f, GradientDescentField)
+    f = GradientDescentField(surf)
     theta = np.array([0.3, -0.7])
     assert f.vector(theta) == pytest.approx(-theta)
-    assert f.component(0, theta) == pytest.approx(-0.3)
     assert f.vector_views(_tile_views(theta)) == pytest.approx(-theta)
 
 
@@ -121,3 +120,46 @@ def test_quadratic_field_shape_validation():
         QuadraticField(np.zeros((2, 3)))
     with pytest.raises(ConfigError):
         QuadraticField(np.zeros((3, 2, 2)))
+
+
+def _field_and_reference(kind, d, rng):
+    """A field of the given kind at dimension d, and its per-agent reference."""
+    if kind == "quadratic-shared":
+        m = random_pd_matrix(d, rng)
+        return QuadraticField(m), lambda v: reference.quadratic_drive(m, v)
+    if kind == "quadratic-per-agent":
+        mats = np.stack([random_pd_matrix(d, rng) for _ in range(d)])
+        return QuadraticField(mats), lambda v: reference.quadratic_drive(mats, v)
+    if kind == "scaled-identity":
+        return (ScaledIdentityField(-0.7, d),
+                lambda v: reference.scaled_identity_drive(-0.7, v))
+    if kind.startswith("bellman"):
+        mdp = (random_mdp(d, 3, seed=d) if kind == "bellman-random"
+               else load_fixture(FIXTURES / f"{kind[len('bellman-'):]}.txt"))
+        return BellmanResidualField(mdp), lambda v: reference.bellman_drive(mdp, v)
+    if kind == "bowl":
+        m = random_pd_matrix(d, rng)
+        return (GradientDescentField(QuadraticBowl(m)),
+                lambda v: reference.bowl_drive(m, v))
+    surf = Rosenbrock(a=1.5, b=20.0)
+    return (GradientDescentField(surf),
+            lambda v: reference.rosenbrock_drive(1.5, 20.0, v))
+
+
+@pytest.mark.parametrize("kind, d", [
+    *((kind, d)
+      for kind in ("quadratic-shared", "quadratic-per-agent", "scaled-identity",
+                   "bellman-random", "bowl")
+      for d in (2, 5, 20)),
+    ("bellman-mdp_5s2a", 5),
+    ("bellman-ssp_chain", 4),
+    ("rosenbrock", 2),
+])
+def test_vector_views_match_per_agent_reference(kind, d):
+    rng = np.random.default_rng(d)
+    field, drive = _field_and_reference(kind, d, rng)
+    assert field.d == d
+    for _ in range(5):
+        views = rng.standard_normal((d, d))  # stale: every column differs
+        np.testing.assert_allclose(field.vector_views(views), drive(views),
+                                   rtol=1e-12, atol=1e-12)

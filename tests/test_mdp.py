@@ -8,7 +8,6 @@ from asyncsa import (
     FixedPointError,
     WeightedMaxNorm,
     bellman_apply,
-    bellman_residual_field,
     exact_fixed_point,
     greedy_policy,
     load_fixture,
@@ -104,19 +103,6 @@ def test_ssp_terminal_stays_pinned(fixtures_dir):
     field = BellmanResidualField(mdp)
     # the drive pulls the terminal coordinate straight back to zero
     assert field.vector(values)[3] == pytest.approx(-4.0)
-    assert field.component(3, values) == pytest.approx(-4.0)
-
-
-def test_residual_field_views_match_componentwise(fixtures_dir):
-    mdp = load_fixture(fixtures_dir / "mdp_5s2a.txt")
-    field = bellman_residual_field(mdp)
-    rng = np.random.default_rng(3)
-    views = rng.standard_normal((5, 5))
-    out = field.vector_views(views)
-    for s in range(5):
-        assert out[s] == pytest.approx(field.component(s, views[:, s]),
-                                       rel=1e-12)
-    assert field.lipschitz == pytest.approx(1.9)
 
 
 def test_transition_validation():
