@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,499 @@ def test_load_config_file(tmp_path):
     broken.write_text("a: [unclosed\n")
     with pytest.raises(ConfigError):
         load_config_file(broken)
+
+
+# ---------------------------------------------------------------------------
+# canonical dict freeze
+#
+# Every output file embeds ``run_config_to_dict`` of its config, so the
+# dict is part of each run's record.  The strings below are the canonical
+# dicts of a corpus covering every kind of every family, each optional key
+# present and absent, int-valued floats, the scalar and matrix forms of
+# ``mean``, ``p_c`` and ``q``, ``symmetric`` forced both ways, the norm-ball
+# norms, projections with and without a center under each norm kind, and
+# an explicit ``x0``.  Changing any of them changes recorded output.
+
+BASE_DOC = {
+    "dimension": 2,
+    "horizon": 10,
+    "seed": 3,
+    "objective": {"kind": "scaled-identity", "gain": -1.5},
+}
+
+FIXTURE = "tests/fixtures/mdp_5s2a.txt"
+
+CORPUS = {
+    # objective
+    "quadratic-default": {"objective": {"kind": "quadratic"}},
+    "quadratic-random": {"objective": {"kind": "quadratic", "matrices": "random"}},
+    "quadratic-shared": {"objective": {"kind": "quadratic", "matrices": [[2, 0], [0, 3]]}},
+    "quadratic-per-agent": {"objective": {
+        "kind": "quadratic", "matrices": [[[2, 0], [0, 1]], [[1, 0], [0, 2.5]]]}},
+    "scaled-identity-int": {"objective": {"kind": "scaled-identity", "gain": -1}},
+    "bellman-fixture": {"dimension": 5, "objective": {
+        "kind": "bellman-residual", "fixture": FIXTURE}},
+    "bellman-random": {"dimension": 4, "objective": {
+        "kind": "bellman-residual", "states": 4, "actions": 2}},
+    "bellman-random-full": {"dimension": 4, "objective": {
+        "kind": "bellman-residual", "states": 4, "actions": 3,
+        "discount": 0.8, "mdp_seed": 7}},
+    "gradient-default": {"objective": {"kind": "gradient-descent"}},
+    "gradient-bowl": {"objective": {"kind": "gradient-descent",
+                                    "surface": "quadratic-bowl"}},
+    "gradient-bowl-matrix": {"objective": {
+        "kind": "gradient-descent", "surface": "quadratic-bowl",
+        "matrix": [[2, 0], [0, 1]]}},
+    "rosenbrock": {"objective": {"kind": "gradient-descent", "surface": "rosenbrock"}},
+    "rosenbrock-ab": {"objective": {"kind": "gradient-descent", "surface": "rosenbrock",
+                                    "a": 1, "b": 50}},
+    # steps
+    "harmonic-default": {"steps": {"kind": "harmonic"}},
+    "harmonic-int": {"steps": {"kind": "harmonic", "c": 10}},
+    "power": {"steps": {"kind": "power", "p": 0.75}},
+    "power-full": {"steps": {"kind": "power", "p": 1, "c": 5}},
+    "constant": {"steps": {"kind": "constant", "a0": 0.5}},
+    # activation
+    "all": {"activation": {"kind": "all"}},
+    "round-robin-default": {"activation": {"kind": "round-robin"}},
+    "round-robin-k": {"activation": {"kind": "round-robin", "k": 2}},
+    "bernoulli-scalar": {"activation": {"kind": "bernoulli", "q": 0.5}},
+    "bernoulli-vector": {"activation": {"kind": "bernoulli", "q": [0.5, 1]}},
+    # delays
+    "delays-zero": {"delays": {"kind": "zero"}},
+    "bounded-uniform": {"delays": {"kind": "bounded-uniform", "tau_max": 3}},
+    "geometric-int": {"delays": {"kind": "geometric", "mean": 3}},
+    "geometric-matrix": {"delays": {"kind": "geometric", "mean": [[1, 2], [3, 4.5]]}},
+    "stale-scalar": {"delays": {"kind": "stale-refresh", "p_c": 0.5}},
+    "stale-scalar-asym": {"delays": {"kind": "stale-refresh", "p_c": 0.5,
+                                     "symmetric": False}},
+    "stale-scalar-int-sym": {"delays": {"kind": "stale-refresh", "p_c": 1,
+                                        "symmetric": True}},
+    "stale-matrix": {"delays": {"kind": "stale-refresh",
+                                "p_c": [[1, 0.4], [0.4, 1]]}},
+    "stale-matrix-sym": {"delays": {"kind": "stale-refresh",
+                                    "p_c": [[1, 0.4], [0.4, 1]], "symmetric": True}},
+    # errors
+    "errors-zero": {"errors": {"kind": "zero"}},
+    "componentwise-int": {"errors": {"kind": "componentwise-uniform", "bound": 1}},
+    "fixed-bias": {"errors": {"kind": "fixed-bias", "bias": [0.1, -2]}},
+    "norm-ball-default": {"errors": {"kind": "norm-ball-uniform", "bound": 0.5}},
+    "norm-ball-euclidean": {"errors": {"kind": "norm-ball-uniform", "bound": 1,
+                                       "norm": {"kind": "euclidean"}}},
+    "norm-ball-max": {"errors": {"kind": "norm-ball-uniform", "bound": 0.5,
+                                 "norm": {"kind": "weighted-max"}}},
+    "norm-ball-max-weights": {"errors": {"kind": "norm-ball-uniform", "bound": 0.5,
+                                         "norm": {"kind": "weighted-max",
+                                                  "weights": [1, 2]}}},
+    # noise
+    "noise-zero": {"noise": {"kind": "zero"}},
+    "noise-uniform": {"noise": {"kind": "bounded-uniform", "level": 0.1}},
+    "noise-rademacher-int": {"noise": {"kind": "bounded-rademacher", "level": 1}},
+    # projection
+    "projection-plain": {"projection": {"r_inner": 1, "r_outer": 2}},
+    "projection-center": {"projection": {"r_inner": 1, "r_outer": 2,
+                                         "center": [0, 1]}},
+    "projection-euclidean": {"projection": {"r_inner": 0.5, "r_outer": 3,
+                                            "norm": {"kind": "euclidean"}}},
+    "projection-euclidean-center": {"projection": {
+        "r_inner": 0.5, "r_outer": 3, "center": [0.5, 0.5],
+        "norm": {"kind": "euclidean"}}},
+    "projection-max": {"projection": {"r_inner": 1, "r_outer": 2,
+                                      "norm": {"kind": "weighted-max"}}},
+    "projection-max-center": {"projection": {
+        "r_inner": 1, "r_outer": 2, "center": [1, -1],
+        "norm": {"kind": "weighted-max", "weights": [1, 2]}}},
+    "projection-p": {"projection": {"r_inner": 1, "r_outer": 2,
+                                    "norm": {"kind": "weighted-p",
+                                             "weights": [1, 1]}}},
+    "projection-p-center": {"projection": {
+        "r_inner": 1, "r_outer": 2, "center": [0.25, 0],
+        "norm": {"kind": "weighted-p", "weights": [2, 1], "p": 3}}},
+    # start point and a document using every family at once
+    "x0": {"x0": [0.5, -1]},
+    "everything": {
+        "objective": {"kind": "quadratic", "matrices": "random"},
+        "steps": {"kind": "harmonic", "c": 10.0},
+        "activation": {"kind": "round-robin", "k": 1},
+        "delays": {"kind": "geometric", "mean": 3.0},
+        "errors": {"kind": "componentwise-uniform", "bound": 0.2},
+        "noise": {"kind": "bounded-uniform", "level": 0.1},
+        "projection": {"r_inner": 1.0, "r_outer": 2.0},
+        "x0": [0.5, -0.5],
+    },
+}
+
+FROZEN = {
+    'quadratic-default': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "zero"}, "dimension": 2, '
+        '"errors": {"kind": "zero"}, "horizon": 10, "noise": {"kind": "zero"}, '
+        '"objective": {"kind": "quadratic", "matrices": "random"}, "projection": null, '
+        '"seed": 3, "steps": {"c": 1.0, "kind": "harmonic"}, "x0": null}'
+    ),
+    'quadratic-random': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "zero"}, "dimension": 2, '
+        '"errors": {"kind": "zero"}, "horizon": 10, "noise": {"kind": "zero"}, '
+        '"objective": {"kind": "quadratic", "matrices": "random"}, "projection": null, '
+        '"seed": 3, "steps": {"c": 1.0, "kind": "harmonic"}, "x0": null}'
+    ),
+    'quadratic-shared': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "zero"}, "dimension": 2, '
+        '"errors": {"kind": "zero"}, "horizon": 10, "noise": {"kind": "zero"}, '
+        '"objective": {"kind": "quadratic", "matrices": [[2, 0], [0, 3]]}, '
+        '"projection": null, "seed": 3, "steps": {"c": 1.0, "kind": "harmonic"}, '
+        '"x0": null}'
+    ),
+    'quadratic-per-agent': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "zero"}, "dimension": 2, '
+        '"errors": {"kind": "zero"}, "horizon": 10, "noise": {"kind": "zero"}, '
+        '"objective": {"kind": "quadratic", "matrices": [[[2.0, 0.0], [0.0, 1.0]], '
+        '[[1.0, 0.0], [0.0, 2.5]]]}, "projection": null, "seed": 3, '
+        '"steps": {"c": 1.0, "kind": "harmonic"}, "x0": null}'
+    ),
+    'scaled-identity-int': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "zero"}, "dimension": 2, '
+        '"errors": {"kind": "zero"}, "horizon": 10, "noise": {"kind": "zero"}, '
+        '"objective": {"gain": -1.0, "kind": "scaled-identity"}, "projection": null, '
+        '"seed": 3, "steps": {"c": 1.0, "kind": "harmonic"}, "x0": null}'
+    ),
+    'bellman-fixture': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "zero"}, "dimension": 5, '
+        '"errors": {"kind": "zero"}, "horizon": 10, "noise": {"kind": "zero"}, '
+        '"objective": {"fixture": "tests/fixtures/mdp_5s2a.txt", '
+        '"kind": "bellman-residual"}, "projection": null, "seed": 3, '
+        '"steps": {"c": 1.0, "kind": "harmonic"}, "x0": null}'
+    ),
+    'bellman-random': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "zero"}, "dimension": 4, '
+        '"errors": {"kind": "zero"}, "horizon": 10, "noise": {"kind": "zero"}, '
+        '"objective": {"actions": 2, "discount": 0.9, "kind": "bellman-residual", '
+        '"mdp_seed": 0, "states": 4}, "projection": null, "seed": 3, '
+        '"steps": {"c": 1.0, "kind": "harmonic"}, "x0": null}'
+    ),
+    'bellman-random-full': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "zero"}, "dimension": 4, '
+        '"errors": {"kind": "zero"}, "horizon": 10, "noise": {"kind": "zero"}, '
+        '"objective": {"actions": 3, "discount": 0.8, "kind": "bellman-residual", '
+        '"mdp_seed": 7, "states": 4}, "projection": null, "seed": 3, '
+        '"steps": {"c": 1.0, "kind": "harmonic"}, "x0": null}'
+    ),
+    'gradient-default': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "zero"}, "dimension": 2, '
+        '"errors": {"kind": "zero"}, "horizon": 10, "noise": {"kind": "zero"}, '
+        '"objective": {"kind": "gradient-descent", "surface": "quadratic-bowl"}, '
+        '"projection": null, "seed": 3, "steps": {"c": 1.0, "kind": "harmonic"}, '
+        '"x0": null}'
+    ),
+    'gradient-bowl': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "zero"}, "dimension": 2, '
+        '"errors": {"kind": "zero"}, "horizon": 10, "noise": {"kind": "zero"}, '
+        '"objective": {"kind": "gradient-descent", "surface": "quadratic-bowl"}, '
+        '"projection": null, "seed": 3, "steps": {"c": 1.0, "kind": "harmonic"}, '
+        '"x0": null}'
+    ),
+    'gradient-bowl-matrix': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "zero"}, "dimension": 2, '
+        '"errors": {"kind": "zero"}, "horizon": 10, "noise": {"kind": "zero"}, '
+        '"objective": {"kind": "gradient-descent", "matrix": [[2, 0], [0, 1]], '
+        '"surface": "quadratic-bowl"}, "projection": null, "seed": 3, '
+        '"steps": {"c": 1.0, "kind": "harmonic"}, "x0": null}'
+    ),
+    'rosenbrock': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "zero"}, "dimension": 2, '
+        '"errors": {"kind": "zero"}, "horizon": 10, "noise": {"kind": "zero"}, '
+        '"objective": {"a": 1.0, "b": 100.0, "kind": "gradient-descent", '
+        '"surface": "rosenbrock"}, "projection": null, "seed": 3, "steps": {"c": 1.0, '
+        '"kind": "harmonic"}, "x0": null}'
+    ),
+    'rosenbrock-ab': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "zero"}, "dimension": 2, '
+        '"errors": {"kind": "zero"}, "horizon": 10, "noise": {"kind": "zero"}, '
+        '"objective": {"a": 1.0, "b": 50.0, "kind": "gradient-descent", '
+        '"surface": "rosenbrock"}, "projection": null, "seed": 3, "steps": {"c": 1.0, '
+        '"kind": "harmonic"}, "x0": null}'
+    ),
+    'harmonic-default': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "zero"}, "dimension": 2, '
+        '"errors": {"kind": "zero"}, "horizon": 10, "noise": {"kind": "zero"}, '
+        '"objective": {"gain": -1.5, "kind": "scaled-identity"}, "projection": null, '
+        '"seed": 3, "steps": {"c": 1.0, "kind": "harmonic"}, "x0": null}'
+    ),
+    'harmonic-int': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "zero"}, "dimension": 2, '
+        '"errors": {"kind": "zero"}, "horizon": 10, "noise": {"kind": "zero"}, '
+        '"objective": {"gain": -1.5, "kind": "scaled-identity"}, "projection": null, '
+        '"seed": 3, "steps": {"c": 10.0, "kind": "harmonic"}, "x0": null}'
+    ),
+    'power': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "zero"}, "dimension": 2, '
+        '"errors": {"kind": "zero"}, "horizon": 10, "noise": {"kind": "zero"}, '
+        '"objective": {"gain": -1.5, "kind": "scaled-identity"}, "projection": null, '
+        '"seed": 3, "steps": {"c": 1.0, "kind": "power", "p": 0.75}, "x0": null}'
+    ),
+    'power-full': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "zero"}, "dimension": 2, '
+        '"errors": {"kind": "zero"}, "horizon": 10, "noise": {"kind": "zero"}, '
+        '"objective": {"gain": -1.5, "kind": "scaled-identity"}, "projection": null, '
+        '"seed": 3, "steps": {"c": 5.0, "kind": "power", "p": 1.0}, "x0": null}'
+    ),
+    'constant': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "zero"}, "dimension": 2, '
+        '"errors": {"kind": "zero"}, "horizon": 10, "noise": {"kind": "zero"}, '
+        '"objective": {"gain": -1.5, "kind": "scaled-identity"}, "projection": null, '
+        '"seed": 3, "steps": {"a0": 0.5, "kind": "constant"}, "x0": null}'
+    ),
+    'all': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "zero"}, "dimension": 2, '
+        '"errors": {"kind": "zero"}, "horizon": 10, "noise": {"kind": "zero"}, '
+        '"objective": {"gain": -1.5, "kind": "scaled-identity"}, "projection": null, '
+        '"seed": 3, "steps": {"c": 1.0, "kind": "harmonic"}, "x0": null}'
+    ),
+    'round-robin-default': (
+        '{"activation": {"k": 1, "kind": "round-robin"}, "delays": {"kind": "zero"}, '
+        '"dimension": 2, "errors": {"kind": "zero"}, "horizon": 10, '
+        '"noise": {"kind": "zero"}, "objective": {"gain": -1.5, '
+        '"kind": "scaled-identity"}, "projection": null, "seed": 3, '
+        '"steps": {"c": 1.0, "kind": "harmonic"}, "x0": null}'
+    ),
+    'round-robin-k': (
+        '{"activation": {"k": 2, "kind": "round-robin"}, "delays": {"kind": "zero"}, '
+        '"dimension": 2, "errors": {"kind": "zero"}, "horizon": 10, '
+        '"noise": {"kind": "zero"}, "objective": {"gain": -1.5, '
+        '"kind": "scaled-identity"}, "projection": null, "seed": 3, '
+        '"steps": {"c": 1.0, "kind": "harmonic"}, "x0": null}'
+    ),
+    'bernoulli-scalar': (
+        '{"activation": {"kind": "bernoulli", "q": [0.5]}, "delays": {"kind": "zero"}, '
+        '"dimension": 2, "errors": {"kind": "zero"}, "horizon": 10, '
+        '"noise": {"kind": "zero"}, "objective": {"gain": -1.5, '
+        '"kind": "scaled-identity"}, "projection": null, "seed": 3, '
+        '"steps": {"c": 1.0, "kind": "harmonic"}, "x0": null}'
+    ),
+    'bernoulli-vector': (
+        '{"activation": {"kind": "bernoulli", "q": [0.5, 1.0]}, '
+        '"delays": {"kind": "zero"}, "dimension": 2, "errors": {"kind": "zero"}, '
+        '"horizon": 10, "noise": {"kind": "zero"}, "objective": {"gain": -1.5, '
+        '"kind": "scaled-identity"}, "projection": null, "seed": 3, '
+        '"steps": {"c": 1.0, "kind": "harmonic"}, "x0": null}'
+    ),
+    'delays-zero': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "zero"}, "dimension": 2, '
+        '"errors": {"kind": "zero"}, "horizon": 10, "noise": {"kind": "zero"}, '
+        '"objective": {"gain": -1.5, "kind": "scaled-identity"}, "projection": null, '
+        '"seed": 3, "steps": {"c": 1.0, "kind": "harmonic"}, "x0": null}'
+    ),
+    'bounded-uniform': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "bounded-uniform", '
+        '"tau_max": 3}, "dimension": 2, "errors": {"kind": "zero"}, "horizon": 10, '
+        '"noise": {"kind": "zero"}, "objective": {"gain": -1.5, '
+        '"kind": "scaled-identity"}, "projection": null, "seed": 3, '
+        '"steps": {"c": 1.0, "kind": "harmonic"}, "x0": null}'
+    ),
+    'geometric-int': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "geometric", "mean": 3.0}, '
+        '"dimension": 2, "errors": {"kind": "zero"}, "horizon": 10, '
+        '"noise": {"kind": "zero"}, "objective": {"gain": -1.5, '
+        '"kind": "scaled-identity"}, "projection": null, "seed": 3, '
+        '"steps": {"c": 1.0, "kind": "harmonic"}, "x0": null}'
+    ),
+    'geometric-matrix': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "geometric", '
+        '"mean": [[1.0, 2.0], [3.0, 4.5]]}, "dimension": 2, '
+        '"errors": {"kind": "zero"}, "horizon": 10, "noise": {"kind": "zero"}, '
+        '"objective": {"gain": -1.5, "kind": "scaled-identity"}, "projection": null, '
+        '"seed": 3, "steps": {"c": 1.0, "kind": "harmonic"}, "x0": null}'
+    ),
+    'stale-scalar': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "stale-refresh", '
+        '"p_c": 0.5, "symmetric": true}, "dimension": 2, "errors": {"kind": "zero"}, '
+        '"horizon": 10, "noise": {"kind": "zero"}, "objective": {"gain": -1.5, '
+        '"kind": "scaled-identity"}, "projection": null, "seed": 3, '
+        '"steps": {"c": 1.0, "kind": "harmonic"}, "x0": null}'
+    ),
+    'stale-scalar-asym': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "stale-refresh", '
+        '"p_c": 0.5, "symmetric": false}, "dimension": 2, "errors": {"kind": "zero"}, '
+        '"horizon": 10, "noise": {"kind": "zero"}, "objective": {"gain": -1.5, '
+        '"kind": "scaled-identity"}, "projection": null, "seed": 3, '
+        '"steps": {"c": 1.0, "kind": "harmonic"}, "x0": null}'
+    ),
+    'stale-scalar-int-sym': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "stale-refresh", '
+        '"p_c": 1.0, "symmetric": true}, "dimension": 2, "errors": {"kind": "zero"}, '
+        '"horizon": 10, "noise": {"kind": "zero"}, "objective": {"gain": -1.5, '
+        '"kind": "scaled-identity"}, "projection": null, "seed": 3, '
+        '"steps": {"c": 1.0, "kind": "harmonic"}, "x0": null}'
+    ),
+    'stale-matrix': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "stale-refresh", '
+        '"p_c": [[1.0, 0.4], [0.4, 1.0]], "symmetric": false}, "dimension": 2, '
+        '"errors": {"kind": "zero"}, "horizon": 10, "noise": {"kind": "zero"}, '
+        '"objective": {"gain": -1.5, "kind": "scaled-identity"}, "projection": null, '
+        '"seed": 3, "steps": {"c": 1.0, "kind": "harmonic"}, "x0": null}'
+    ),
+    'stale-matrix-sym': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "stale-refresh", '
+        '"p_c": [[1.0, 0.4], [0.4, 1.0]], "symmetric": true}, "dimension": 2, '
+        '"errors": {"kind": "zero"}, "horizon": 10, "noise": {"kind": "zero"}, '
+        '"objective": {"gain": -1.5, "kind": "scaled-identity"}, "projection": null, '
+        '"seed": 3, "steps": {"c": 1.0, "kind": "harmonic"}, "x0": null}'
+    ),
+    'errors-zero': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "zero"}, "dimension": 2, '
+        '"errors": {"kind": "zero"}, "horizon": 10, "noise": {"kind": "zero"}, '
+        '"objective": {"gain": -1.5, "kind": "scaled-identity"}, "projection": null, '
+        '"seed": 3, "steps": {"c": 1.0, "kind": "harmonic"}, "x0": null}'
+    ),
+    'componentwise-int': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "zero"}, "dimension": 2, '
+        '"errors": {"bound": 1.0, "kind": "componentwise-uniform"}, "horizon": 10, '
+        '"noise": {"kind": "zero"}, "objective": {"gain": -1.5, '
+        '"kind": "scaled-identity"}, "projection": null, "seed": 3, '
+        '"steps": {"c": 1.0, "kind": "harmonic"}, "x0": null}'
+    ),
+    'fixed-bias': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "zero"}, "dimension": 2, '
+        '"errors": {"bias": [0.1, -2.0], "kind": "fixed-bias"}, "horizon": 10, '
+        '"noise": {"kind": "zero"}, "objective": {"gain": -1.5, '
+        '"kind": "scaled-identity"}, "projection": null, "seed": 3, '
+        '"steps": {"c": 1.0, "kind": "harmonic"}, "x0": null}'
+    ),
+    'norm-ball-default': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "zero"}, "dimension": 2, '
+        '"errors": {"bound": 0.5, "kind": "norm-ball-uniform", '
+        '"norm": {"kind": "euclidean"}}, "horizon": 10, "noise": {"kind": "zero"}, '
+        '"objective": {"gain": -1.5, "kind": "scaled-identity"}, "projection": null, '
+        '"seed": 3, "steps": {"c": 1.0, "kind": "harmonic"}, "x0": null}'
+    ),
+    'norm-ball-euclidean': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "zero"}, "dimension": 2, '
+        '"errors": {"bound": 1.0, "kind": "norm-ball-uniform", '
+        '"norm": {"kind": "euclidean"}}, "horizon": 10, "noise": {"kind": "zero"}, '
+        '"objective": {"gain": -1.5, "kind": "scaled-identity"}, "projection": null, '
+        '"seed": 3, "steps": {"c": 1.0, "kind": "harmonic"}, "x0": null}'
+    ),
+    'norm-ball-max': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "zero"}, "dimension": 2, '
+        '"errors": {"bound": 0.5, "kind": "norm-ball-uniform", '
+        '"norm": {"kind": "weighted-max", "weights": [1.0, 1.0]}}, "horizon": 10, '
+        '"noise": {"kind": "zero"}, "objective": {"gain": -1.5, '
+        '"kind": "scaled-identity"}, "projection": null, "seed": 3, '
+        '"steps": {"c": 1.0, "kind": "harmonic"}, "x0": null}'
+    ),
+    'norm-ball-max-weights': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "zero"}, "dimension": 2, '
+        '"errors": {"bound": 0.5, "kind": "norm-ball-uniform", '
+        '"norm": {"kind": "weighted-max", "weights": [1.0, 2.0]}}, "horizon": 10, '
+        '"noise": {"kind": "zero"}, "objective": {"gain": -1.5, '
+        '"kind": "scaled-identity"}, "projection": null, "seed": 3, '
+        '"steps": {"c": 1.0, "kind": "harmonic"}, "x0": null}'
+    ),
+    'noise-zero': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "zero"}, "dimension": 2, '
+        '"errors": {"kind": "zero"}, "horizon": 10, "noise": {"kind": "zero"}, '
+        '"objective": {"gain": -1.5, "kind": "scaled-identity"}, "projection": null, '
+        '"seed": 3, "steps": {"c": 1.0, "kind": "harmonic"}, "x0": null}'
+    ),
+    'noise-uniform': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "zero"}, "dimension": 2, '
+        '"errors": {"kind": "zero"}, "horizon": 10, '
+        '"noise": {"kind": "bounded-uniform", "level": 0.1}, '
+        '"objective": {"gain": -1.5, "kind": "scaled-identity"}, "projection": null, '
+        '"seed": 3, "steps": {"c": 1.0, "kind": "harmonic"}, "x0": null}'
+    ),
+    'noise-rademacher-int': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "zero"}, "dimension": 2, '
+        '"errors": {"kind": "zero"}, "horizon": 10, '
+        '"noise": {"kind": "bounded-rademacher", "level": 1.0}, '
+        '"objective": {"gain": -1.5, "kind": "scaled-identity"}, "projection": null, '
+        '"seed": 3, "steps": {"c": 1.0, "kind": "harmonic"}, "x0": null}'
+    ),
+    'projection-plain': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "zero"}, "dimension": 2, '
+        '"errors": {"kind": "zero"}, "horizon": 10, "noise": {"kind": "zero"}, '
+        '"objective": {"gain": -1.5, "kind": "scaled-identity"}, '
+        '"projection": {"r_inner": 1.0, "r_outer": 2.0}, "seed": 3, '
+        '"steps": {"c": 1.0, "kind": "harmonic"}, "x0": null}'
+    ),
+    'projection-center': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "zero"}, "dimension": 2, '
+        '"errors": {"kind": "zero"}, "horizon": 10, "noise": {"kind": "zero"}, '
+        '"objective": {"gain": -1.5, "kind": "scaled-identity"}, '
+        '"projection": {"center": [0, 1], "r_inner": 1.0, "r_outer": 2.0}, "seed": 3, '
+        '"steps": {"c": 1.0, "kind": "harmonic"}, "x0": null}'
+    ),
+    'projection-euclidean': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "zero"}, "dimension": 2, '
+        '"errors": {"kind": "zero"}, "horizon": 10, "noise": {"kind": "zero"}, '
+        '"objective": {"gain": -1.5, "kind": "scaled-identity"}, '
+        '"projection": {"norm": {"kind": "euclidean"}, "r_inner": 0.5, '
+        '"r_outer": 3.0}, "seed": 3, "steps": {"c": 1.0, "kind": "harmonic"}, '
+        '"x0": null}'
+    ),
+    'projection-euclidean-center': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "zero"}, "dimension": 2, '
+        '"errors": {"kind": "zero"}, "horizon": 10, "noise": {"kind": "zero"}, '
+        '"objective": {"gain": -1.5, "kind": "scaled-identity"}, '
+        '"projection": {"center": [0.5, 0.5], "norm": {"kind": "euclidean"}, '
+        '"r_inner": 0.5, "r_outer": 3.0}, "seed": 3, "steps": {"c": 1.0, '
+        '"kind": "harmonic"}, "x0": null}'
+    ),
+    'projection-max': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "zero"}, "dimension": 2, '
+        '"errors": {"kind": "zero"}, "horizon": 10, "noise": {"kind": "zero"}, '
+        '"objective": {"gain": -1.5, "kind": "scaled-identity"}, '
+        '"projection": {"norm": {"kind": "weighted-max"}, "r_inner": 1.0, '
+        '"r_outer": 2.0}, "seed": 3, "steps": {"c": 1.0, "kind": "harmonic"}, '
+        '"x0": null}'
+    ),
+    'projection-max-center': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "zero"}, "dimension": 2, '
+        '"errors": {"kind": "zero"}, "horizon": 10, "noise": {"kind": "zero"}, '
+        '"objective": {"gain": -1.5, "kind": "scaled-identity"}, '
+        '"projection": {"center": [1, -1], "norm": {"kind": "weighted-max", '
+        '"weights": [1, 2]}, "r_inner": 1.0, "r_outer": 2.0}, "seed": 3, '
+        '"steps": {"c": 1.0, "kind": "harmonic"}, "x0": null}'
+    ),
+    'projection-p': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "zero"}, "dimension": 2, '
+        '"errors": {"kind": "zero"}, "horizon": 10, "noise": {"kind": "zero"}, '
+        '"objective": {"gain": -1.5, "kind": "scaled-identity"}, '
+        '"projection": {"norm": {"kind": "weighted-p", "weights": [1, 1]}, '
+        '"r_inner": 1.0, "r_outer": 2.0}, "seed": 3, "steps": {"c": 1.0, '
+        '"kind": "harmonic"}, "x0": null}'
+    ),
+    'projection-p-center': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "zero"}, "dimension": 2, '
+        '"errors": {"kind": "zero"}, "horizon": 10, "noise": {"kind": "zero"}, '
+        '"objective": {"gain": -1.5, "kind": "scaled-identity"}, '
+        '"projection": {"center": [0.25, 0.0], "norm": {"kind": "weighted-p", "p": 3, '
+        '"weights": [2, 1]}, "r_inner": 1.0, "r_outer": 2.0}, "seed": 3, '
+        '"steps": {"c": 1.0, "kind": "harmonic"}, "x0": null}'
+    ),
+    'x0': (
+        '{"activation": {"kind": "all"}, "delays": {"kind": "zero"}, "dimension": 2, '
+        '"errors": {"kind": "zero"}, "horizon": 10, "noise": {"kind": "zero"}, '
+        '"objective": {"gain": -1.5, "kind": "scaled-identity"}, "projection": null, '
+        '"seed": 3, "steps": {"c": 1.0, "kind": "harmonic"}, "x0": [0.5, -1.0]}'
+    ),
+    'everything': (
+        '{"activation": {"k": 1, "kind": "round-robin"}, '
+        '"delays": {"kind": "geometric", "mean": 3.0}, "dimension": 2, '
+        '"errors": {"bound": 0.2, "kind": "componentwise-uniform"}, "horizon": 10, '
+        '"noise": {"kind": "bounded-uniform", "level": 0.1}, '
+        '"objective": {"kind": "quadratic", "matrices": "random"}, '
+        '"projection": {"r_inner": 1.0, "r_outer": 2.0}, "seed": 3, '
+        '"steps": {"c": 10.0, "kind": "harmonic"}, "x0": [0.5, -0.5]}'
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CORPUS))
+def test_canonical_dict_is_frozen(name):
+    doc = json.loads(json.dumps(dict(BASE_DOC, **CORPUS[name])))
+    out = run_config_to_dict(parse_run_config(doc))
+    assert json.dumps(out, sort_keys=True) == FROZEN[name]
+    assert run_config_to_dict(parse_run_config(out)) == out
 
 
 # ---------------------------------------------------------------------------
