@@ -2,8 +2,19 @@
 
 Configs are YAML (or JSON) mappings with a fixed vocabulary; unknown keys
 anywhere are hard errors so typos cannot silently change an experiment.
-Parsing produces plain dataclasses; the runtime objects (samplers, fields,
-projection region) are assembled from them in asyncsa.core.
+
+Every kind-tagged block (objective, steps, activation, delays, errors,
+noise, norm) and the projection block is read and written by one codec.
+Each spec dataclass is the only statement of its grammar: its init fields
+are the block's keys, fields without a default are required, and fields
+annotated ``float``, ``int`` or ``bool`` are cast on the way in and out.
+``spec_from_config`` looks the ``kind`` up in :data:`SPEC_FAMILIES`;
+``spec_to_config`` writes the kind and every init field that is not None.
+Field metadata adds what an annotation cannot say: ``family`` for a
+nested spec, ``length`` for a vector that needs one entry per agent and
+``fill`` for the default of such a vector.  The runtime objects (samplers,
+fields, projection region) are assembled from the parsed specs in
+asyncsa.core.
 
 The canonical dict form returned by ``run_config_to_dict`` is what gets
 embedded in every output file next to the seed.
@@ -12,21 +23,16 @@ embedded in every output file next to the seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import MISSING, dataclass, field, fields
+from functools import cache
+from typing import Any, get_args
 
 import numpy as np
 import yaml
 
 from .errors import ConfigError
-from .norms import norm_from_config
-from .schedules import (
-    ActivationPolicy,
-    AllActive,
-    StepSizePolicy,
-    activation_from_config,
-    step_policy_from_config,
-)
+from .norms import Norm
+from .schedules import ActivationPolicy, AllActive, HarmonicSteps, StepSizePolicy
 from .stochastics import (
     DelayModel,
     ErrorModel,
@@ -34,9 +40,6 @@ from .stochastics import (
     ZeroDelays,
     ZeroErrors,
     ZeroNoise,
-    delay_model_from_config,
-    error_model_from_config,
-    noise_model_from_config,
 )
 
 __all__ = [
@@ -47,6 +50,9 @@ __all__ = [
     "ProjectionSpec",
     "RunConfig",
     "SweepSpec",
+    "SPEC_FAMILIES",
+    "spec_from_config",
+    "spec_to_config",
     "load_config_file",
     "parse_run_config",
     "parse_sweep_config",
@@ -70,20 +76,11 @@ class QuadraticObjective:
     matrices: Any = "random"
     kind: str = field(default="quadratic", init=False)
 
-    def to_config(self) -> dict:
-        m = self.matrices
-        if isinstance(m, str):
-            return {"kind": "quadratic", "matrices": m}
-        return {"kind": "quadratic", "matrices": np.asarray(m).tolist()}
-
 
 @dataclass(frozen=True)
 class ScaledIdentityObjective:
     gain: float
     kind: str = field(default="scaled-identity", init=False)
-
-    def to_config(self) -> dict:
-        return {"kind": "scaled-identity", "gain": float(self.gain)}
 
 
 @dataclass(frozen=True)
@@ -91,14 +88,16 @@ class BellmanObjective:
     """Value-iteration residual drive on a finite MDP.
 
     Exactly one of ``fixture`` (path to a fixture file) or ``states``/
-    ``actions`` (seeded random instance) must be given.
+    ``actions`` (seeded random instance) must be given.  ``discount`` and
+    ``mdp_seed`` belong to random instances only (defaults 0.9 and 0); a
+    fixture file states its own discount.
     """
 
     fixture: str | None = None
     states: int | None = None
     actions: int | None = None
-    discount: float = 0.9
-    mdp_seed: int = 0
+    discount: float | None = None
+    mdp_seed: int | None = None
     kind: str = field(default="bellman-residual", init=False)
 
     def __post_init__(self):
@@ -108,83 +107,51 @@ class BellmanObjective:
             raise ConfigError(
                 "bellman objective needs either a fixture path or states/actions"
             )
-        if have_random and (self.states is None or self.actions is None):
+        if have_fixture:
+            if self.discount is not None or self.mdp_seed is not None:
+                raise ConfigError(
+                    "a bellman fixture takes no discount or mdp_seed")
+            return
+        if self.states is None or self.actions is None:
             raise ConfigError("random bellman objective needs states and actions")
-
-    def to_config(self) -> dict:
-        out: dict[str, Any] = {"kind": "bellman-residual"}
-        if self.fixture is not None:
-            out["fixture"] = self.fixture
-        else:
-            out.update(
-                states=int(self.states),
-                actions=int(self.actions),
-                discount=float(self.discount),
-                mdp_seed=int(self.mdp_seed),
-            )
-        return out
+        if self.discount is None:
+            object.__setattr__(self, "discount", 0.9)
+        if self.mdp_seed is None:
+            object.__setattr__(self, "mdp_seed", 0)
 
 
 @dataclass(frozen=True, eq=False)
 class GradientObjective:
-    """Descent drive -grad(pi) on a named benchmark surface."""
+    """Descent drive -grad(pi) on a named benchmark surface.
+
+    ``a`` and ``b`` belong to rosenbrock only (defaults 1 and 100);
+    ``matrix`` to quadratic-bowl only (default identity).
+    """
 
     surface: str = "quadratic-bowl"
-    a: float = 1.0
-    b: float = 100.0
+    a: float | None = None
+    b: float | None = None
     matrix: Any = None
     kind: str = field(default="gradient-descent", init=False)
 
     def __post_init__(self):
-        if self.surface not in ("quadratic-bowl", "rosenbrock"):
-            raise ConfigError(f"unknown surface {self.surface!r}")
-
-    def to_config(self) -> dict:
-        out: dict[str, Any] = {"kind": "gradient-descent", "surface": self.surface}
         if self.surface == "rosenbrock":
-            out.update(a=float(self.a), b=float(self.b))
-        elif self.matrix is not None:
-            out["matrix"] = np.asarray(self.matrix).tolist()
-        return out
+            if self.matrix is not None:
+                raise ConfigError("rosenbrock surface takes no matrix")
+            if self.a is None:
+                object.__setattr__(self, "a", 1.0)
+            if self.b is None:
+                object.__setattr__(self, "b", 100.0)
+        elif self.surface == "quadratic-bowl":
+            if self.a is not None or self.b is not None:
+                raise ConfigError("quadratic-bowl surface takes no a or b")
+        else:
+            raise ConfigError(f"unknown surface {self.surface!r}")
 
 
 ObjectiveSpec = (
     QuadraticObjective | ScaledIdentityObjective | BellmanObjective | GradientObjective
 )
-
-
-def _objective_from_config(spec: dict) -> ObjectiveSpec:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("objective config must be a mapping with a 'kind' key")
-    spec = dict(spec)
-    kind = spec.pop("kind")
-    try:
-        if kind == "quadratic":
-            obj = QuadraticObjective(matrices=spec.pop("matrices", "random"))
-        elif kind == "scaled-identity":
-            obj = ScaledIdentityObjective(gain=float(spec.pop("gain")))
-        elif kind == "bellman-residual":
-            obj = BellmanObjective(
-                fixture=spec.pop("fixture", None),
-                states=spec.pop("states", None),
-                actions=spec.pop("actions", None),
-                discount=float(spec.pop("discount", 0.9)),
-                mdp_seed=int(spec.pop("mdp_seed", 0)),
-            )
-        elif kind == "gradient-descent":
-            obj = GradientObjective(
-                surface=spec.pop("surface", "quadratic-bowl"),
-                a=float(spec.pop("a", 1.0)),
-                b=float(spec.pop("b", 100.0)),
-                matrix=spec.pop("matrix", None),
-            )
-        else:
-            raise ConfigError(f"unknown objective kind {kind!r}")
-    except KeyError as exc:
-        raise ConfigError(f"objective config missing key {exc.args[0]!r}") from None
-    if spec:
-        raise ConfigError(f"unknown objective keys: {sorted(spec)}")
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -193,48 +160,141 @@ def _objective_from_config(spec: dict) -> ObjectiveSpec:
 
 @dataclass(frozen=True, eq=False)
 class ProjectionSpec:
+    """Projection region as configured; ``norm`` stays the config mapping
+    (None means Euclidean) and is built with the run's dimension."""
+
     r_inner: float
     r_outer: float
-    center: Any = None
+    center: Any = field(default=None, metadata={"length": "projection center"})
     norm: dict | None = None
 
     def __post_init__(self):
         if not 0 < self.r_inner < self.r_outer:
             raise ConfigError("projection needs 0 < r_inner < r_outer")
 
-    def to_config(self) -> dict:
-        out: dict[str, Any] = {
-            "r_inner": float(self.r_inner),
-            "r_outer": float(self.r_outer),
-        }
-        if self.center is not None:
-            out["center"] = np.asarray(self.center).tolist()
-        if self.norm is not None:
-            out["norm"] = dict(self.norm)
-        return out
+
+# ---------------------------------------------------------------------------
+# spec codec
+
+SPEC_FAMILIES = {
+    "objective": ObjectiveSpec,
+    "steps": StepSizePolicy,
+    "activation": ActivationPolicy,
+    "delays": DelayModel,
+    "errors": ErrorModel,
+    "noise": NoiseModel,
+    "norm": Norm,
+}
+
+_KINDS = {
+    family: {cls.kind: cls for cls in get_args(union)}
+    for family, union in SPEC_FAMILIES.items()
+}
 
 
-def _projection_from_config(spec: dict | None, d: int) -> ProjectionSpec | None:
-    if spec is None:
-        return None
-    if not isinstance(spec, dict):
-        raise ConfigError("projection config must be a mapping")
-    spec = dict(spec)
+def _boolean(value) -> bool:
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    raise TypeError
+
+
+# field annotation -> (cast on parse, cast on write, what the parse accepts)
+_CASTS = {
+    "float": (float, float, "a number"),
+    "int": (int, int, "an integer"),
+    "bool": (_boolean, bool, "true or false"),
+}
+
+
+@cache
+def _keys(cls) -> tuple[tuple, frozenset]:
+    """``(name, required, cast, metadata)`` of each init field of a spec
+    class, and the keys its config block may hold; read once per class."""
+    keys = tuple(
+        (f.name,
+         f.default is MISSING and f.default_factory is MISSING
+         and "fill" not in f.metadata,
+         _CASTS.get(str(f.type).removesuffix(" | None")),
+         f.metadata)
+        for f in fields(cls) if f.init
+    )
+    allowed = {name for name, *_ in keys} | ({"kind"} if hasattr(cls, "kind") else set())
+    return keys, frozenset(allowed)
+
+
+def _checked_cast(family: str, name: str, cast: tuple, value):
     try:
-        proj = ProjectionSpec(
-            r_inner=float(spec.pop("r_inner")),
-            r_outer=float(spec.pop("r_outer")),
-            center=spec.pop("center", None),
-            norm=spec.pop("norm", None),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"projection config missing key {exc.args[0]!r}") from None
-    if spec:
-        raise ConfigError(f"unknown projection keys: {sorted(spec)}")
-    if proj.center is not None and np.asarray(proj.center, dtype=float).shape != (d,):
-        raise ConfigError(f"projection center must have length {d}")
-    norm_from_config(proj.norm, d)  # validates eagerly
-    return proj
+        return cast[0](value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{family} {name} must be {cast[2]}, got {value!r}") from None
+
+
+def spec_from_config(family: str, mapping, d: int):
+    """Parse one config block for a run of dimension ``d``; ``family`` is
+    a key of :data:`SPEC_FAMILIES` or ``"projection"``."""
+    if family == "projection":
+        if not isinstance(mapping, dict):
+            raise ConfigError("projection config must be a mapping")
+        cls = ProjectionSpec
+    else:
+        if not isinstance(mapping, dict) or "kind" not in mapping:
+            raise ConfigError(f"{family} config must be a mapping with a 'kind' key")
+        kind = mapping["kind"]
+        cls = _KINDS[family].get(kind) if isinstance(kind, str) else None
+        if cls is None:
+            raise ConfigError(f"unknown {family} kind {kind!r}")
+    keys, allowed = _keys(cls)
+    kwargs = {}
+    for name, required, cast, meta in keys:
+        value = mapping.get(name)
+        if value is None:
+            if "fill" in meta:
+                value = meta["fill"](d)
+            elif required:
+                raise ConfigError(f"{family} config missing key {name!r}")
+            else:
+                continue
+        elif "family" in meta:
+            value = spec_from_config(meta["family"], value, d)
+        elif cast is not None:
+            value = _checked_cast(family, name, cast, value)
+        if "length" in meta:
+            try:
+                shape = np.asarray(value, dtype=float).shape
+            except (TypeError, ValueError):
+                shape = None
+            if shape != (d,):
+                raise ConfigError(f"{meta['length']} must have length {d}")
+        kwargs[name] = value
+    unknown = set(mapping) - allowed
+    if unknown:
+        raise ConfigError(f"unknown {family} keys: {sorted(unknown)}")
+    try:
+        return cls(**kwargs)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {family} config {dict(mapping)!r}: {exc}") from None
+
+
+def spec_to_config(spec) -> dict:
+    """Canonical plain-dict form of a spec: its kind and every init field
+    that is not None, nested specs recursively and arrays as lists."""
+    out = {"kind": spec.kind} if hasattr(spec, "kind") else {}
+    for name, _, cast, meta in _keys(type(spec))[0]:
+        value = getattr(spec, name)
+        if value is None:
+            continue
+        if "family" in meta:
+            value = spec_to_config(value)
+        elif cast is not None:
+            value = cast[1](value)
+        elif isinstance(value, dict):
+            value = dict(value)
+        elif not isinstance(value, str):
+            value = np.asarray(value).tolist()
+        out[name] = value
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +307,7 @@ class RunConfig:
     horizon: int
     seed: int
     objective: ObjectiveSpec
-    steps: StepSizePolicy
+    steps: StepSizePolicy = field(default_factory=HarmonicSteps)
     activation: ActivationPolicy = field(default_factory=AllActive)
     delays: DelayModel = field(default_factory=ZeroDelays)
     errors: ErrorModel = field(default_factory=ZeroErrors)
@@ -270,6 +330,10 @@ class RunConfig:
             self.x0 = x0
 
 
+# the optional run-config blocks, in canonical order
+_BLOCKS = ("steps", "activation", "delays", "errors", "noise", "projection")
+
+
 def load_config_file(path) -> dict:
     try:
         with open(path) as fh:
@@ -286,54 +350,56 @@ def parse_run_config(data: dict) -> RunConfig:
         raise ConfigError("run config must be a mapping")
     data = dict(data)
     try:
-        dimension = int(data.pop("dimension"))
-        horizon = int(data.pop("horizon"))
-        seed = int(data.pop("seed"))
-        objective = _objective_from_config(data.pop("objective"))
+        dimension, horizon, seed = (
+            _checked_cast("run config", name, _CASTS["int"], data.pop(name))
+            for name in ("dimension", "horizon", "seed")
+        )
+        objective = data.pop("objective")
     except KeyError as exc:
         raise ConfigError(f"run config missing key {exc.args[0]!r}") from None
-    steps = step_policy_from_config(data.pop("steps", {"kind": "harmonic", "c": 1.0}))
-    activation = activation_from_config(data.pop("activation", None))
-    delays = delay_model_from_config(data.pop("delays", None))
-    errors = error_model_from_config(data.pop("errors", None), dimension)
-    noise = noise_model_from_config(data.pop("noise", None))
-    projection = _projection_from_config(data.pop("projection", None), dimension)
+    if dimension < 1:  # checked first: block defaults are sized by it
+        raise ConfigError("dimension must be >= 1")
+    blocks = {"objective": spec_from_config("objective", objective, dimension)}
+    for name in _BLOCKS:
+        value = data.pop(name, None)
+        if value is not None:
+            blocks[name] = spec_from_config(name, value, dimension)
+    projection = blocks.get("projection")
+    if projection is not None and projection.norm is not None:
+        spec_from_config("norm", projection.norm, dimension)  # validates eagerly
     x0 = data.pop("x0", None)
     out = data.pop("out", None)
     if data:
         raise ConfigError(f"unknown run config keys: {sorted(data)}")
+    if x0 is not None:
+        try:
+            x0 = np.asarray(x0, dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigError(f"x0 must be a vector of numbers, got {x0!r}") from None
     return RunConfig(
         dimension=dimension,
         horizon=horizon,
         seed=seed,
-        objective=objective,
-        steps=steps,
-        activation=activation,
-        delays=delays,
-        errors=errors,
-        noise=noise,
-        projection=projection,
-        x0=None if x0 is None else np.asarray(x0, dtype=float),
+        x0=x0,
         out=None if out is None else str(out),
+        **blocks,
     )
 
 
 def run_config_to_dict(cfg: RunConfig, x0: np.ndarray | None = None) -> dict:
     """Canonical plain-dict form; pass the materialised x0 to embed it."""
     x0_out = x0 if x0 is not None else cfg.x0
-    return {
+    out = {
         "dimension": int(cfg.dimension),
         "horizon": int(cfg.horizon),
         "seed": int(cfg.seed),
-        "objective": cfg.objective.to_config(),
-        "steps": cfg.steps.to_config(),
-        "activation": cfg.activation.to_config(),
-        "delays": cfg.delays.to_config(),
-        "errors": cfg.errors.to_config(),
-        "noise": cfg.noise.to_config(),
-        "projection": None if cfg.projection is None else cfg.projection.to_config(),
-        "x0": None if x0_out is None else [float(v) for v in x0_out],
+        "objective": spec_to_config(cfg.objective),
     }
+    for name in _BLOCKS:
+        spec = getattr(cfg, name)
+        out[name] = None if spec is None else spec_to_config(spec)
+    out["x0"] = None if x0_out is None else [float(v) for v in x0_out]
+    return out
 
 
 # ---------------------------------------------------------------------------

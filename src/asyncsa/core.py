@@ -31,6 +31,7 @@ from .config import (
     RunConfig,
     ScaledIdentityObjective,
     run_config_to_dict,
+    spec_from_config,
 )
 from .errors import ConfigError, DivergenceError, HistoryWindowError
 from .fields import (
@@ -43,9 +44,14 @@ from .fields import (
     random_pd_matrix,
 )
 from .mdp import BellmanResidualField, load_fixture, random_mdp
-from .norms import Norm, norm_from_config, weighted_norm
+from .norms import EuclideanNorm, Norm, weighted_norm
 from .schedules import AgentSchedule, StepSizePolicy
-from .stochastics import make_delay_sampler, make_error_sampler, make_noise_sampler
+from .stochastics import (
+    UniformDelays,
+    make_delay_sampler,
+    make_error_sampler,
+    make_noise_sampler,
+)
 from .trace import RunTrace
 
 __all__ = [
@@ -195,7 +201,11 @@ class ProjectionRegion:
             center=center,
             r_inner=float(spec.r_inner),
             r_outer=float(spec.r_outer),
-            norm=norm_from_config(spec.norm, d),
+            norm=(
+                EuclideanNorm()
+                if spec.norm is None
+                else spec_from_config("norm", spec.norm, d)
+            ),
         )
 
 
@@ -357,7 +367,6 @@ class RuntimeBundle:
     models: StochasticModels
     region: ProjectionRegion | None
     x0: np.ndarray
-    config_dict: dict
 
 
 def build_field(cfg: RunConfig) -> Field:
@@ -433,7 +442,6 @@ def build_runtime(cfg: RunConfig) -> RuntimeBundle:
         models=models,
         region=region,
         x0=x0,
-        config_dict=run_config_to_dict(cfg, x0=x0),
     )
 
 
@@ -466,7 +474,7 @@ def run(cfg: RunConfig) -> RunTrace:
 
     meta = {
         "seed": bundle.seed,
-        "config": bundle.config_dict,
+        "config": run_config_to_dict(cfg, x0=bundle.x0),
         "initial_projection": projected0,
     }
     field = bundle.field
@@ -525,13 +533,14 @@ class RunResult:
 
 
 def run_light(cfg: RunConfig, xi_series: bool = False,
-              delay_product_from: int | None = None,
-              window: int | None = None) -> RunResult:
+              delay_product_from: int | None = None) -> RunResult:
     """Execute a run keeping only the endpoint (and optional series).
 
     ``xi_series`` records the running weighted noise sum after every tick.
     ``delay_product_from`` tracks, from that tick on, the largest product
-    of a read delay with the reader's current step size.
+    of a read delay with the reader's current step size.  Past iterates
+    are kept only as far back as the delay model can reach: none without
+    delays, ``tau_max`` ticks under bounded-uniform delays, all otherwise.
     """
     bundle = build_runtime(cfg)
     N, d = bundle.horizon, bundle.d
@@ -539,11 +548,11 @@ def run_light(cfg: RunConfig, xi_series: bool = False,
         bundle.region.project(bundle.x0) if bundle.region is not None
         else (bundle.x0, False)
     )
-    zero_delay = bundle.models.delays.always_zero
-    if window is not None:
-        state = SimState.create(x0, bundle.schedule, bundle.steps, window=window)
-    elif zero_delay:
+    if bundle.models.delays.always_zero:
         state = SimState.create(x0, bundle.schedule, bundle.steps, window=0)
+    elif isinstance(cfg.delays, UniformDelays):
+        state = SimState.create(x0, bundle.schedule, bundle.steps,
+                                window=cfg.delays.tau_max)
     else:
         state = SimState.create(x0, bundle.schedule, bundle.steps, capacity=N)
 

@@ -19,8 +19,11 @@ __all__ = [
     "WeightedMaxNorm",
     "WeightedPNorm",
     "weighted_norm",
-    "norm_from_config",
 ]
+
+
+# in a config, weights need one entry per agent and default to all ones
+_PER_AGENT_WEIGHTS = {"length": "norm weights", "fill": np.ones}
 
 
 @dataclass(frozen=True)
@@ -30,13 +33,10 @@ class EuclideanNorm:
     def __call__(self, x: np.ndarray) -> float:
         return float(np.linalg.norm(x))
 
-    def to_config(self) -> dict:
-        return {"kind": "euclidean"}
-
 
 @dataclass(frozen=True, eq=False)
 class WeightedMaxNorm:
-    weights: np.ndarray
+    weights: np.ndarray = field(metadata=_PER_AGENT_WEIGHTS)
     kind: str = field(default="weighted-max", init=False)
 
     def __post_init__(self):
@@ -48,13 +48,10 @@ class WeightedMaxNorm:
     def __call__(self, x: np.ndarray) -> float:
         return float(np.max(np.abs(x) / self.weights))
 
-    def to_config(self) -> dict:
-        return {"kind": "weighted-max", "weights": [float(w) for w in self.weights]}
-
 
 @dataclass(frozen=True, eq=False)
 class WeightedPNorm:
-    weights: np.ndarray
+    weights: np.ndarray = field(metadata=_PER_AGENT_WEIGHTS)
     p: float = 2.0
     kind: str = field(default="weighted-p", init=False)
 
@@ -69,13 +66,6 @@ class WeightedPNorm:
     def __call__(self, x: np.ndarray) -> float:
         return float(np.sum(np.abs(self.weights * x) ** self.p) ** (1.0 / self.p))
 
-    def to_config(self) -> dict:
-        return {
-            "kind": "weighted-p",
-            "weights": [float(w) for w in self.weights],
-            "p": float(self.p),
-        }
-
 
 Norm = EuclideanNorm | WeightedMaxNorm | WeightedPNorm
 
@@ -88,35 +78,3 @@ def weighted_norm(x: np.ndarray, norm: Norm) -> float:
 def unit_max_norm(d: int) -> WeightedMaxNorm:
     """Max norm as the weighted-max norm with unit weights."""
     return WeightedMaxNorm(np.ones(int(d)))
-
-
-def norm_from_config(spec: dict | None, d: int) -> Norm:
-    """Build a norm from its config mapping; None means Euclidean."""
-    if spec is None:
-        return EuclideanNorm()
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("norm config must be a mapping with a 'kind' key")
-    spec = dict(spec)
-    kind = spec.pop("kind")
-    if kind == "euclidean":
-        extra = set(spec)
-    elif kind == "weighted-max":
-        weights = np.asarray(spec.pop("weights", np.ones(d)), dtype=float)
-        if weights.shape != (d,):
-            raise ConfigError(f"norm weights must have length {d}")
-        extra = set(spec)
-        if not extra:
-            return WeightedMaxNorm(weights)
-    elif kind == "weighted-p":
-        weights = np.asarray(spec.pop("weights", np.ones(d)), dtype=float)
-        if weights.shape != (d,):
-            raise ConfigError(f"norm weights must have length {d}")
-        p = float(spec.pop("p", 2.0))
-        extra = set(spec)
-        if not extra:
-            return WeightedPNorm(weights, p)
-    else:
-        raise ConfigError(f"unknown norm kind {kind!r}")
-    if extra:
-        raise ConfigError(f"unknown norm keys: {sorted(extra)}")
-    return EuclideanNorm()

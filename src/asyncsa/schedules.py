@@ -25,11 +25,9 @@ __all__ = [
     "HarmonicSteps",
     "PowerSteps",
     "ConstantSteps",
-    "step_policy_from_config",
     "AllActive",
     "RoundRobin",
     "BernoulliActivation",
-    "activation_from_config",
     "AgentSchedule",
     "effective_step",
     "timeline",
@@ -63,9 +61,6 @@ class HarmonicSteps:
     def a_of(self, counts: np.ndarray) -> np.ndarray:
         return 1.0 / (counts + self.c)
 
-    def to_config(self) -> dict:
-        return {"kind": "harmonic", "c": float(self.c)}
-
 
 @dataclass(frozen=True)
 class PowerSteps:
@@ -96,9 +91,6 @@ class PowerSteps:
     def a_of(self, counts: np.ndarray) -> np.ndarray:
         return 1.0 / (counts + self.c) ** self.p
 
-    def to_config(self) -> dict:
-        return {"kind": "power", "p": float(self.p), "c": float(self.c)}
-
 
 @dataclass(frozen=True)
 class ConstantSteps:
@@ -122,32 +114,8 @@ class ConstantSteps:
     def a_of(self, counts: np.ndarray) -> np.ndarray:
         return np.full(len(counts), self.a0)
 
-    def to_config(self) -> dict:
-        return {"kind": "constant", "a0": float(self.a0)}
-
 
 StepSizePolicy = HarmonicSteps | PowerSteps | ConstantSteps
-
-
-def step_policy_from_config(spec: dict) -> StepSizePolicy:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("steps config must be a mapping with a 'kind' key")
-    spec = dict(spec)
-    kind = spec.pop("kind")
-    try:
-        if kind == "harmonic":
-            policy = HarmonicSteps(c=float(spec.pop("c", 1.0)))
-        elif kind == "power":
-            policy = PowerSteps(p=float(spec.pop("p")), c=float(spec.pop("c", 1.0)))
-        elif kind == "constant":
-            policy = ConstantSteps(a0=float(spec.pop("a0")))
-        else:
-            raise ConfigError(f"unknown steps kind {kind!r}")
-    except KeyError as exc:
-        raise ConfigError(f"steps config missing key {exc.args[0]!r}") from None
-    if spec:
-        raise ConfigError(f"unknown steps keys: {sorted(spec)}")
-    return policy
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +125,6 @@ def step_policy_from_config(spec: dict) -> StepSizePolicy:
 @dataclass(frozen=True)
 class AllActive:
     kind: str = field(default="all", init=False)
-
-    def to_config(self) -> dict:
-        return {"kind": "all"}
 
 
 @dataclass(frozen=True)
@@ -172,9 +137,6 @@ class RoundRobin:
     def __post_init__(self):
         if self.k < 1:
             raise ConfigError("round-robin needs k >= 1")
-
-    def to_config(self) -> dict:
-        return {"kind": "round-robin", "k": int(self.k)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,34 +153,8 @@ class BernoulliActivation:
             raise ConfigError("bernoulli activation needs q in (0, 1]")
         object.__setattr__(self, "q", q)
 
-    def to_config(self) -> dict:
-        return {"kind": "bernoulli", "q": [float(v) for v in self.q]}
-
 
 ActivationPolicy = AllActive | RoundRobin | BernoulliActivation
-
-
-def activation_from_config(spec: dict | None) -> ActivationPolicy:
-    if spec is None:
-        return AllActive()
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("activation config must be a mapping with a 'kind' key")
-    spec = dict(spec)
-    kind = spec.pop("kind")
-    try:
-        if kind == "all":
-            policy = AllActive()
-        elif kind == "round-robin":
-            policy = RoundRobin(k=int(spec.pop("k", 1)))
-        elif kind == "bernoulli":
-            policy = BernoulliActivation(q=spec.pop("q"))
-        else:
-            raise ConfigError(f"unknown activation kind {kind!r}")
-    except KeyError as exc:
-        raise ConfigError(f"activation config missing key {exc.args[0]!r}") from None
-    if spec:
-        raise ConfigError(f"unknown activation keys: {sorted(spec)}")
-    return policy
 
 
 class _AllSampler:

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._rng import DOMAIN_DELAY, DOMAIN_ERROR, DOMAIN_NOISE, Rows, stream
 from .errors import ConfigError
-from .norms import EuclideanNorm, Norm, WeightedMaxNorm, norm_from_config
+from .norms import EuclideanNorm, Norm, WeightedMaxNorm
 
 __all__ = [
     "ZeroDelays",
@@ -44,9 +44,6 @@ __all__ = [
     "make_delay_sampler",
     "make_error_sampler",
     "make_noise_sampler",
-    "delay_model_from_config",
-    "error_model_from_config",
-    "noise_model_from_config",
 ]
 
 
@@ -57,9 +54,6 @@ __all__ = [
 @dataclass(frozen=True)
 class ZeroDelays:
     kind: str = field(default="zero", init=False)
-
-    def to_config(self) -> dict:
-        return {"kind": "zero"}
 
 
 @dataclass(frozen=True)
@@ -72,9 +66,6 @@ class UniformDelays:
     def __post_init__(self):
         if self.tau_max < 0:
             raise ConfigError("bounded-uniform delays need tau_max >= 0")
-
-    def to_config(self) -> dict:
-        return {"kind": "bounded-uniform", "tau_max": int(self.tau_max)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,13 +83,6 @@ class GeometricDelays:
         if not np.all(mean > 0):
             raise ConfigError("geometric delays need mean > 0")
         object.__setattr__(self, "mean", mean if mean.ndim else float(mean))
-
-    def to_config(self) -> dict:
-        m = self.mean
-        return {
-            "kind": "geometric",
-            "mean": m.tolist() if isinstance(m, np.ndarray) else float(m),
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,14 +117,6 @@ class StaleRefreshDelays:
                 raise ConfigError("symmetric stale-refresh needs a symmetric p_c matrix")
         else:
             raise ConfigError("p_c must be a scalar or a square matrix")
-
-    def to_config(self) -> dict:
-        p = self.p_c
-        return {
-            "kind": "stale-refresh",
-            "p_c": p.tolist() if isinstance(p, np.ndarray) else float(p),
-            "symmetric": bool(self.symmetric),
-        }
 
 
 DelayModel = ZeroDelays | UniformDelays | GeometricDelays | StaleRefreshDelays
@@ -263,9 +239,6 @@ def make_delay_sampler(model: DelayModel, d: int, seed: int):
 class ZeroErrors:
     kind: str = field(default="zero", init=False)
 
-    def to_config(self) -> dict:
-        return {"kind": "zero"}
-
 
 @dataclass(frozen=True)
 class ComponentUniformErrors:
@@ -282,9 +255,6 @@ class ComponentUniformErrors:
         if not self.bound >= 0:
             raise ConfigError("error bound must be >= 0")
 
-    def to_config(self) -> dict:
-        return {"kind": "componentwise-uniform", "bound": float(self.bound)}
-
 
 @dataclass(frozen=True, eq=False)
 class FixedBiasErrors:
@@ -299,9 +269,6 @@ class FixedBiasErrors:
             raise ConfigError("fixed-bias needs a finite vector")
         object.__setattr__(self, "bias", b)
 
-    def to_config(self) -> dict:
-        return {"kind": "fixed-bias", "bias": [float(v) for v in self.bias]}
-
 
 @dataclass(frozen=True, eq=False)
 class NormBallErrors:
@@ -309,7 +276,7 @@ class NormBallErrors:
     (Euclidean or weighted-max)."""
 
     bound: float
-    norm: Norm = EuclideanNorm()
+    norm: Norm = field(default=EuclideanNorm(), metadata={"family": "norm"})
     kind: str = field(default="norm-ball-uniform", init=False)
 
     def __post_init__(self):
@@ -317,13 +284,6 @@ class NormBallErrors:
             raise ConfigError("error bound must be >= 0")
         if not isinstance(self.norm, (EuclideanNorm, WeightedMaxNorm)):
             raise ConfigError("norm-ball errors support euclidean or weighted-max norms")
-
-    def to_config(self) -> dict:
-        return {
-            "kind": "norm-ball-uniform",
-            "bound": float(self.bound),
-            "norm": self.norm.to_config(),
-        }
 
 
 ErrorModel = ZeroErrors | ComponentUniformErrors | FixedBiasErrors | NormBallErrors
@@ -406,9 +366,6 @@ def make_error_sampler(model: ErrorModel, d: int, seed: int,
 class ZeroNoise:
     kind: str = field(default="zero", init=False)
 
-    def to_config(self) -> dict:
-        return {"kind": "zero"}
-
 
 @dataclass(frozen=True)
 class UniformNoise:
@@ -421,9 +378,6 @@ class UniformNoise:
         if not self.level >= 0:
             raise ConfigError("noise level must be >= 0")
 
-    def to_config(self) -> dict:
-        return {"kind": "bounded-uniform", "level": float(self.level)}
-
 
 @dataclass(frozen=True)
 class RademacherNoise:
@@ -435,9 +389,6 @@ class RademacherNoise:
     def __post_init__(self):
         if not self.level >= 0:
             raise ConfigError("noise level must be >= 0")
-
-    def to_config(self) -> dict:
-        return {"kind": "bounded-rademacher", "level": float(self.level)}
 
 
 NoiseModel = ZeroNoise | UniformNoise | RademacherNoise
@@ -469,85 +420,3 @@ def make_noise_sampler(model: NoiseModel, d: int, seed: int):
         return level * signs.astype(float)
 
     return _NoiseSampler(fill)
-
-
-# ---------------------------------------------------------------------------
-# config parsing
-
-
-def delay_model_from_config(spec: dict | None) -> DelayModel:
-    if spec is None:
-        return ZeroDelays()
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("delays config must be a mapping with a 'kind' key")
-    spec = dict(spec)
-    kind = spec.pop("kind")
-    try:
-        if kind == "zero":
-            model = ZeroDelays()
-        elif kind == "bounded-uniform":
-            model = UniformDelays(tau_max=int(spec.pop("tau_max")))
-        elif kind == "geometric":
-            model = GeometricDelays(mean=spec.pop("mean"))
-        elif kind == "stale-refresh":
-            model = StaleRefreshDelays(
-                p_c=spec.pop("p_c"), symmetric=spec.pop("symmetric", None)
-            )
-        else:
-            raise ConfigError(f"unknown delays kind {kind!r}")
-    except KeyError as exc:
-        raise ConfigError(f"delays config missing key {exc.args[0]!r}") from None
-    if spec:
-        raise ConfigError(f"unknown delays keys: {sorted(spec)}")
-    return model
-
-
-def error_model_from_config(spec: dict | None, d: int) -> ErrorModel:
-    if spec is None:
-        return ZeroErrors()
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("errors config must be a mapping with a 'kind' key")
-    spec = dict(spec)
-    kind = spec.pop("kind")
-    try:
-        if kind == "zero":
-            model = ZeroErrors()
-        elif kind == "componentwise-uniform":
-            model = ComponentUniformErrors(bound=float(spec.pop("bound")))
-        elif kind == "fixed-bias":
-            model = FixedBiasErrors(bias=spec.pop("bias"))
-        elif kind == "norm-ball-uniform":
-            model = NormBallErrors(
-                bound=float(spec.pop("bound")),
-                norm=norm_from_config(spec.pop("norm", None), d),
-            )
-        else:
-            raise ConfigError(f"unknown errors kind {kind!r}")
-    except KeyError as exc:
-        raise ConfigError(f"errors config missing key {exc.args[0]!r}") from None
-    if spec:
-        raise ConfigError(f"unknown errors keys: {sorted(spec)}")
-    return model
-
-
-def noise_model_from_config(spec: dict | None) -> NoiseModel:
-    if spec is None:
-        return ZeroNoise()
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("noise config must be a mapping with a 'kind' key")
-    spec = dict(spec)
-    kind = spec.pop("kind")
-    try:
-        if kind == "zero":
-            model = ZeroNoise()
-        elif kind == "bounded-uniform":
-            model = UniformNoise(level=float(spec.pop("level")))
-        elif kind == "bounded-rademacher":
-            model = RademacherNoise(level=float(spec.pop("level")))
-        else:
-            raise ConfigError(f"unknown noise kind {kind!r}")
-    except KeyError as exc:
-        raise ConfigError(f"noise config missing key {exc.args[0]!r}") from None
-    if spec:
-        raise ConfigError(f"unknown noise keys: {sorted(spec)}")
-    return model

@@ -77,6 +77,23 @@ def test_run_command_rejects_bad_config(tmp_path, capsys):
     assert err["error"] == "config"
 
 
+@pytest.mark.parametrize("line", [
+    "steps: {kind: harmonic, c: ten}\n",
+    "dimension: two\n",
+])
+def test_run_command_rejects_mistyped_values(run_yaml, tmp_path, capsys, line):
+    bad = tmp_path / "mistyped.yaml"
+    key = line.split(":")[0]
+    kept = [old for old in RUN_YAML.splitlines(keepends=True)
+            if not old.startswith(key + ":")]
+    bad.write_text("".join(kept) + line)
+    code = main(["run", "--config", str(bad)])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config"
+    assert key in err["message"]
+
+
 def test_run_command_reports_divergence(tmp_path, capsys):
     doc = tmp_path / "div.yaml"
     doc.write_text(

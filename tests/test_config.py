@@ -1,7 +1,11 @@
+import dataclasses
 import json
+from typing import get_args
 
 import numpy as np
 import pytest
+
+import asyncsa
 
 from asyncsa import (
     BellmanObjective,
@@ -23,6 +27,7 @@ from asyncsa import (
     run_config_to_dict,
     set_by_path,
 )
+from asyncsa.config import SPEC_FAMILIES, spec_from_config
 
 RUN_DOC = {
     "dimension": 2,
@@ -666,6 +671,63 @@ def test_canonical_dict_is_frozen(name):
     out = run_config_to_dict(parse_run_config(doc))
     assert json.dumps(out, sort_keys=True) == FROZEN[name]
     assert run_config_to_dict(parse_run_config(out)) == out
+
+
+
+def test_every_spec_kind_sits_in_one_family():
+    exported = {
+        obj for obj in (getattr(asyncsa, name) for name in asyncsa.__all__)
+        if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+        and any(f.name == "kind" for f in dataclasses.fields(obj))
+    }
+    homes = {cls: [family for family, union in SPEC_FAMILIES.items()
+                   if cls in get_args(union)] for cls in exported}
+    assert {cls.__name__: len(h) for cls, h in homes.items()} == {
+        cls.__name__: 1 for cls in exported}
+    members = [cls for union in SPEC_FAMILIES.values() for cls in get_args(union)]
+    assert set(members) == exported
+    for family, union in SPEC_FAMILIES.items():
+        kinds = [cls.kind for cls in get_args(union)]
+        assert len(kinds) == len(set(kinds)), family
+
+
+@pytest.mark.parametrize("objective, fragment", [
+    ({"kind": "bellman-residual", "fixture": FIXTURE, "discount": 0.5},
+     "fixture takes no discount"),
+    ({"kind": "bellman-residual", "fixture": FIXTURE, "mdp_seed": 3},
+     "fixture takes no discount"),
+    ({"kind": "gradient-descent", "surface": "quadratic-bowl", "a": 2.0},
+     "takes no a or b"),
+    ({"kind": "gradient-descent", "b": 10.0}, "takes no a or b"),
+    ({"kind": "gradient-descent", "surface": "rosenbrock", "matrix": [[1, 0], [0, 1]]},
+     "takes no matrix"),
+])
+def test_keys_a_kind_ignores_are_rejected(objective, fragment):
+    doc = dict(BASE_DOC, objective=objective)
+    with pytest.raises(ConfigError, match=fragment):
+        parse_run_config(doc)
+
+
+@pytest.mark.parametrize("patch, fragment", [
+    ({"dimension": "two"}, "dimension must be an integer"),
+    ({"horizon": [10]}, "horizon must be an integer"),
+    ({"seed": None}, "seed must be an integer"),
+    ({"steps": {"kind": "harmonic", "c": "ten"}}, "steps c must be a number"),
+    ({"delays": {"kind": "bounded-uniform", "tau_max": "3 ticks"}},
+     "delays tau_max must be an integer"),
+    ({"delays": {"kind": "stale-refresh", "p_c": 0.5, "symmetric": "no"}},
+     "delays symmetric must be true or false"),
+    ({"delays": {"kind": "geometric", "mean": "three"}}, "bad delays config"),
+    ({"errors": {"kind": "norm-ball-uniform", "bound": 0.1,
+                 "norm": {"kind": "weighted-p", "weights": [1, 1], "p": "two"}}},
+     "norm p must be a number"),
+    ({"projection": {"r_inner": "one", "r_outer": 2}},
+     "projection r_inner must be a number"),
+    ({"x0": ["a", "b"]}, "x0 must be a vector of numbers"),
+])
+def test_mistyped_values_are_config_errors(patch, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        parse_run_config(dict(BASE_DOC, **patch))
 
 
 # ---------------------------------------------------------------------------

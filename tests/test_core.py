@@ -317,18 +317,23 @@ def test_windowed_history_evicts_old_iterates():
         hist.snapshot(3)
 
 
-def test_windowed_run_matches_full_history_run():
+def test_windowed_run_matches_full_history_run(monkeypatch):
+    # run_light keeps a ring of tau_max past iterates under bounded-uniform
+    # delays; run keeps them all.  Both must read the same views.
     cfg = _cfg(delays=UniformDelays(tau_max=3),
                errors=ComponentUniformErrors(bound=0.2))
-    full = run_light(cfg).final_x
-    windowed = run_light(cfg, window=10).final_x
+    windows = []
+    create = SimState.create
+
+    def spy(*args, **kwargs):
+        windows.append(kwargs.get("window"))
+        return create(*args, **kwargs)
+
+    monkeypatch.setattr(SimState, "create", staticmethod(spy))
+    windowed = run_light(cfg).final_x
+    full = run(cfg).final_x
+    assert windows == [3, None]
     assert np.array_equal(windowed, full)
-
-
-def test_window_too_small_for_delays_raises():
-    cfg = _cfg(delays=UniformDelays(tau_max=5))
-    with pytest.raises(HistoryWindowError):
-        run_light(cfg, window=1)
 
 
 # ---------------------------------------------------------------------------

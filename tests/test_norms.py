@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 
-from asyncsa import ConfigError, EuclideanNorm, WeightedMaxNorm, WeightedPNorm
-from asyncsa.norms import norm_from_config, unit_max_norm, weighted_norm
+from asyncsa import (
+    ConfigError,
+    EuclideanNorm,
+    NormBallErrors,
+    ProjectionRegion,
+    ProjectionSpec,
+    WeightedMaxNorm,
+    WeightedPNorm,
+)
+from asyncsa.config import spec_from_config, spec_to_config
+from asyncsa.norms import unit_max_norm, weighted_norm
 
 
 def test_euclidean_matches_numpy():
@@ -72,19 +81,24 @@ def test_config_round_trips():
         WeightedMaxNorm(weights=[0.5, 1.0, 2.0]),
         WeightedPNorm(weights=[1.0, 1.0, 1.0], p=2.5),
     ):
-        again = norm_from_config(norm.to_config(), d)
+        again = spec_from_config("norm", spec_to_config(norm), d)
         x = np.array([0.3, -1.7, 0.9])
         assert again(x) == pytest.approx(norm(x), rel=1e-15)
 
 
 def test_config_default_and_errors():
-    assert isinstance(norm_from_config(None, 2), EuclideanNorm)
+    # an absent norm is Euclidean; absent weights are all ones
+    region = ProjectionRegion.from_spec(ProjectionSpec(r_inner=1.0, r_outer=2.0), 2)
+    assert isinstance(region.norm, EuclideanNorm)
+    assert isinstance(NormBallErrors(bound=1.0).norm, EuclideanNorm)
+    unit = spec_from_config("norm", {"kind": "weighted-max"}, 2)
+    assert unit.weights.tolist() == [1.0, 1.0]
     with pytest.raises(ConfigError):
-        norm_from_config({"kind": "mystery"}, 2)
+        spec_from_config("norm", {"kind": "mystery"}, 2)
     with pytest.raises(ConfigError):
-        norm_from_config({"kind": "euclidean", "extra": 1}, 2)
-    with pytest.raises(ConfigError):
-        norm_from_config({"kind": "weighted-max", "weights": [1.0]}, 2)
+        spec_from_config("norm", {"kind": "euclidean", "extra": 1}, 2)
+    with pytest.raises(ConfigError, match="length 2"):
+        spec_from_config("norm", {"kind": "weighted-max", "weights": [1.0]}, 2)
 
 
 def test_weighted_norm_helper_matches_callable():

@@ -15,7 +15,7 @@ from asyncsa import (
     effective_step,
     timeline,
 )
-from asyncsa.schedules import activation_from_config, step_policy_from_config
+from asyncsa.config import spec_from_config, spec_to_config
 
 
 def test_harmonic_values_and_bounds():
@@ -51,21 +51,20 @@ def test_square_summable_flags():
 def test_step_policy_config_round_trip_and_errors():
     for policy in (HarmonicSteps(c=3.0), PowerSteps(p=0.6, c=2.0),
                    ConstantSteps(a0=0.25)):
-        assert step_policy_from_config(policy.to_config()) == policy
+        assert spec_from_config("steps", spec_to_config(policy), 1) == policy
     with pytest.raises(ConfigError):
-        step_policy_from_config({"kind": "nope"})
+        spec_from_config("steps", {"kind": "nope"}, 1)
     with pytest.raises(ConfigError):
-        step_policy_from_config({"kind": "harmonic", "c": 2.0, "junk": 1})
+        spec_from_config("steps", {"kind": "harmonic", "c": 2.0, "junk": 1}, 1)
 
 
 def test_activation_config_round_trip_and_errors():
     for policy in (AllActive(), RoundRobin(k=2),
                    BernoulliActivation(q=[0.5, 1.0])):
-        rebuilt = activation_from_config(policy.to_config())
+        rebuilt = spec_from_config("activation", spec_to_config(policy), 2)
         assert type(rebuilt) is type(policy)
-    assert isinstance(activation_from_config(None), AllActive)
     with pytest.raises(ConfigError):
-        activation_from_config({"kind": "sometimes"})
+        spec_from_config("activation", {"kind": "sometimes"}, 2)
     with pytest.raises(ConfigError):
         RoundRobin(k=0)
     with pytest.raises(ConfigError):

@@ -24,13 +24,11 @@ from asyncsa import (
     ZeroNoise,
 )
 from asyncsa._rng import CHUNK, DOMAIN_ERROR_ALT
+from asyncsa.config import spec_from_config, spec_to_config
 from asyncsa.stochastics import (
-    delay_model_from_config,
-    error_model_from_config,
     make_delay_sampler,
     make_error_sampler,
     make_noise_sampler,
-    noise_model_from_config,
 )
 
 D = 3
@@ -147,13 +145,12 @@ def test_stale_refresh_p_one_is_zero_delay():
 def test_delay_config_round_trip_and_errors():
     for model in (ZeroDelays(), UniformDelays(tau_max=3),
                   GeometricDelays(mean=2.0), StaleRefreshDelays(p_c=0.4)):
-        rebuilt = delay_model_from_config(model.to_config())
+        rebuilt = spec_from_config("delays", spec_to_config(model), D)
         assert type(rebuilt) is type(model)
-    assert isinstance(delay_model_from_config(None), ZeroDelays)
     with pytest.raises(ConfigError):
-        delay_model_from_config({"kind": "psychic"})
+        spec_from_config("delays", {"kind": "psychic"}, D)
     with pytest.raises(ConfigError):
-        delay_model_from_config({"kind": "zero", "junk": True})
+        spec_from_config("delays", {"kind": "zero", "junk": True}, D)
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +204,10 @@ def test_error_config_round_trip_and_errors():
     for model in (ZeroErrors(), ComponentUniformErrors(bound=0.2),
                   FixedBiasErrors(bias=[0.1, 0.2, 0.3]),
                   NormBallErrors(bound=1.0)):
-        rebuilt = error_model_from_config(model.to_config(), D)
+        rebuilt = spec_from_config("errors", spec_to_config(model), D)
         assert type(rebuilt) is type(model)
-    assert isinstance(error_model_from_config(None, D), ZeroErrors)
     with pytest.raises(ConfigError):
-        error_model_from_config({"kind": "oops"}, D)
+        spec_from_config("errors", {"kind": "oops"}, D)
     with pytest.raises(ConfigError):
         ComponentUniformErrors(bound=-0.1)
 
@@ -244,11 +240,10 @@ def test_zero_noise_flag():
 def test_noise_config_round_trip_and_errors():
     for model in (ZeroNoise(), UniformNoise(level=0.1),
                   RademacherNoise(level=1.0)):
-        rebuilt = noise_model_from_config(model.to_config())
+        rebuilt = spec_from_config("noise", spec_to_config(model), D)
         assert type(rebuilt) is type(model)
-    assert isinstance(noise_model_from_config(None), ZeroNoise)
     with pytest.raises(ConfigError):
-        noise_model_from_config({"kind": "pink"})
+        spec_from_config("noise", {"kind": "pink"}, D)
     with pytest.raises(ConfigError):
         UniformNoise(level=-1.0)
 
