@@ -43,19 +43,23 @@ class Rows:
 
     A new block is drawn only when the current one is used up, so the
     stream is consumed in whole blocks in call order.  The spent block is
-    released before ``fill`` runs, so at most one block is held at a time.
+    released before ``fill`` runs, and a block's last row is served as a
+    copy: a caller holding only the latest row keeps no spent block alive
+    across a refill.
     """
 
     def __init__(self, fill):
         self._fill = fill
         self._block = ()
-        self._i = 0
+        self._left = 0  # rows of the block not served yet
 
-    def next(self) -> np.ndarray:
-        if self._i >= len(self._block):
+    def next(self, tick: int | None = None) -> np.ndarray:
+        """The next row.  ``tick`` is not used (rows come in call order);
+        it lets a row stream serve as a per-tick sampler."""
+        left = self._left
+        if not left:
             self._block = ()  # release the spent block before fill allocates
             self._block = self._fill(CHUNK)
-            self._i = 0
-        row = self._block[self._i]
-        self._i += 1
-        return row
+            left = len(self._block)
+        self._left = left - 1
+        return self._block[-1].copy() if left == 1 else self._block[-left]

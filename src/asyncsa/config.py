@@ -22,6 +22,7 @@ embedded in every output file next to the seed.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cache
@@ -31,12 +32,22 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError
-from .norms import Norm
-from .schedules import ActivationPolicy, AllActive, HarmonicSteps, StepSizePolicy
+from .norms import Norm, WeightedMaxNorm
+from .schedules import (
+    ActivationPolicy,
+    AllActive,
+    BernoulliActivation,
+    HarmonicSteps,
+    StepSizePolicy,
+)
 from .stochastics import (
     DelayModel,
     ErrorModel,
+    FixedBiasErrors,
+    GeometricDelays,
     NoiseModel,
+    NormBallErrors,
+    StaleRefreshDelays,
     ZeroDelays,
     ZeroErrors,
     ZeroNoise,
@@ -198,10 +209,29 @@ def _boolean(value) -> bool:
     raise TypeError
 
 
+def _integer(value) -> int:
+    """An integer or an integral float, never a bool or a truncated number."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise TypeError
+
+
+def _shape(value) -> tuple | None:
+    """Shape of ``value`` as a float array; None when it is not one."""
+    try:
+        return np.asarray(value, dtype=float).shape
+    except (TypeError, ValueError):
+        return None
+
+
 # field annotation -> (cast on parse, cast on write, what the parse accepts)
 _CASTS = {
     "float": (float, float, "a number"),
-    "int": (int, int, "an integer"),
+    "int": (_integer, int, "an integer"),
     "bool": (_boolean, bool, "true or false"),
 }
 
@@ -259,11 +289,7 @@ def spec_from_config(family: str, mapping, d: int):
         elif cast is not None:
             value = _checked_cast(family, name, cast, value)
         if "length" in meta:
-            try:
-                shape = np.asarray(value, dtype=float).shape
-            except (TypeError, ValueError):
-                shape = None
-            if shape != (d,):
+            if _shape(value) != (d,):
                 raise ConfigError(f"{meta['length']} must have length {d}")
         kwargs[name] = value
     unknown = set(mapping) - allowed
@@ -324,10 +350,54 @@ class RunConfig:
         if self.seed < 0 or self.seed > (1 << 64) - 1:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
         if self.x0 is not None:
-            x0 = np.asarray(self.x0, dtype=float)
-            if x0.shape != (self.dimension,):
-                raise ConfigError(f"x0 must have length {self.dimension}")
-            self.x0 = x0
+            self.x0 = np.asarray(self.x0, dtype=float)
+        _check_dimension(self)
+
+
+def _check_dimension(cfg: RunConfig) -> None:
+    """Check every spec whose shape depends on ``dimension`` against it.
+    Only a Bellman fixture's state count waits for the runtime: it needs
+    the file."""
+    d = cfg.dimension
+
+    def need(ok: bool, message: str) -> None:
+        if not ok:
+            raise ConfigError(message)
+
+    need(cfg.x0 is None or cfg.x0.shape == (d,), f"x0 must have length {d}")
+    obj = cfg.objective
+    if isinstance(obj, QuadraticObjective) and not isinstance(obj.matrices, str):
+        need(_shape(obj.matrices) in ((d, d), (d, d, d)),
+             f"quadratic matrices must have shape ({d}, {d}) or ({d}, {d}, {d})")
+    elif isinstance(obj, BellmanObjective) and obj.fixture is None:
+        need(obj.states == d,
+             f"dimension {d} does not match the {obj.states}-state problem")
+    elif isinstance(obj, GradientObjective):
+        if obj.surface == "rosenbrock":
+            need(d == 2, "rosenbrock surface needs dimension 2")
+        elif obj.matrix is not None:
+            need(_shape(obj.matrix) == (d, d), f"bowl matrix must have shape ({d}, {d})")
+    if isinstance(cfg.activation, BernoulliActivation):
+        need(cfg.activation.q.size == 1 or cfg.activation.q.shape == (d,),
+             f"bernoulli q must be scalar or length {d}")
+    delays = cfg.delays
+    if isinstance(delays, GeometricDelays):
+        need(np.ndim(delays.mean) == 0 or delays.mean.shape == (d, d),
+             f"geometric mean matrix must be ({d}, {d})")
+    elif isinstance(delays, StaleRefreshDelays):
+        need(np.ndim(delays.p_c) == 0 or delays.p_c.shape == (d, d),
+             f"p_c matrix must be ({d}, {d})")
+    errors = cfg.errors
+    if isinstance(errors, FixedBiasErrors):
+        need(errors.bias.shape == (d,), f"fixed-bias vector must have length {d}")
+    elif isinstance(errors, NormBallErrors) and isinstance(errors.norm, WeightedMaxNorm):
+        need(errors.norm.weights.shape == (d,), f"norm weights must have length {d}")
+    projection = cfg.projection
+    if projection is not None:
+        need(projection.center is None or _shape(projection.center) == (d,),
+             f"projection center must have length {d}")
+        if projection.norm is not None:
+            spec_from_config("norm", projection.norm, d)  # a bad norm block raises
 
 
 # the optional run-config blocks, in canonical order
@@ -364,9 +434,6 @@ def parse_run_config(data: dict) -> RunConfig:
         value = data.pop(name, None)
         if value is not None:
             blocks[name] = spec_from_config(name, value, dimension)
-    projection = blocks.get("projection")
-    if projection is not None and projection.norm is not None:
-        spec_from_config("norm", projection.norm, dimension)  # validates eagerly
     x0 = data.pop("x0", None)
     out = data.pop("out", None)
     if data:
@@ -442,34 +509,16 @@ class SweepSpec:
         self.parameters = canon
 
     def cells(self) -> list[dict]:
-        """Canonical cell list: index, overrides, replicate, derived seed."""
+        """Canonical cell list: index, overrides, replicate, derived seed.
+        Grid points run over the sorted axes, the last axis fastest."""
         base_seed = int(self.base.get("seed", 0))
-        axes = list(self.parameters.items())
-        cells = []
-        index = 0
-
-        def rec(k, overrides):
-            nonlocal index
-            if k == len(axes):
-                for rep in range(self.replicates):
-                    cells.append(
-                        {
-                            "index": index,
-                            "overrides": dict(overrides),
-                            "replicate": rep,
-                            "seed": base_seed ^ index,
-                        }
-                    )
-                    index += 1
-                return
-            path, values = axes[k]
-            for v in values:
-                overrides[path] = v
-                rec(k + 1, overrides)
-            del overrides[path]
-
-        rec(0, {})
-        return cells
+        points = itertools.product(*self.parameters.values())
+        runs = ((dict(zip(self.parameters, point)), rep)
+                for point in points for rep in range(self.replicates))
+        return [
+            {"index": i, "overrides": overrides, "replicate": rep, "seed": base_seed ^ i}
+            for i, (overrides, rep) in enumerate(runs)
+        ]
 
 
 def set_by_path(data: dict, path: str, value) -> None:

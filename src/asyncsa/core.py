@@ -6,9 +6,11 @@ One tick of the recursion updates only the active coordinates:
 
 where nu(n, i) counts how often agent i was active on ticks m < n, and the
 drive for agent i is evaluated on that agent's own (possibly stale) view of
-the iterate.  Every run mode iterates :func:`tick_loop`, which draws with
-:func:`draw_tick` and updates with :func:`apply_tick`, so traced runs,
-light runs, and paired runs cannot drift apart numerically.
+the iterate.  Only the drive depends on the iterate: :func:`draw_tick`
+draws everything else (active set, step sizes, delays, errors, noise) and
+advances the activation counters, and :func:`apply_tick` only moves the
+iterate.  Every run mode iterates :func:`tick_loop`, so traced runs, light
+runs, and paired runs cannot drift apart numerically.
 
 An optional projection region turns the plain step into the projective
 variant: whenever the tentative iterate leaves the open outer ball, it is
@@ -17,6 +19,7 @@ pulled back radially onto the inner sphere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -58,9 +61,7 @@ __all__ = [
     "IterateHistory",
     "ProjectionRegion",
     "StochasticModels",
-    "SimState",
     "TickSample",
-    "TickInfo",
     "RunResult",
     "RuntimeBundle",
     "build_field",
@@ -78,83 +79,77 @@ __all__ = [
 
 
 class IterateHistory:
-    """Stores the iterate sequence and answers delayed reads.
+    """Stores the last ``window + 1`` iterates in a ring and answers
+    delayed reads.
 
-    By default every iterate is kept, so arbitrarily old views can be
-    gathered.  With ``window=w`` only the last ``w + 1`` iterates are
-    retained in a ring; reading anything older raises
-    :class:`HistoryWindowError` instead of silently returning garbage.
+    Reading anything older than ``window`` ticks behind the latest iterate
+    raises :class:`HistoryWindowError` instead of silently returning
+    garbage; a window of the run's horizon keeps every iterate.
+
+    Iterate m sits in row ``(window - m) % (window + 1)``, so until the
+    ring wraps, row tau of ``buf[window - n:]`` is x_{n - tau}: a delay
+    reaching before tick 0 falls off the end of that slice and numpy's
+    own bounds check catches it.
     """
 
-    def __init__(self, x0: np.ndarray, capacity: int | None = None,
-                 window: int | None = None):
+    def __init__(self, x0: np.ndarray, window: int):
         x0 = np.asarray(x0, dtype=float)
         if x0.ndim != 1:
             raise ValueError("x0 must be a vector")
+        if window < 0:
+            raise ValueError("window must be >= 0")
         self.d = x0.shape[0]
         self.n = 0
         self._window = window
-        if window is not None:
-            if window < 0:
-                raise ValueError("window must be >= 0")
-            self._buf = np.zeros((window + 1, self.d))
-            self._buf[0] = x0
-        else:
-            cap = max(2, capacity + 1 if capacity is not None else 1024)
-            self._buf = np.zeros((cap, self.d))
-            self._buf[0] = x0
+        self._buf = np.zeros((window + 1, self.d))
+        self._buf[window] = x0
+        self._cols = np.arange(self.d)[:, None]
 
     @property
     def latest(self) -> np.ndarray:
-        if self._window is not None:
-            return self._buf[self.n % (self._window + 1)]
-        return self._buf[self.n]
+        return self._buf[(self._window - self.n) % (self._window + 1)]
 
     def append(self, x: np.ndarray) -> None:
         self.n += 1
-        if self._window is not None:
-            self._buf[self.n % (self._window + 1)] = x
-            return
-        if self.n >= self._buf.shape[0]:
-            grown = np.zeros((2 * self._buf.shape[0], self.d))
-            grown[: self._buf.shape[0]] = self._buf
-            self._buf = grown
-        self._buf[self.n] = x
+        self._buf[(self._window - self.n) % (self._window + 1)] = x
 
     def value(self, m: int) -> np.ndarray:
         if m < 0 or m > self.n:
             raise IndexError(f"iterate {m} not in [0, {self.n}]")
-        if self._window is not None:
-            if m < self.n - self._window:
-                raise HistoryWindowError(
-                    f"iterate {m} is older than the history window "
-                    f"({self._window} behind tick {self.n})"
-                )
-            return self._buf[m % (self._window + 1)]
-        return self._buf[m]
+        if m < self.n - self._window:
+            raise HistoryWindowError(
+                f"iterate {m} is older than the history window "
+                f"({self._window} behind tick {self.n})"
+            )
+        return self._buf[(self._window - m) % (self._window + 1)]
 
     def gather(self, n: int, tau: np.ndarray) -> np.ndarray:
         """View matrix V with V[j, i] = x_{n - tau[j, i]}[j].
 
         Column i is agent i's delayed view of the full iterate.
         """
+        window = self._window
+        if n <= self.n <= window:  # nothing evicted yet
+            try:
+                return self._buf[window - n:][tau, self._cols]
+            except IndexError:
+                raise IndexError("delay reaches before tick 0") from None
         rows = n - tau
-        if rows.min() < 0:
+        oldest = rows.min()
+        if oldest < 0:
             raise IndexError("delay reaches before tick 0")
-        if self._window is not None:
-            if rows.min() < self.n - self._window:
-                raise HistoryWindowError(
-                    f"delay of {tau.max()} ticks exceeds the history window "
-                    f"of {self._window}"
-                )
-            rows = rows % (self._window + 1)
-        return self._buf[rows, np.arange(self.d)[:, None]]
+        if oldest < self.n - window:
+            raise HistoryWindowError(
+                f"delay of {tau.max()} ticks exceeds the history window "
+                f"of {window}"
+            )
+        return self._buf[(window - rows) % (window + 1), self._cols]
 
     def snapshot(self, upto: int) -> np.ndarray:
-        """Dense (upto+1, d) array of iterates 0..upto (full storage only)."""
-        if self._window is not None:
-            raise HistoryWindowError("snapshot needs full history storage")
-        return self._buf[: upto + 1].copy()
+        """Dense (upto+1, d) array of iterates 0..upto (needs an unwrapped ring)."""
+        if self.n > self._window:
+            raise HistoryWindowError("snapshot needs every iterate since tick 0")
+        return self._buf[self._window - upto: self._window + 1][::-1].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -192,20 +187,12 @@ class ProjectionRegion:
 
     @staticmethod
     def from_spec(spec: ProjectionSpec, d: int) -> "ProjectionRegion":
-        center = (
-            np.zeros(d)
-            if spec.center is None
-            else np.asarray(spec.center, dtype=float)
-        )
+        center, norm = spec.center, spec.norm
         return ProjectionRegion(
-            center=center,
+            center=np.zeros(d) if center is None else np.asarray(center, dtype=float),
             r_inner=float(spec.r_inner),
             r_outer=float(spec.r_outer),
-            norm=(
-                EuclideanNorm()
-                if spec.norm is None
-                else spec_from_config("norm", spec.norm, d)
-            ),
+            norm=EuclideanNorm() if norm is None else spec_from_config("norm", norm, d),
         )
 
 
@@ -221,133 +208,83 @@ class StochasticModels:
     errors: Any
     noise: Any
 
-    @staticmethod
-    def create(delay_model, error_model, noise_model, d: int,
-               seed: int) -> "StochasticModels":
-        return StochasticModels(
-            delays=make_delay_sampler(delay_model, d, seed),
-            errors=make_error_sampler(error_model, d, seed),
-            noise=make_noise_sampler(noise_model, d, seed),
-        )
 
-
-@dataclass(eq=False)
-class SimState:
-    """Mutable simulation state threaded through the tick functions."""
-
-    history: IterateHistory
-    schedule: AgentSchedule
-    steps: StepSizePolicy
-    noise_sum: np.ndarray
-    n: int = 0
-    projections: int = 0
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.history.latest
-
-    @staticmethod
-    def create(x0: np.ndarray, schedule: AgentSchedule, steps: StepSizePolicy,
-               capacity: int | None = None,
-               window: int | None = None) -> "SimState":
-        x0 = np.asarray(x0, dtype=float)
-        return SimState(
-            history=IterateHistory(x0, capacity=capacity, window=window),
-            schedule=schedule,
-            steps=steps,
-            noise_sum=np.zeros(x0.shape[0]),
-        )
-
-
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class TickSample:
-    """Everything random drawn for one tick, in draw order."""
+    """Every input of one tick that does not depend on the iterate.
 
-    active: np.ndarray
-    tau: np.ndarray | None
-    eps: np.ndarray
-    noise: np.ndarray
-
-
-@dataclass(eq=False)
-class TickInfo:
-    """What one applied tick did (step sizes read before advancing).
-
-    ``drive`` is the field evaluated on each agent's view; with zero
-    delays every view is the pre-tick iterate, so it is ``field(x_n)``.
+    ``step`` holds every agent's step size a(nu(n, i)), read from the
+    activation counters before they are advanced past tick n.
+    ``all_active`` may be set when every entry of ``active`` is true; the
+    update then skips the mask.
     """
 
     active: np.ndarray
     step: np.ndarray
-    drive: np.ndarray
+    tau: np.ndarray | None
     eps: np.ndarray
     noise: np.ndarray
-    projected: bool
+    all_active: bool = False
 
 
-def draw_tick(state: SimState, models: StochasticModels) -> TickSample:
-    n = state.n
-    active = state.schedule.sampler.next(n)
-    tau = None if models.delays.always_zero else models.delays.matrix(n)
+def draw_tick(n: int, bundle: RuntimeBundle) -> TickSample:
+    """Draw tick ``n``'s inputs and advance the activation counters past it.
+
+    Ticks are drawn in order (see :meth:`AgentSchedule.draw`).  The very
+    first activation of an agent uses a(0).
+    """
+    active, step, all_active = bundle.schedule.draw(n, bundle.steps, bundle.horizon)
+    models = bundle.models
     return TickSample(
-        active=active,
-        tau=tau,
-        eps=models.errors.sample(n),
-        noise=models.noise.sample(n),
+        active,
+        step,
+        None if models.delays.always_zero else models.delays.matrix(n),
+        models.errors.sample(n),
+        models.noise.sample(n),
+        all_active,
     )
 
 
-def apply_tick(state: SimState, field: Field, sample: TickSample,
-               region: ProjectionRegion | None = None) -> TickInfo:
-    """Apply one drawn tick to the state.  The single update code path.
+def apply_tick(history: IterateHistory, field: Field, sample: TickSample,
+               region: ProjectionRegion | None = None) -> tuple[np.ndarray, bool]:
+    """Move the iterate by one drawn tick.  The single update code path.
 
-    Step sizes are read from the activation counters before they are
-    advanced, so the very first activation of an agent uses a(0).
+    Returns the drive (the field on each agent's view; with zero delays
+    every view is the pre-tick iterate, so it is ``field(x_n)``) and
+    whether the region pulled the new iterate back.  Runs under the
+    caller's numpy error state; the run drivers silence overflow and
+    invalid-value warnings around their tick loop, since a non-finite
+    iterate raises :class:`DivergenceError` anyway.
     """
-    n = state.n
-    x = state.history.latest
-    a_vec = state.steps.a_of(state.schedule.counters)
-    active = sample.active
-    with np.errstate(over="ignore", invalid="ignore"):
-        if sample.tau is None:
-            drive = field.vector(x)
-        else:
-            views = state.history.gather(n, sample.tau)
-            drive = field.vector_views(views)
-        delta = a_vec * (drive + sample.eps + sample.noise)
-        x_new = np.where(active, x + delta, x)
-    if not np.isfinite(x_new).all():
+    n = history.n
+    x = history.latest
+    if sample.tau is None:
+        drive = field.vector(x)
+    else:
+        drive = field.vector_views(history.gather(n, sample.tau))
+    delta = sample.step * (drive + sample.eps + sample.noise)
+    x_new = x + delta if sample.all_active else np.where(sample.active, x + delta, x)
+    # x @ 0 is NaN exactly when some component of x is not finite
+    if not math.isfinite(x_new @ np.zeros(len(x_new))):
         bad = int(np.flatnonzero(~np.isfinite(x_new))[0])
         raise DivergenceError(n, bad)
     projected = False
     if region is not None:
         x_new, projected = region.project(x_new)
-        if projected:
-            state.projections += 1
-    if sample.noise.any():
-        state.noise_sum += np.where(active, a_vec * sample.noise, 0.0)
-    state.schedule.advance(active)
-    state.history.append(x_new)
-    state.n = n + 1
-    return TickInfo(
-        active=active,
-        step=a_vec,
-        drive=drive,
-        eps=sample.eps,
-        noise=sample.noise,
-        projected=projected,
-    )
+    history.append(x_new)
+    return drive, projected
 
 
-def tick_loop(state: SimState, bundle: RuntimeBundle,
+def tick_loop(history: IterateHistory, bundle: RuntimeBundle,
               region: ProjectionRegion | None):
     """Draw and apply ``bundle.horizon`` ticks, yielding ``(n, sample,
-    info)`` after each one.  The one tick loop every run driver iterates.
+    drive, projected)`` after each one.  The one tick loop every run
+    driver iterates.
     """
-    field, models = bundle.field, bundle.models
+    field = bundle.field
     for n in range(bundle.horizon):
-        sample = draw_tick(state, models)
-        yield n, sample, apply_tick(state, field, sample, region=region)
+        sample = draw_tick(n, bundle)
+        yield n, sample, *apply_tick(history, field, sample, region)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +308,8 @@ class RuntimeBundle:
 
 def build_field(cfg: RunConfig) -> Field:
     """The drive of a config; a Bellman field carries its ``mdp`` and a
-    gradient field its ``surface``."""
+    gradient field its ``surface``.  ``RunConfig`` has already checked
+    every shape against the dimension."""
     d = cfg.dimension
     obj = cfg.objective
     if isinstance(obj, QuadraticObjective):
@@ -382,38 +320,25 @@ def build_field(cfg: RunConfig) -> Field:
             mats = np.stack([random_pd_matrix(d, rng)[i] for i in range(d)])
         else:
             mats = np.asarray(obj.matrices, dtype=float)
-            if mats.shape not in ((d, d), (d, d, d)):
-                raise ConfigError(
-                    f"quadratic matrices must have shape ({d}, {d}) or ({d}, {d}, {d})"
-                )
         return QuadraticField(mats)
     if isinstance(obj, ScaledIdentityObjective):
         return ScaledIdentityField(obj.gain, d)
     if isinstance(obj, BellmanObjective):
-        if obj.fixture is not None:
-            mdp = load_fixture(obj.fixture)
-        else:
-            mdp = random_mdp(obj.states, obj.actions, obj.mdp_seed,
-                             discount=obj.discount)
-        if mdp.states != d:
+        if obj.fixture is None:
+            return BellmanResidualField(random_mdp(
+                obj.states, obj.actions, obj.mdp_seed, discount=obj.discount))
+        mdp = load_fixture(obj.fixture)
+        if mdp.states != d:  # the one shape check that needs the file
             raise ConfigError(
                 f"dimension {d} does not match the {mdp.states}-state problem"
             )
         return BellmanResidualField(mdp)
     if isinstance(obj, GradientObjective):
         if obj.surface == "rosenbrock":
-            if d != 2:
-                raise ConfigError("rosenbrock surface needs dimension 2")
             surface = Rosenbrock(a=obj.a, b=obj.b)
         else:
-            mat = (
-                np.eye(d)
-                if obj.matrix is None
-                else np.asarray(obj.matrix, dtype=float)
-            )
-            if mat.shape != (d, d):
-                raise ConfigError(f"bowl matrix must have shape ({d}, {d})")
-            surface = QuadraticBowl(mat)
+            surface = QuadraticBowl(
+                np.eye(d) if obj.matrix is None else np.asarray(obj.matrix, dtype=float))
         return GradientDescentField(surface)
     raise ConfigError(f"unsupported objective {type(obj).__name__}")
 
@@ -421,17 +346,16 @@ def build_field(cfg: RunConfig) -> Field:
 def build_runtime(cfg: RunConfig) -> RuntimeBundle:
     d = cfg.dimension
     field = build_field(cfg)
-    if cfg.x0 is not None:
-        x0 = np.asarray(cfg.x0, dtype=float).copy()
-    else:
-        x0 = stream(cfg.seed, DOMAIN_INIT).uniform(-1.0, 1.0, d)
+    x0 = (stream(cfg.seed, DOMAIN_INIT).uniform(-1.0, 1.0, d) if cfg.x0 is None
+          else np.asarray(cfg.x0, dtype=float).copy())
     schedule = AgentSchedule.create(cfg.activation, d, cfg.seed)
-    models = StochasticModels.create(cfg.delays, cfg.errors, cfg.noise, d, cfg.seed)
-    region = (
-        None
-        if cfg.projection is None
-        else ProjectionRegion.from_spec(cfg.projection, d)
+    models = StochasticModels(
+        delays=make_delay_sampler(cfg.delays, d, cfg.seed),
+        errors=make_error_sampler(cfg.errors, d, cfg.seed),
+        noise=make_noise_sampler(cfg.noise, d, cfg.seed),
     )
+    projection = cfg.projection
+    region = None if projection is None else ProjectionRegion.from_spec(projection, d)
     return RuntimeBundle(
         d=d,
         horizon=cfg.horizon,
@@ -449,6 +373,13 @@ def build_runtime(cfg: RunConfig) -> RuntimeBundle:
 # run drivers
 
 
+def _start(bundle: RuntimeBundle) -> tuple[np.ndarray, bool]:
+    """The start point, pulled back into the region when there is one."""
+    if bundle.region is None:
+        return bundle.x0, False
+    return bundle.region.project(bundle.x0)
+
+
 def run(cfg: RunConfig) -> RunTrace:
     """Execute a full traced run.
 
@@ -459,18 +390,14 @@ def run(cfg: RunConfig) -> RunTrace:
     """
     bundle = build_runtime(cfg)
     N, d = bundle.horizon, bundle.d
-    x0, projected0 = (
-        bundle.region.project(bundle.x0) if bundle.region is not None
-        else (bundle.x0, False)
-    )
-    state = SimState.create(x0, bundle.schedule, bundle.steps, capacity=N)
+    x0, projected0 = _start(bundle)
+    history = IterateHistory(x0, window=N)
 
     active_tr = np.zeros((N + 1, d), dtype=bool)
     step_tr = np.zeros((N + 1, d))
     eps_tr = np.zeros(N + 1)
     res_tr = np.zeros(N + 1)
     proj_tr = np.zeros(N + 1, dtype=bool)
-    xi_tr = None if bundle.models.noise.is_zero else np.zeros((N + 1, d))
 
     meta = {
         "seed": bundle.seed,
@@ -480,99 +407,73 @@ def run(cfg: RunConfig) -> RunTrace:
     field = bundle.field
     zero_delay = bundle.models.delays.always_zero
 
-    def residual(x: np.ndarray) -> float:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float(np.linalg.norm(field.vector(x)))
-
     def trace(upto: int) -> RunTrace:
+        """Rows 0..upto; the last one holds the residual of the latest iterate."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            res_tr[upto] = float(np.linalg.norm(field.vector(history.latest)))
         counters = np.zeros((upto + 1, d), dtype=np.int64)
         np.cumsum(active_tr[:upto], axis=0, dtype=np.int64, out=counters[1:])
         return RunTrace(
             meta=meta,
-            x=state.history.snapshot(upto),
+            x=history.snapshot(upto),
             active=active_tr[: upto + 1],
             step=step_tr[: upto + 1],
             eps_norm=eps_tr[: upto + 1],
             residual=res_tr[: upto + 1],
             projected=proj_tr[: upto + 1],
             counters=counters,
-            noise_sum=None if xi_tr is None else xi_tr[: upto + 1],
         )
 
     try:
-        for n, _, info in tick_loop(state, bundle, bundle.region):
-            active_tr[n] = info.active
-            step_tr[n] = info.step
-            eps_tr[n] = float(np.linalg.norm(info.eps))
-            with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n, sample, drive, projected in tick_loop(history, bundle, bundle.region):
+                active_tr[n] = sample.active
+                step_tr[n] = sample.step
+                eps_tr[n] = float(np.linalg.norm(sample.eps))
                 # without delays the tick's drive is already field(x_n)
-                drive = info.drive if zero_delay else field.vector(state.history.value(n))
+                if not zero_delay:
+                    drive = field.vector(history.value(n))
                 res_tr[n] = float(np.linalg.norm(drive))
-            proj_tr[n] = info.projected
-            if xi_tr is not None:
-                xi_tr[n + 1] = state.noise_sum
+                proj_tr[n] = projected
     except DivergenceError as exc:
-        res_tr[state.n] = residual(state.x)
-        exc.trace = trace(state.n)
+        exc.trace = trace(history.n)
         raise
-    res_tr[N] = residual(state.x)
     return trace(N)
 
 
 @dataclass(eq=False)
 class RunResult:
-    """Light run output: endpoint plus whatever series were requested."""
+    """Light run output: the endpoint and a few counters."""
 
     final_x: np.ndarray
     counters: np.ndarray
-    noise_sum: np.ndarray
     projections: int
     initial_projection: bool
-    xi: np.ndarray | None = None
-    delay_product_max: float | None = None
 
 
-def run_light(cfg: RunConfig, xi_series: bool = False,
-              delay_product_from: int | None = None) -> RunResult:
-    """Execute a run keeping only the endpoint (and optional series).
+def run_light(cfg: RunConfig) -> RunResult:
+    """Execute a run keeping only the endpoint.
 
-    ``xi_series`` records the running weighted noise sum after every tick.
-    ``delay_product_from`` tracks, from that tick on, the largest product
-    of a read delay with the reader's current step size.  Past iterates
-    are kept only as far back as the delay model can reach: none without
-    delays, ``tau_max`` ticks under bounded-uniform delays, all otherwise.
+    Past iterates are kept only as far back as the delay model can reach:
+    none without delays, ``tau_max`` ticks under bounded-uniform delays,
+    all otherwise.
     """
     bundle = build_runtime(cfg)
-    N, d = bundle.horizon, bundle.d
-    x0, projected0 = (
-        bundle.region.project(bundle.x0) if bundle.region is not None
-        else (bundle.x0, False)
-    )
+    x0, projected0 = _start(bundle)
     if bundle.models.delays.always_zero:
-        state = SimState.create(x0, bundle.schedule, bundle.steps, window=0)
+        window = 0
     elif isinstance(cfg.delays, UniformDelays):
-        state = SimState.create(x0, bundle.schedule, bundle.steps,
-                                window=cfg.delays.tau_max)
+        window = cfg.delays.tau_max
     else:
-        state = SimState.create(x0, bundle.schedule, bundle.steps, capacity=N)
-
-    xi_tr = np.zeros((N + 1, d)) if xi_series else None
-    prod_max = 0.0
-    for n, sample, info in tick_loop(state, bundle, bundle.region):
-        if delay_product_from is not None and n >= delay_product_from \
-                and sample.tau is not None:
-            scaled = sample.tau * (info.step * sample.active)[None, :]
-            prod_max = max(prod_max, float(scaled.max()))
-        if xi_tr is not None:
-            xi_tr[n + 1] = state.noise_sum
+        window = bundle.horizon
+    history = IterateHistory(x0, window=window)
+    projections = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, _, _, projected in tick_loop(history, bundle, bundle.region):
+            projections += projected
     return RunResult(
-        final_x=state.x.copy(),
-        counters=state.schedule.counters.copy(),
-        noise_sum=state.noise_sum.copy(),
-        projections=state.projections,
+        final_x=history.latest.copy(),
+        counters=bundle.schedule.counters.copy(),
+        projections=projections,
         initial_projection=projected0,
-        xi=xi_tr,
-        delay_product_max=(
-            prod_max if delay_product_from is not None else None
-        ),
     )

@@ -17,6 +17,11 @@ import numpy as np
 
 from .errors import ConfigError
 
+try:  # the C function np.einsum calls, without its Python-level dispatch
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # pragma: no cover - numpy < 2
+    _einsum = np.einsum
+
 __all__ = [
     "Field",
     "QuadraticField",
@@ -66,7 +71,7 @@ class QuadraticField:
         return -(self.rows @ x)
 
     def vector_views(self, views):
-        return -np.einsum("ij,ji->i", self.rows, views)
+        return -_einsum("ij,ji->i", self.rows, views)
 
 
 class ScaledIdentityField:

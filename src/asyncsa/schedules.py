@@ -112,7 +112,7 @@ class ConstantSteps:
         return np.full_like(np.asarray(n, dtype=float), self.a0) if np.ndim(n) else self.a0
 
     def a_of(self, counts: np.ndarray) -> np.ndarray:
-        return np.full(len(counts), self.a0)
+        return np.full(np.shape(counts), self.a0)
 
 
 StepSizePolicy = HarmonicSteps | PowerSteps | ConstantSteps
@@ -180,11 +180,7 @@ class _RoundRobinSampler:
 
 class _BernoulliSampler:
     def __init__(self, q: np.ndarray, d: int, seed: int):
-        if q.size == 1:
-            q = np.full(d, float(q[0]))
-        if q.shape != (d,):
-            raise ConfigError(f"bernoulli q must be scalar or length {d}")
-        self._q = q
+        self._q = np.full(d, float(q[0])) if q.size == 1 else q
         rng = stream(seed, DOMAIN_ACTIVATION)
         self._rows = Rows(lambda size: rng.random((size, d)))
 
@@ -203,6 +199,11 @@ def _make_sampler(policy: ActivationPolicy, d: int, seed: int):
     return _BernoulliSampler(policy.q, d, seed)
 
 
+# (tick, agent) cells per block of drawn ticks: hundreds of ticks at small d,
+# and small next to a CHUNK-row block of an error or noise stream at any d
+_BLOCK_CELLS = 1024
+
+
 @dataclass
 class AgentSchedule:
     """Activation source plus per-agent update counters for one run."""
@@ -212,6 +213,7 @@ class AgentSchedule:
     seed: int
     counters: np.ndarray
     sampler: object
+    _block: tuple = field(default=(0, (), None, None, None), init=False, repr=False)
 
     @classmethod
     def create(cls, policy: ActivationPolicy, d: int, seed: int) -> "AgentSchedule":
@@ -225,11 +227,30 @@ class AgentSchedule:
             sampler=_make_sampler(policy, d, int(seed)),
         )
 
-    def fresh_copy(self) -> "AgentSchedule":
-        return AgentSchedule.create(self.policy, self.d, self.seed)
-
     def advance(self, mask: np.ndarray) -> None:
         self.counters += mask
+
+    def draw(self, n: int, steps: StepSizePolicy, horizon: int):
+        """Tick n's active mask, step sizes and whether every agent is
+        active; moves ``counters`` past tick n.
+
+        Ticks are drawn in order, a block of about ``_BLOCK_CELLS`` (tick,
+        agent) cells at a time, cut at ``horizon``: step sizes are read
+        from the counts before each tick, all at once.
+        """
+        start, active, step, after, every = self._block
+        k = n - start
+        if not 0 <= k < len(active):
+            size = max(1, min(_BLOCK_CELLS // self.d, horizon - n))
+            active = np.array([self.sampler.next(m) for m in range(n, n + size)])
+            after = np.cumsum(active, axis=0, dtype=np.int64)
+            after += self.counters
+            step = steps.a_of(after - active)
+            every = np.logical_and.reduce(active, axis=1).tolist()
+            self._block = n, active, step, after, every
+            k = 0
+        self.counters = after[k]
+        return active[k], step[k], every[k]
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +285,7 @@ def timeline(policy: StepSizePolicy, schedule: AgentSchedule, ticks: int) -> np.
     """
     if ticks < 0:
         raise ValueError("ticks must be >= 0")
-    sched = schedule.fresh_copy()
+    sched = AgentSchedule.create(schedule.policy, schedule.d, schedule.seed)
     t = np.zeros(ticks + 1)
     if isinstance(sched.policy, AllActive):
         # every counter equals the tick index, so abar(m) = a(m)

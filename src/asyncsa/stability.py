@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._rng import DOMAIN_CHECK, DOMAIN_ERROR_ALT, stream
 from .config import RunConfig, run_config_to_dict
-from .core import SimState, TickSample, apply_tick, build_runtime, tick_loop
+from .core import IterateHistory, apply_tick, build_runtime, tick_loop
 from .errors import ConfigError
 from .norms import Norm, weighted_norm
 from .stochastics import make_error_sampler
@@ -77,44 +77,38 @@ def run_paired(cfg: RunConfig, coupled_errors: bool = True,
     x0_proj, projected0 = region.project(x0_raw)
     projection_ticks: list[int] = [-1] if projected0 else []
 
-    state_raw = SimState.create(x0_raw, bundle.schedule, bundle.steps,
-                                capacity=N)
-    state_proj = SimState.create(x0_proj, bundle.schedule.fresh_copy(),
-                                 bundle.steps, capacity=N)
-    alt_errors = (
-        None
-        if coupled_errors
-        else make_error_sampler(cfg.errors, d, cfg.seed, domain=DOMAIN_ERROR_ALT)
-    )
+    hist_raw = IterateHistory(x0_raw, window=N)
+    hist_proj = IterateHistory(x0_proj, window=N)
+    alt_errors = None if coupled_errors else make_error_sampler(
+        cfg.errors, d, cfg.seed, domain=DOMAIN_ERROR_ALT)
 
     gap = np.zeros(N + 1)
     step_bound = np.zeros(N)
     error_gap = np.zeros(N)
     gap[0] = weighted_norm(x0_raw - x0_proj, norm)
 
-    for n, sample, info_raw in tick_loop(state_raw, bundle, None):
-        if alt_errors is None:
-            sample_proj = sample
-        else:
-            eps2 = alt_errors.sample(n)
-            sample_proj = TickSample(
-                active=sample.active, tau=sample.tau, eps=eps2,
-                noise=sample.noise,
-            )
-            error_gap[n] = weighted_norm(sample.eps - eps2, norm)
-        info_proj = apply_tick(state_proj, bundle.field, sample_proj, region=region)
-        step_bound[n] = float(info_raw.step[sample.active].max())
-        if info_proj.projected:
-            projection_ticks.append(n)
-        gap[n + 1] = weighted_norm(state_raw.x - state_proj.x, norm)
+    # both chains consume the one drawn sample of each tick
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, sample, _, _ in tick_loop(hist_raw, bundle, None):
+            if alt_errors is None:
+                sample_proj = sample
+            else:
+                eps2 = alt_errors.sample(n)
+                sample_proj = replace(sample, eps=eps2)
+                error_gap[n] = weighted_norm(sample.eps - eps2, norm)
+            _, projected = apply_tick(hist_proj, bundle.field, sample_proj, region)
+            step_bound[n] = float(sample.step[sample.active].max())
+            if projected:
+                projection_ticks.append(n)
+            gap[n + 1] = weighted_norm(hist_raw.latest - hist_proj.latest, norm)
 
     return PairedRun(
         gap=gap,
         step_bound=step_bound,
         error_gap=error_gap,
         projection_ticks=projection_ticks,
-        raw_final=state_raw.x.copy(),
-        proj_final=state_proj.x.copy(),
+        raw_final=hist_raw.latest.copy(),
+        proj_final=hist_proj.latest.copy(),
         coupled_errors=coupled_errors,
         meta={
             "seed": int(cfg.seed),

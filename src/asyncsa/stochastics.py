@@ -10,7 +10,9 @@ factory, and zero or constant models draw nothing.
 Delay samplers serve a full (d, d) matrix per tick with entry [j, i] the
 age of agent i's view of component j; the diagonal is always 0 and every
 entry is clamped to the current tick.  They advance tick by tick and
-cannot rewind.
+cannot rewind.  Stale-refresh ages follow a recursion, but only through
+each view's last refresh, so a whole block of coins becomes a block of
+age matrices at once.
 
 Error samplers enforce their declared bound on every sample: each block
 is checked before any of its rows is served.  Componentwise-uniform and
@@ -155,13 +157,10 @@ class _ZeroDelaySampler(_DelaySamplerBase):
         pass
 
 
-def _pair_matrix_param(value, d: int, name: str) -> np.ndarray:
+def _pair_matrix_param(value, d: int) -> np.ndarray:
+    """A per-pair parameter as a (d, d) matrix; a scalar is broadcast."""
     arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        return np.full((d, d), float(arr))
-    if arr.shape != (d, d):
-        raise ConfigError(f"{name} matrix must be ({d}, {d})")
-    return arr
+    return np.full((d, d), float(arr)) if arr.ndim == 0 else arr
 
 
 class _IidDelaySampler(_DelaySamplerBase):
@@ -188,31 +187,39 @@ class _IidDelaySampler(_DelaySamplerBase):
 class _StaleRefreshSampler(_DelaySamplerBase):
     def __init__(self, model: StaleRefreshDelays, d: int, seed: int):
         super().__init__(d)
-        p = _pair_matrix_param(model.p_c, d, "p_c")
+        p = _pair_matrix_param(model.p_c, d)
         if model.symmetric:
             pairs = [(j, i) for j in range(d) for i in range(j + 1, d)]
         else:
             pairs = [(j, i) for j in range(d) for i in range(d) if j != i]
-        self._symmetric = bool(model.symmetric)
-        self._rows = np.array([j for j, _ in pairs], dtype=np.intp)
-        self._cols = np.array([i for _, i in pairs], dtype=np.intp)
-        self._p = p[self._rows, self._cols]
-        self._ages = np.zeros(len(pairs), dtype=np.int64)
+        p = [p[j, i] for j, i in pairs]
         rngs = [stream(seed, DOMAIN_DELAY, j, i) for j, i in pairs]
-        self._coins = Rows(
-            lambda size: np.column_stack([rng.random(size) for rng in rngs]))
+        ages = np.zeros(len(pairs), dtype=np.int64)  # at the last row filled
+
+        def fill(size):
+            """Matrices of the next ``size`` ticks, one pair's coins at a time.
+
+            A view is ``t - s`` ticks old at block row t when s was its last
+            refresh in the block, and ``t + 1`` older than at the block's
+            start when it had none.
+            """
+            block = np.zeros((size, d, d), dtype=np.int64)
+            t = np.arange(size)
+            for k, ((j, i), rng) in enumerate(zip(pairs, rngs)):
+                last = np.where(rng.random(size) < p[k], t, -1 - ages[k])
+                np.maximum.accumulate(last, out=last)
+                np.subtract(t, last, out=last)
+                block[:, j, i] = last
+                if model.symmetric:
+                    block[:, i, j] = last
+                ages[k] = last[-1]
+            return block
+
+        # tick 0 reads fresh views and draws no coin; tick n >= 1 is row n - 1
+        self._matrices = Rows(fill)
 
     def _step(self, n: int) -> None:
-        if n == 0:
-            self._ages[:] = 0
-        else:
-            coins = self._coins.next()
-            self._ages = np.where(coins < self._p, 0, self._ages + 1)
-        cur = np.zeros((self.d, self.d), dtype=np.int64)
-        cur[self._rows, self._cols] = self._ages
-        if self._symmetric:
-            cur[self._cols, self._rows] = self._ages
-        self._cur = cur
+        self._cur = self._matrices.next() if n else np.zeros((self.d, self.d), dtype=np.int64)
 
 
 def make_delay_sampler(model: DelayModel, d: int, seed: int):
@@ -223,7 +230,7 @@ def make_delay_sampler(model: DelayModel, d: int, seed: int):
         return _IidDelaySampler(
             d, seed, lambda rng, j, i, size: rng.integers(0, high, size=size))
     if isinstance(model, GeometricDelays):
-        p = 1.0 / (1.0 + _pair_matrix_param(model.mean, d, "geometric mean"))
+        p = 1.0 / (1.0 + _pair_matrix_param(model.mean, d))
         return _IidDelaySampler(
             d, seed, lambda rng, j, i, size: rng.geometric(p[j, i], size=size) - 1)
     if isinstance(model, StaleRefreshDelays):
@@ -295,17 +302,23 @@ def _constant(vec: np.ndarray):
 
 
 def _max_abs(rows: np.ndarray) -> float:
-    return float(np.abs(rows).max()) if len(rows) else 0.0
+    return float(max(rows.max(), -rows.min()))
 
 
 def _max_norm(norm: Norm):
-    return lambda rows: max(norm(row) for row in rows) if len(rows) else 0.0
+    return lambda rows: max(norm(row) for row in rows)
 
 
-class _ErrorSampler:
-    """Per-tick error vectors: the rows of ``fill``'s blocks.  Every block
-    is checked against ``bound`` before any of its rows is served;
-    ``worst(block)`` is the block's largest norm."""
+class _RowSampler(Rows):
+    """Per-tick vectors: ``sample(n)`` is the next row of ``fill``'s blocks."""
+
+    sample = Rows.next
+
+
+class _ErrorSampler(_RowSampler):
+    """Per-tick error vectors.  Every block is checked against ``bound``
+    before any of its rows is served; ``worst(block)`` is the block's
+    largest norm."""
 
     def __init__(self, bound: float, fill, worst):
         self.bound = bound = float(bound)
@@ -317,10 +330,7 @@ class _ErrorSampler:
                 raise AssertionError(f"error sample breached its bound: {top} > {bound}")
             return block
 
-        self._rows = Rows(checked)
-
-    def sample(self, n: int) -> np.ndarray:
-        return self._rows.next()
+        super().__init__(checked)
 
 
 def make_error_sampler(model: ErrorModel, d: int, seed: int,
@@ -328,8 +338,6 @@ def make_error_sampler(model: ErrorModel, d: int, seed: int,
     if isinstance(model, ZeroErrors):
         return _ErrorSampler(0.0, _constant(np.zeros(d)), _max_abs)
     if isinstance(model, FixedBiasErrors):
-        if model.bias.shape != (d,):
-            raise ConfigError(f"fixed-bias vector must have length {d}")
         bias = model.bias.copy()
         # checked by its largest component, which never exceeds its norm
         return _ErrorSampler(np.linalg.norm(bias), _constant(bias), _max_abs)
@@ -341,8 +349,6 @@ def make_error_sampler(model: ErrorModel, d: int, seed: int,
     if isinstance(model, NormBallErrors):
         norm, bound = model.norm, float(model.bound)
         if isinstance(norm, WeightedMaxNorm):
-            if norm.weights.shape != (d,):
-                raise ConfigError(f"norm weights must have length {d}")
             half = bound * norm.weights
             return _ErrorSampler(
                 bound, lambda size: rng.uniform(-half, half, size=(size, d)),
@@ -394,29 +400,18 @@ class RademacherNoise:
 NoiseModel = ZeroNoise | UniformNoise | RademacherNoise
 
 
-class _NoiseSampler:
-    """Per-tick noise vectors: the rows of ``fill``'s blocks."""
-
-    def __init__(self, fill, is_zero: bool = False):
-        self.is_zero = is_zero
-        self._rows = Rows(fill)
-
-    def sample(self, n: int) -> np.ndarray:
-        return self._rows.next()
-
-
 def make_noise_sampler(model: NoiseModel, d: int, seed: int):
     if isinstance(model, ZeroNoise):
-        return _NoiseSampler(_constant(np.zeros(d)), is_zero=True)
+        return _RowSampler(_constant(np.zeros(d)))
     if not isinstance(model, (UniformNoise, RademacherNoise)):
         raise ConfigError(f"unknown noise model {model!r}")
     rng = stream(seed, DOMAIN_NOISE)
     level = float(model.level)
     if isinstance(model, UniformNoise):
-        return _NoiseSampler(lambda size: rng.uniform(-level, level, size=(size, d)))
+        return _RowSampler(lambda size: rng.uniform(-level, level, size=(size, d)))
 
     def fill(size):
         signs = rng.integers(0, 2, size=(size, d)) * 2 - 1
         return level * signs.astype(float)
 
-    return _NoiseSampler(fill)
+    return _RowSampler(fill)

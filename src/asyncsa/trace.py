@@ -14,7 +14,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class RunTrace:
     residual: np.ndarray   # (N+1,) Euclidean norm of the field at x_n
     projected: np.ndarray  # (N+1,) 1 when the event ended in a projection
     counters: np.ndarray   # (N+1, d) update counts before each tick
-    noise_sum: np.ndarray | None = field(default=None)  # (N+1, d) optional
 
     @property
     def ticks(self) -> int:

@@ -46,6 +46,7 @@ from asyncsa import (
     build_runtime,
     check_step_size,
     contraction_estimate,
+    draw_tick,
     exact_fixed_point,
     gap_report,
     gradient_fidelity,
@@ -67,6 +68,13 @@ def _report(ident: str, label: str, ok: bool, detail: str) -> str:
     line = f"CRITERION {ident} {label}: {'PASS' if ok else 'FAIL'} ({detail})"
     print(line, file=sys.__stdout__, flush=True)
     return line
+
+
+def _drawn_ticks(cfg):
+    """The drawn sample of every tick of ``cfg``: its inputs that do not
+    depend on the iterate, so no iterate is computed."""
+    bundle = build_runtime(cfg)
+    return (draw_tick(n, bundle) for n in range(cfg.horizon))
 
 
 @pytest.fixture(scope="module")
@@ -246,9 +254,12 @@ def test_06_noise_partial_sums_settle():
             steps=HarmonicSteps(c=10.0),
             noise=RademacherNoise(level=1.0),
         )
-        res = run_light(cfg, xi_series=True)
-        early.append(oscillation(res.xi, 1_000, 2_000))
-        late.append(oscillation(res.xi, 10_000, 20_000))
+        # xi[n] = sum over m < n of a(nu(m, i)) * noise_m[i] on active agents
+        xi = np.zeros((cfg.horizon + 1, 2))
+        for n, tick in enumerate(_drawn_ticks(cfg)):
+            xi[n + 1] = xi[n] + np.where(tick.active, tick.step * tick.noise, 0.0)
+        early.append(oscillation(xi, 1_000, 2_000))
+        late.append(oscillation(xi, 10_000, 20_000))
     med_early = float(np.median(early))
     med_late = float(np.median(late))
     ok = med_early >= 2.0 * med_late
@@ -271,8 +282,13 @@ def test_07_step_delay_product_vanishes():
             steps=HarmonicSteps(c=10.0),
             delays=GeometricDelays(mean=5.0),
         )
-        res = run_light(cfg, delay_product_from=90_000)
-        prods.append(res.delay_product_max)
+        # largest read age times the reader's step size, from tick 90 000 on
+        prod = 0.0
+        for n, tick in enumerate(_drawn_ticks(cfg)):
+            if n >= 90_000:
+                scaled = tick.tau * (tick.step * tick.active)[None, :]
+                prod = max(prod, float(scaled.max()))
+        prods.append(prod)
     worst = max(prods)
     ok = worst < 1e-3
     line = _report(

@@ -80,6 +80,8 @@ def test_run_command_rejects_bad_config(tmp_path, capsys):
 @pytest.mark.parametrize("line", [
     "steps: {kind: harmonic, c: ten}\n",
     "dimension: two\n",
+    "dimension: 2.7\n",
+    "delays: {kind: bounded-uniform, tau_max: 2.5}\n",
 ])
 def test_run_command_rejects_mistyped_values(run_yaml, tmp_path, capsys, line):
     bad = tmp_path / "mistyped.yaml"

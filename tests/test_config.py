@@ -730,6 +730,76 @@ def test_mistyped_values_are_config_errors(patch, fragment):
         parse_run_config(dict(BASE_DOC, **patch))
 
 
+@pytest.mark.parametrize("patch, fragment", [
+    ({"delays": {"kind": "bounded-uniform", "tau_max": 2.5}},
+     "delays tau_max must be an integer"),
+    ({"activation": {"kind": "round-robin", "k": 1.9}},
+     "activation k must be an integer"),
+    ({"dimension": 2.7}, "dimension must be an integer"),
+    ({"horizon": 10.5}, "horizon must be an integer"),
+    ({"activation": {"kind": "round-robin", "k": True}},
+     "activation k must be an integer"),
+    ({"seed": False}, "seed must be an integer"),
+    ({"delays": {"kind": "bounded-uniform", "tau_max": "3"}},
+     "delays tau_max must be an integer"),
+])
+def test_integer_keys_are_never_truncated(patch, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        parse_run_config(dict(BASE_DOC, **patch))
+
+
+def test_integer_keys_take_integral_floats():
+    cfg = parse_run_config(dict(BASE_DOC, dimension=2.0, horizon=np.int64(10),
+                                delays={"kind": "bounded-uniform", "tau_max": 3.0}))
+    assert (cfg.dimension, cfg.horizon, cfg.delays.tau_max) == (2, 10, 3)
+    assert type(cfg.dimension) is int and type(cfg.delays.tau_max) is int
+
+
+_EYE3 = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+
+@pytest.mark.parametrize("patch, fragment", [
+    ({"errors": {"kind": "fixed-bias", "bias": [0.1, 0.1, 0.1]}},
+     "fixed-bias vector must have length 2"),
+    ({"activation": {"kind": "bernoulli", "q": [0.5, 0.5, 0.5]}},
+     "bernoulli q must be scalar or length 2"),
+    ({"delays": {"kind": "geometric", "mean": [[1.0] * 3] * 3}},
+     r"geometric mean matrix must be \(2, 2\)"),
+    ({"delays": {"kind": "stale-refresh", "p_c": [[0.5] * 3] * 3}},
+     r"p_c matrix must be \(2, 2\)"),
+    ({"objective": {"kind": "quadratic", "matrices": _EYE3}},
+     "quadratic matrices must have shape"),
+    ({"objective": {"kind": "gradient-descent", "surface": "quadratic-bowl",
+                    "matrix": _EYE3}},
+     "bowl matrix must have shape"),
+    ({"dimension": 3, "objective": {"kind": "gradient-descent",
+                                    "surface": "rosenbrock"}},
+     "rosenbrock surface needs dimension 2"),
+    ({"objective": {"kind": "bellman-residual", "states": 3, "actions": 2}},
+     "does not match the 3-state problem"),
+], ids=["fixed-bias", "bernoulli", "geometric", "stale-refresh", "quadratic",
+        "bowl", "rosenbrock", "bellman"])
+def test_shapes_are_checked_against_the_dimension_at_parse(patch, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        parse_run_config(dict(BASE_DOC, **patch))
+
+
+def test_programmatic_configs_get_the_shape_checks():
+    box = asyncsa.WeightedMaxNorm(weights=[1.0, 1.0, 1.0])
+    with pytest.raises(ConfigError, match="norm weights must have length 2"):
+        RunConfig(dimension=2, horizon=10, seed=0,
+                  objective=ScaledIdentityObjective(gain=-1.0),
+                  errors=asyncsa.NormBallErrors(bound=0.1, norm=box))
+
+
+def test_sweep_rejects_a_wrong_length_grid_point_at_parse():
+    base = dict(BASE_DOC, errors={"kind": "fixed-bias", "bias": [0.1, 0.1]})
+    doc = {"base": base,
+           "sweep": {"parameters": {"errors.bias": [[0.1, 0.1], [0.1, 0.1, 0.1]]}}}
+    with pytest.raises(ConfigError, match="fixed-bias vector must have length 2"):
+        parse_sweep_config(doc)
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 

@@ -1,10 +1,13 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from asyncsa import (
+    AgentSchedule,
     AllActive,
+    BernoulliActivation,
     ComponentUniformErrors,
     ConfigError,
     ConstantSteps,
@@ -16,22 +19,25 @@ from asyncsa import (
     HarmonicSteps,
     HistoryWindowError,
     IterateHistory,
+    PowerSteps,
     ProjectionRegion,
     ProjectionSpec,
     QuadraticObjective,
     RoundRobin,
     RunConfig,
     ScaledIdentityObjective,
-    SimState,
     StaleRefreshDelays,
     UniformDelays,
     UniformNoise,
+    ZeroDelays,
     apply_tick,
     build_runtime,
     draw_tick,
     run,
     run_light,
+    run_paired,
 )
+from asyncsa._rng import CHUNK
 from asyncsa.fields import QuadraticBowl, QuadraticField, ScaledIdentityField
 
 
@@ -139,12 +145,90 @@ def test_equal_configs_write_identical_traces(tmp_path):
 def test_manual_stepping_matches_run():
     cfg = _cfg(horizon=3, errors=ComponentUniformErrors(bound=0.2))
     bundle = build_runtime(cfg)
-    state = SimState.create(bundle.x0, bundle.schedule, bundle.steps,
-                            capacity=3)
-    for _ in range(3):
-        sample = draw_tick(state, bundle.models)
-        apply_tick(state, bundle.field, sample, region=bundle.region)
-    assert np.array_equal(state.x, run(cfg).final_x)
+    history = IterateHistory(bundle.x0, window=3)
+    for n in range(3):
+        sample = draw_tick(n, bundle)
+        apply_tick(history, bundle.field, sample, bundle.region)
+    assert np.array_equal(history.latest, run(cfg).final_x)
+
+
+@pytest.mark.parametrize("activation", [BernoulliActivation(q=0.6), RoundRobin(k=2)],
+                         ids=["bernoulli", "round-robin"])
+@pytest.mark.parametrize("delays", [
+    ZeroDelays(), UniformDelays(tau_max=3), GeometricDelays(mean=2.0),
+    StaleRefreshDelays(p_c=0.4),
+], ids=lambda m: m.kind)
+def test_drawn_ticks_do_not_depend_on_the_iterate(activation, delays):
+    # only the drive reads the iterate: another objective and start point
+    # leave every drawn input of every tick unchanged
+    common = dict(dimension=3, horizon=300, seed=4, activation=activation,
+                  delays=delays, errors=ComponentUniformErrors(bound=0.2),
+                  noise=UniformNoise(level=0.1))
+    a = build_runtime(_cfg(**common))
+    b = build_runtime(_cfg(**common, objective=ScaledIdentityObjective(gain=-2.0),
+                           x0=[5.0, -3.0, 1.0]))
+    for n in range(300):
+        ta, tb = draw_tick(n, a), draw_tick(n, b)
+        for name in ("active", "step", "tau", "eps", "noise"):
+            assert np.array_equal(getattr(ta, name), getattr(tb, name)), (n, name)
+
+
+@pytest.mark.parametrize("steps", [HarmonicSteps(c=3.0), PowerSteps(p=0.7, c=2.0),
+                                   ConstantSteps(a0=0.1)], ids=lambda s: s.kind)
+@pytest.mark.parametrize("activation", [AllActive(), RoundRobin(k=2),
+                                        BernoulliActivation(q=0.3)],
+                         ids=lambda a: a.kind)
+def test_block_drawn_activation_matches_tick_by_tick(activation, steps):
+    # at d = 300 an activation block holds 3 ticks, so 50 ticks cross 17
+    # block boundaries; every row must equal the tick-by-tick reading
+    d = 300
+    bundle = build_runtime(RunConfig(
+        dimension=d, horizon=50, seed=2, objective=ScaledIdentityObjective(gain=-1.0),
+        steps=steps, activation=activation))
+    schedule = AgentSchedule.create(activation, d, seed=2)
+    for n in range(50):
+        sample = draw_tick(n, bundle)
+        active = schedule.sampler.next(n)
+        assert np.array_equal(sample.active, active)
+        assert sample.all_active == bool(active.all())
+        assert np.array_equal(sample.step, steps.a_of(schedule.counters))
+        schedule.advance(active)
+        assert np.array_equal(bundle.schedule.counters, schedule.counters)
+
+
+def test_paired_run_reads_step_sizes_once_per_tick(monkeypatch):
+    # both chains consume one drawn sample, and the step sizes of all 120
+    # ticks come from one activation block: a(nu) is evaluated once
+    cfg = _cfg(horizon=120, activation=RoundRobin(k=1),
+               projection=ProjectionSpec(r_inner=1.0, r_outer=2.0))
+    a_of = HarmonicSteps.a_of
+    calls = []
+
+    def counted(self, counts):
+        calls.append(1)
+        return a_of(self, counts)
+
+    monkeypatch.setattr(HarmonicSteps, "a_of", counted)
+    run_paired(cfg)
+    assert len(calls) == 1
+
+
+def test_light_run_holds_no_spent_error_or_noise_block():
+    # the held sample's last rows are copies, so across a refill each of
+    # the two streams holds one block
+    d = 64
+    block = CHUNK * d * 8
+    cfg = RunConfig(dimension=d, horizon=CHUNK + 1, seed=0,
+                    objective=ScaledIdentityObjective(gain=-1.0),
+                    errors=ComponentUniformErrors(bound=0.2),
+                    noise=UniformNoise(level=0.1))
+    tracemalloc.start()
+    try:
+        run_light(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * block
 
 
 def test_zero_delay_run_evaluates_the_field_once_per_tick(monkeypatch):
@@ -280,7 +364,7 @@ def test_divergence_in_light_run():
 
 
 def test_gather_hand_case():
-    hist = IterateHistory(np.array([0.0, 10.0]))
+    hist = IterateHistory(np.array([0.0, 10.0]), window=2)
     hist.append(np.array([1.0, 11.0]))
     hist.append(np.array([2.0, 12.0]))
     tau = np.array([[0, 2], [1, 0]])
@@ -292,7 +376,7 @@ def test_gather_hand_case():
 
 
 def test_history_growth_and_value_access():
-    hist = IterateHistory(np.zeros(1))
+    hist = IterateHistory(np.zeros(1), window=2999)
     for m in range(1, 3000):
         hist.append(np.array([float(m)]))
     assert hist.value(0)[0] == 0.0
@@ -323,16 +407,16 @@ def test_windowed_run_matches_full_history_run(monkeypatch):
     cfg = _cfg(delays=UniformDelays(tau_max=3),
                errors=ComponentUniformErrors(bound=0.2))
     windows = []
-    create = SimState.create
+    init = IterateHistory.__init__
 
-    def spy(*args, **kwargs):
-        windows.append(kwargs.get("window"))
-        return create(*args, **kwargs)
+    def spy(self, x0, window):
+        windows.append(window)
+        init(self, x0, window)
 
-    monkeypatch.setattr(SimState, "create", staticmethod(spy))
+    monkeypatch.setattr(IterateHistory, "__init__", spy)
     windowed = run_light(cfg).final_x
     full = run(cfg).final_x
-    assert windows == [3, None]
+    assert windows == [3, cfg.horizon]
     assert np.array_equal(windowed, full)
 
 
@@ -348,12 +432,3 @@ def test_horizon_one_runs():
 def test_bad_horizon_rejected():
     with pytest.raises(ConfigError):
         _cfg(horizon=0)
-
-
-def test_noise_sum_series():
-    cfg = _cfg(noise=UniformNoise(level=0.2), activation=AllActive())
-    result = run_light(cfg, xi_series=True)
-    assert result.xi.shape == (201, 2)
-    assert np.array_equal(result.xi[0], [0.0, 0.0])
-    assert np.array_equal(result.xi[-1], result.noise_sum)
-    assert np.abs(result.xi).max() > 0

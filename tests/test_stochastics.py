@@ -15,6 +15,8 @@ from asyncsa import (
     NormBallErrors,
     RademacherNoise,
     RoundRobin,
+    RunConfig,
+    ScaledIdentityObjective,
     StaleRefreshDelays,
     UniformDelays,
     UniformNoise,
@@ -23,7 +25,7 @@ from asyncsa import (
     ZeroErrors,
     ZeroNoise,
 )
-from asyncsa._rng import CHUNK, DOMAIN_ERROR_ALT
+from asyncsa._rng import CHUNK, DOMAIN_DELAY, DOMAIN_ERROR_ALT, stream
 from asyncsa.config import spec_from_config, spec_to_config
 from asyncsa.stochastics import (
     make_delay_sampler,
@@ -114,6 +116,32 @@ def test_stale_refresh_starts_fresh_and_tracks_ages():
         prev = tau
 
 
+@pytest.mark.parametrize("model", [
+    StaleRefreshDelays(p_c=0.4),
+    StaleRefreshDelays(p_c=[[1.0, 0.3, 0.5], [0.2, 1.0, 0.6], [0.7, 0.8, 1.0]]),
+], ids=["symmetric", "per-pair"])
+def test_stale_refresh_ages_follow_the_coin_recursion(model):
+    # the plain per-tick recursion on each pair's own coin stream, across
+    # two block boundaries: tick n >= 1 reads coin n - 1 and resets the
+    # age when it falls below p_c, else adds one
+    ticks = 2 * CHUNK + 10
+    sampler = make_delay_sampler(model, D, seed=4)
+    got = np.array([sampler.matrix(n) for n in range(ticks)])
+    p = np.broadcast_to(model.p_c, (D, D))
+    for j in range(D):
+        for i in range(D):
+            if j == i or (model.symmetric and j > i):
+                continue
+            coins = stream(4, DOMAIN_DELAY, j, i).random(ticks - 1)
+            age, ages = 0, [0]
+            for coin in coins:
+                age = 0 if coin < p[j, i] else age + 1
+                ages.append(age)
+            assert got[:, j, i].tolist() == ages
+            if model.symmetric:
+                assert got[:, i, j].tolist() == ages
+
+
 def test_stale_refresh_symmetric_ages_mirror():
     sampler = make_delay_sampler(StaleRefreshDelays(p_c=0.3), 3, seed=9)
     for n in range(200):
@@ -178,7 +206,9 @@ def test_fixed_bias_repeats_and_validates_length():
     for n in range(5):
         assert sampler.sample(n) == pytest.approx([0.3, -0.4])
     with pytest.raises(ConfigError):
-        make_error_sampler(FixedBiasErrors(bias=[1.0]), 2, seed=0)
+        RunConfig(dimension=2, horizon=1, seed=0,
+                  objective=ScaledIdentityObjective(gain=-1.0),
+                  errors=FixedBiasErrors(bias=[1.0]))
 
 
 def test_norm_ball_euclidean_fills_the_ball():
@@ -218,7 +248,6 @@ def test_error_config_round_trip_and_errors():
 
 def test_uniform_noise_bounds_and_mean():
     sampler = make_noise_sampler(UniformNoise(level=0.05), D, seed=1)
-    assert not sampler.is_zero
     draws = np.array([sampler.sample(n) for n in range(4000)])
     assert np.abs(draws).max() <= 0.05
     assert abs(draws.mean()) < 0.002
@@ -233,7 +262,6 @@ def test_rademacher_noise_is_exactly_pm_level():
 
 def test_zero_noise_flag():
     sampler = make_noise_sampler(ZeroNoise(), D, seed=0)
-    assert sampler.is_zero
     assert sampler.sample(3).tolist() == [0.0] * D
 
 
