@@ -5,8 +5,9 @@ the run seed plus a purpose tag (and, for delays, the ordered agent pair).
 Changing one model in a config therefore never shifts the sample sequence
 of another, and identical (config, seed) pairs replay bit-for-bit.
 
-Buffered streams are read through ``Rows``: draws come in blocks of
-``CHUNK`` rows, served one row per tick.
+Buffered streams are read through ``Rows``, the one stream cursor: draws
+come in blocks of at most ``CHUNK`` rows, cut at the run's horizon, served
+one row per tick.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
-# Rows per drawn block.  Numpy gives the same draws however a stream is cut,
-# except for the Euclidean norm-ball errors, which draw all of a block's
-# normals before its radii: their bits depend on this value.
+# Most rows per drawn block.  Numpy gives the same draws however a stream is
+# cut, except for the Euclidean norm-ball errors, which draw all of a block's
+# normals before its radii: they always draw CHUNK rows of each and keep the
+# first ones, so their bits depend on this value.
 CHUNK = 4096
 
 # Purpose tags; values are part of the reproducibility contract, do not reorder.
@@ -39,17 +41,21 @@ def stream(seed: int, domain: int, *key: int) -> np.random.Generator:
 
 
 class Rows:
-    """The rows of ``fill(CHUNK)``, one per ``next()`` call.
+    """The rows of a stream, one per ``next()`` call.
 
-    A new block is drawn only when the current one is used up, so the
-    stream is consumed in whole blocks in call order.  The spent block is
-    released before ``fill`` runs, and a block's last row is served as a
-    copy: a caller holding only the latest row keeps no spent block alive
-    across a refill.
+    ``fill(start, size)`` returns rows ``start .. start + size - 1``.  A
+    block is drawn only when the current one is used up, with ``size`` the
+    smaller of ``CHUNK`` and the rows left before ``rows`` (the run's
+    horizon), and at least one: a caller may read past ``rows``, one row
+    per block.  The spent block is released before ``fill`` runs, and a
+    block's last row is served as a copy: a caller holding only the latest
+    row keeps no spent block alive across a refill.
     """
 
-    def __init__(self, fill):
+    def __init__(self, fill, rows: int):
         self._fill = fill
+        self._rows = rows
+        self._start = 0  # first row of the next block
         self._block = ()
         self._left = 0  # rows of the block not served yet
 
@@ -58,8 +64,10 @@ class Rows:
         it lets a row stream serve as a per-tick sampler."""
         left = self._left
         if not left:
+            start = self._start
+            left = max(1, min(CHUNK, self._rows - start))
             self._block = ()  # release the spent block before fill allocates
-            self._block = self._fill(CHUNK)
-            left = len(self._block)
+            self._block = self._fill(start, left)
+            self._start = start + left
         self._left = left - 1
         return self._block[-1].copy() if left == 1 else self._block[-left]

@@ -32,25 +32,22 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError
-from .norms import Norm, WeightedMaxNorm
+from .norms import Norm
 from .schedules import (
     ActivationPolicy,
     AllActive,
-    BernoulliActivation,
     HarmonicSteps,
     StepSizePolicy,
+    check_policy_shape,
 )
 from .stochastics import (
     DelayModel,
     ErrorModel,
-    FixedBiasErrors,
-    GeometricDelays,
     NoiseModel,
-    NormBallErrors,
-    StaleRefreshDelays,
     ZeroDelays,
     ZeroErrors,
     ZeroNoise,
+    check_model_shape,
 )
 
 __all__ = [
@@ -377,21 +374,9 @@ def _check_dimension(cfg: RunConfig) -> None:
             need(d == 2, "rosenbrock surface needs dimension 2")
         elif obj.matrix is not None:
             need(_shape(obj.matrix) == (d, d), f"bowl matrix must have shape ({d}, {d})")
-    if isinstance(cfg.activation, BernoulliActivation):
-        need(cfg.activation.q.size == 1 or cfg.activation.q.shape == (d,),
-             f"bernoulli q must be scalar or length {d}")
-    delays = cfg.delays
-    if isinstance(delays, GeometricDelays):
-        need(np.ndim(delays.mean) == 0 or delays.mean.shape == (d, d),
-             f"geometric mean matrix must be ({d}, {d})")
-    elif isinstance(delays, StaleRefreshDelays):
-        need(np.ndim(delays.p_c) == 0 or delays.p_c.shape == (d, d),
-             f"p_c matrix must be ({d}, {d})")
-    errors = cfg.errors
-    if isinstance(errors, FixedBiasErrors):
-        need(errors.bias.shape == (d,), f"fixed-bias vector must have length {d}")
-    elif isinstance(errors, NormBallErrors) and isinstance(errors.norm, WeightedMaxNorm):
-        need(errors.norm.weights.shape == (d,), f"norm weights must have length {d}")
+    check_policy_shape(cfg.activation, d)
+    check_model_shape(cfg.delays, d)
+    check_model_shape(cfg.errors, d)
     projection = cfg.projection
     if projection is not None:
         need(projection.center is None or _shape(projection.center) == (d,),
@@ -520,6 +505,15 @@ class SweepSpec:
             for i, (overrides, rep) in enumerate(runs)
         ]
 
+    def cell_config(self, cell: dict) -> dict:
+        """The run-config mapping of one cell: a copy of ``base`` with the
+        cell's overrides and seed."""
+        data = json.loads(json.dumps(self.base))
+        for path, value in cell["overrides"].items():
+            set_by_path(data, path, value)
+        data["seed"] = cell["seed"]
+        return data
+
 
 def set_by_path(data: dict, path: str, value) -> None:
     """Set a dotted path like 'errors.bound' inside a nested mapping."""
@@ -555,7 +549,8 @@ def parse_sweep_config(data: dict) -> SweepSpec:
         parameters = sweep.pop("parameters")
     except KeyError:
         raise ConfigError("sweep config missing key 'parameters'") from None
-    replicates = int(sweep.pop("replicates", 1))
+    replicates = _checked_cast("sweep", "replicates", _CASTS["int"],
+                               sweep.pop("replicates", 1))
     aggregate = sweep.pop("aggregate", "final-norm")
     if sweep:
         raise ConfigError(f"unknown sweep keys: {sorted(sweep)}")
@@ -571,8 +566,5 @@ def parse_sweep_config(data: dict) -> SweepSpec:
     for cell in spec.cells():
         if cell["replicate"]:
             continue  # replicates differ only in their seed
-        probe = json.loads(json.dumps(base))
-        for path, value in cell["overrides"].items():
-            set_by_path(probe, path, value)
-        parse_run_config(probe)
+        parse_run_config(spec.cell_config(cell))
     return spec

@@ -233,7 +233,7 @@ def draw_tick(n: int, bundle: RuntimeBundle) -> TickSample:
     Ticks are drawn in order (see :meth:`AgentSchedule.draw`).  The very
     first activation of an agent uses a(0).
     """
-    active, step, all_active = bundle.schedule.draw(n, bundle.steps, bundle.horizon)
+    active, step, all_active = bundle.schedule.draw(n, bundle.steps)
     models = bundle.models
     return TickSample(
         active,
@@ -348,11 +348,11 @@ def build_runtime(cfg: RunConfig) -> RuntimeBundle:
     field = build_field(cfg)
     x0 = (stream(cfg.seed, DOMAIN_INIT).uniform(-1.0, 1.0, d) if cfg.x0 is None
           else np.asarray(cfg.x0, dtype=float).copy())
-    schedule = AgentSchedule.create(cfg.activation, d, cfg.seed)
+    schedule = AgentSchedule.create(cfg.activation, d, cfg.seed, cfg.horizon)
     models = StochasticModels(
-        delays=make_delay_sampler(cfg.delays, d, cfg.seed),
-        errors=make_error_sampler(cfg.errors, d, cfg.seed),
-        noise=make_noise_sampler(cfg.noise, d, cfg.seed),
+        delays=make_delay_sampler(cfg.delays, d, cfg.seed, cfg.horizon),
+        errors=make_error_sampler(cfg.errors, d, cfg.seed, cfg.horizon),
+        noise=make_noise_sampler(cfg.noise, d, cfg.seed, cfg.horizon),
     )
     projection = cfg.projection
     region = None if projection is None else ProjectionRegion.from_spec(projection, d)

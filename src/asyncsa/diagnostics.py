@@ -188,10 +188,9 @@ def check_step_size(policy: StepSizePolicy, horizon: int = 100_000,
 def activation_rates(policy: ActivationPolicy, d: int, horizon: int = 10_000,
                      seed: int = 0) -> np.ndarray:
     """Fraction of ticks each agent was active over a simulated window."""
-    schedule = AgentSchedule.create(policy, d, seed)
-    for n in range(int(horizon)):
-        schedule.advance(schedule.sampler.next(n))
-    return schedule.counters / float(horizon)
+    sampler = AgentSchedule.create(policy, d, seed, int(horizon)).sampler
+    counts = sum(map(sampler.next, range(int(horizon))), np.zeros(d, dtype=np.int64))
+    return counts / float(horizon)
 
 
 def check_activation(policy: ActivationPolicy, d: int, horizon: int = 10_000,

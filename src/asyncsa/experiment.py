@@ -28,7 +28,6 @@ from .config import (
     RunConfig,
     SweepSpec,
     parse_run_config,
-    set_by_path,
 )
 from .core import build_field, run_light
 from .errors import ConfigError, DivergenceError
@@ -277,12 +276,9 @@ def read_plot_data(path) -> dict:
 
 
 def _sweep_cell(args) -> dict:
-    base, cell, aggregate = args
-    probe = json.loads(json.dumps(base))
-    for path, value in cell["overrides"].items():
-        set_by_path(probe, path, value)
-    probe["seed"] = cell["seed"]
-    cfg = parse_run_config(probe)
+    spec, cell = args
+    aggregate = spec.aggregate
+    cfg = parse_run_config(spec.cell_config(cell))
     row = {
         "index": cell["index"],
         **cell["overrides"],
@@ -306,7 +302,7 @@ def _sweep_cell(args) -> dict:
 
 def sweep_run(spec: SweepSpec, jobs: int = 1) -> list[dict]:
     """Execute every sweep cell; row order and content are canonical."""
-    work = [(spec.base, cell, spec.aggregate) for cell in spec.cells()]
+    work = [(spec, cell) for cell in spec.cells()]
     if jobs > 1 and len(work) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_sweep_cell, work))

@@ -14,6 +14,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
     "RoundRobin",
     "BernoulliActivation",
     "AgentSchedule",
+    "check_policy_shape",
     "effective_step",
     "timeline",
     "balance_ratio",
@@ -54,9 +56,6 @@ class HarmonicSteps:
     @property
     def square_summable(self) -> bool:
         return True
-
-    def a(self, n) -> float:
-        return 1.0 / (np.asarray(n, dtype=float) + self.c)
 
     def a_of(self, counts: np.ndarray) -> np.ndarray:
         return 1.0 / (counts + self.c)
@@ -85,9 +84,6 @@ class PowerSteps:
     def square_summable(self) -> bool:
         return self.p > 0.5
 
-    def a(self, n) -> float:
-        return 1.0 / (np.asarray(n, dtype=float) + self.c) ** self.p
-
     def a_of(self, counts: np.ndarray) -> np.ndarray:
         return 1.0 / (counts + self.c) ** self.p
 
@@ -107,9 +103,6 @@ class ConstantSteps:
     @property
     def square_summable(self) -> bool:
         return False
-
-    def a(self, n) -> float:
-        return np.full_like(np.asarray(n, dtype=float), self.a0) if np.ndim(n) else self.a0
 
     def a_of(self, counts: np.ndarray) -> np.ndarray:
         return np.full(np.shape(counts), self.a0)
@@ -179,10 +172,12 @@ class _RoundRobinSampler:
 
 
 class _BernoulliSampler:
-    def __init__(self, q: np.ndarray, d: int, seed: int):
+    def __init__(self, q: np.ndarray, d: int, seed: int, horizon: int):
         self._q = np.full(d, float(q[0])) if q.size == 1 else q
         rng = stream(seed, DOMAIN_ACTIVATION)
-        self._rows = Rows(lambda size: rng.random((size, d)))
+        # an empty draw is redrawn: size the stream by the expected rows
+        rows = math.ceil(horizon / (1.0 - np.prod(1.0 - self._q)))
+        self._rows = Rows(lambda start, size: rng.random((size, d)), rows)
 
     def next(self, n: int) -> np.ndarray:
         while True:
@@ -191,12 +186,20 @@ class _BernoulliSampler:
                 return mask
 
 
-def _make_sampler(policy: ActivationPolicy, d: int, seed: int):
+def check_policy_shape(policy: ActivationPolicy, d: int) -> None:
+    """Raise ConfigError when an activation policy does not fit dimension d."""
+    if isinstance(policy, BernoulliActivation) and policy.q.size != 1 \
+            and policy.q.shape != (d,):
+        raise ConfigError(f"bernoulli q must be scalar or length {d}")
+
+
+def _make_sampler(policy: ActivationPolicy, d: int, seed: int, horizon: int):
+    check_policy_shape(policy, d)
     if isinstance(policy, AllActive):
         return _AllSampler(d)
     if isinstance(policy, RoundRobin):
         return _RoundRobinSampler(d, policy.k)
-    return _BernoulliSampler(policy.q, d, seed)
+    return _BernoulliSampler(policy.q, d, seed, horizon)
 
 
 # (tick, agent) cells per block of drawn ticks: hundreds of ticks at small d,
@@ -211,26 +214,26 @@ class AgentSchedule:
     d: int
     policy: ActivationPolicy
     seed: int
+    horizon: int
     counters: np.ndarray
     sampler: object
     _block: tuple = field(default=(0, (), None, None, None), init=False, repr=False)
 
     @classmethod
-    def create(cls, policy: ActivationPolicy, d: int, seed: int) -> "AgentSchedule":
+    def create(cls, policy: ActivationPolicy, d: int, seed: int,
+               horizon: int) -> "AgentSchedule":
         if d < 1:
             raise ConfigError("dimension must be >= 1")
         return cls(
             d=d,
             policy=policy,
             seed=int(seed),
+            horizon=horizon,
             counters=np.zeros(d, dtype=np.int64),
-            sampler=_make_sampler(policy, d, int(seed)),
+            sampler=_make_sampler(policy, d, int(seed), horizon),
         )
 
-    def advance(self, mask: np.ndarray) -> None:
-        self.counters += mask
-
-    def draw(self, n: int, steps: StepSizePolicy, horizon: int):
+    def draw(self, n: int, steps: StepSizePolicy):
         """Tick n's active mask, step sizes and whether every agent is
         active; moves ``counters`` past tick n.
 
@@ -241,7 +244,7 @@ class AgentSchedule:
         start, active, step, after, every = self._block
         k = n - start
         if not 0 <= k < len(active):
-            size = max(1, min(_BLOCK_CELLS // self.d, horizon - n))
+            size = max(1, min(_BLOCK_CELLS // self.d, self.horizon - n))
             active = np.array([self.sampler.next(m) for m in range(n, n + size)])
             after = np.cumsum(active, axis=0, dtype=np.int64)
             after += self.counters
@@ -285,19 +288,13 @@ def timeline(policy: StepSizePolicy, schedule: AgentSchedule, ticks: int) -> np.
     """
     if ticks < 0:
         raise ValueError("ticks must be >= 0")
-    sched = AgentSchedule.create(schedule.policy, schedule.d, schedule.seed)
+    sched = AgentSchedule.create(schedule.policy, schedule.d, schedule.seed, ticks)
     t = np.zeros(ticks + 1)
-    if isinstance(sched.policy, AllActive):
-        # every counter equals the tick index, so abar(m) = a(m)
-        t[1:] = np.cumsum(policy.a(np.arange(ticks)))
-        return t
     acc = 0.0
     for m in range(ticks):
-        mask = sched.sampler.next(m)
-        abar, _ = effective_step(m, mask, sched.counters, policy)
-        acc += abar
+        active, step, _ = sched.draw(m, policy)
+        acc += float(step[active].max())
         t[m + 1] = acc
-        sched.advance(mask)
     return t
 
 

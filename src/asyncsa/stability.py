@@ -80,7 +80,7 @@ def run_paired(cfg: RunConfig, coupled_errors: bool = True,
     hist_raw = IterateHistory(x0_raw, window=N)
     hist_proj = IterateHistory(x0_proj, window=N)
     alt_errors = None if coupled_errors else make_error_sampler(
-        cfg.errors, d, cfg.seed, domain=DOMAIN_ERROR_ALT)
+        cfg.errors, d, cfg.seed, N, domain=DOMAIN_ERROR_ALT)
 
     gap = np.zeros(N + 1)
     step_bound = np.zeros(N)

@@ -3,16 +3,17 @@
 Samplers draw from per-purpose seed streams (see asyncsa._rng): errors and
 noise each own one stream per run, delays own one stream per ordered agent
 pair, so swapping one model never perturbs the samples of another.  Every
-buffered stream is read through ``_rng.Rows``, one block of ``CHUNK``
-rows at a time; each kind's draw function is chosen in its ``make_*``
-factory, and zero or constant models draw nothing.
+sampler is an ``_rng.Rows`` stream of per-tick rows, read in blocks that
+``Rows`` cuts at the run's horizon; each kind's fill function is chosen in
+its ``make_*`` factory, which takes the horizon, and zero or constant
+models draw nothing.  A model whose shape does not fit the dimension is a
+``ConfigError`` (``check_model_shape``).
 
 Delay samplers serve a full (d, d) matrix per tick with entry [j, i] the
-age of agent i's view of component j; the diagonal is always 0 and every
-entry is clamped to the current tick.  They advance tick by tick and
-cannot rewind.  Stale-refresh ages follow a recursion, but only through
-each view's last refresh, so a whole block of coins becomes a block of
-age matrices at once.
+age of agent i's view of component j; the diagonal is always 0 and no
+age reaches before tick 0.  Rows come in tick order.  Stale-refresh ages
+follow a recursion, but only through each view's last refresh, so a whole
+block of coins becomes a block of age matrices at once.
 
 Error samplers enforce their declared bound on every sample: each block
 is checked before any of its rows is served.  Componentwise-uniform and
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import DOMAIN_DELAY, DOMAIN_ERROR, DOMAIN_NOISE, Rows, stream
+from ._rng import CHUNK, DOMAIN_DELAY, DOMAIN_ERROR, DOMAIN_NOISE, Rows, stream
 from .errors import ConfigError
 from .norms import EuclideanNorm, Norm, WeightedMaxNorm
 
@@ -43,6 +44,7 @@ __all__ = [
     "ZeroNoise",
     "UniformNoise",
     "RademacherNoise",
+    "check_model_shape",
     "make_delay_sampler",
     "make_error_sampler",
     "make_noise_sampler",
@@ -124,37 +126,21 @@ class StaleRefreshDelays:
 DelayModel = ZeroDelays | UniformDelays | GeometricDelays | StaleRefreshDelays
 
 
-class _DelaySamplerBase:
-    """Tick-sequential delay matrices; ``matrix(n)`` may skip forward but
-    never backward (the age processes evolve once per tick).
+def _constant(value: np.ndarray):
+    """A fill that serves ``value`` in every row and draws nothing."""
+    return lambda start, size: np.broadcast_to(value, (size, *value.shape))
+
+
+class _DelaySampler(Rows):
+    """Per-tick age matrices: ``matrix(n)`` is the next row of ``fill``'s
+    blocks, tick n's when the ticks before it were read in order.
 
     The diagonal is always zero: delays model communication between
     distinct agents, and an agent reads its own component directly.
     """
 
+    matrix = Rows.next
     always_zero = False
-
-    def __init__(self, d: int):
-        self.d = d
-        self._n = -1
-        self._cur = np.zeros((d, d), dtype=np.int64)
-
-    def matrix(self, n: int) -> np.ndarray:
-        if n < 0:
-            raise ValueError("tick must be >= 0")
-        if n < self._n:
-            raise ValueError("delay sampler cannot rewind")
-        while self._n < n:
-            self._n += 1
-            self._step(self._n)
-        return self._cur
-
-
-class _ZeroDelaySampler(_DelaySamplerBase):
-    always_zero = True
-
-    def _step(self, n: int) -> None:
-        pass
 
 
 def _pair_matrix_param(value, d: int) -> np.ndarray:
@@ -163,78 +149,77 @@ def _pair_matrix_param(value, d: int) -> np.ndarray:
     return np.full((d, d), float(arr)) if arr.ndim == 0 else arr
 
 
-class _IidDelaySampler(_DelaySamplerBase):
+def _iid_delays(d: int, seed: int, horizon: int, draw) -> _DelaySampler:
     """Per-pair i.i.d. ages; ``draw(rng, j, i, size)`` gives the next
     ``size`` ages of pair (j, i) from that pair's stream."""
+    pairs = [(j, i) for j in range(d) for i in range(d) if j != i]
+    rngs = [stream(seed, DOMAIN_DELAY, j, i) for j, i in pairs]
 
-    def __init__(self, d: int, seed: int, draw):
-        super().__init__(d)
+    def fill(start, size):
+        block = np.zeros((size, d, d), dtype=np.int64)
+        for (j, i), rng in zip(pairs, rngs):
+            block[:, j, i] = draw(rng, j, i, size)
+        # row t is tick start + t, and no view reaches before tick 0
+        ticks = np.arange(start, start + size).reshape(size, 1, 1)
+        return np.minimum(block, ticks, out=block)
+
+    return _DelaySampler(fill, horizon)
+
+
+def _stale_refresh_delays(model: StaleRefreshDelays, d: int, seed: int,
+                          horizon: int) -> _DelaySampler:
+    p = _pair_matrix_param(model.p_c, d)
+    if model.symmetric:
+        pairs = [(j, i) for j in range(d) for i in range(j + 1, d)]
+    else:
         pairs = [(j, i) for j in range(d) for i in range(d) if j != i]
-        rngs = [stream(seed, DOMAIN_DELAY, j, i) for j, i in pairs]
+    p = [p[j, i] for j, i in pairs]
+    rngs = [stream(seed, DOMAIN_DELAY, j, i) for j, i in pairs]
+    ages = np.zeros(len(pairs), dtype=np.int64)  # at the last row filled
 
-        def fill(size):
-            block = np.zeros((size, d, d), dtype=np.int64)
-            for (j, i), rng in zip(pairs, rngs):
-                block[:, j, i] = draw(rng, j, i, size)
+    def fill(start, size):
+        """Matrices of ticks ``start ..``, one pair's coins at a time.
+
+        Tick 0 reads fresh views and draws no coin; tick n >= 1 reads coin
+        n - 1.  A view is ``t - s`` ticks old at coin row t when s was its
+        last refresh in the block, and ``t + 1`` older than at the block's
+        start when it had none.
+        """
+        block = np.zeros((size, d, d), dtype=np.int64)
+        coined = block[1:] if start == 0 else block
+        if not len(coined):
             return block
+        t = np.arange(len(coined))
+        for k, ((j, i), rng) in enumerate(zip(pairs, rngs)):
+            last = np.where(rng.random(len(t)) < p[k], t, -1 - ages[k])
+            np.maximum.accumulate(last, out=last)
+            np.subtract(t, last, out=last)
+            coined[:, j, i] = last
+            if model.symmetric:
+                coined[:, i, j] = last
+            ages[k] = last[-1]
+        return block
 
-        self._rows = Rows(fill)
-
-    def _step(self, n: int) -> None:
-        self._cur = np.minimum(self._rows.next(), n)
-
-
-class _StaleRefreshSampler(_DelaySamplerBase):
-    def __init__(self, model: StaleRefreshDelays, d: int, seed: int):
-        super().__init__(d)
-        p = _pair_matrix_param(model.p_c, d)
-        if model.symmetric:
-            pairs = [(j, i) for j in range(d) for i in range(j + 1, d)]
-        else:
-            pairs = [(j, i) for j in range(d) for i in range(d) if j != i]
-        p = [p[j, i] for j, i in pairs]
-        rngs = [stream(seed, DOMAIN_DELAY, j, i) for j, i in pairs]
-        ages = np.zeros(len(pairs), dtype=np.int64)  # at the last row filled
-
-        def fill(size):
-            """Matrices of the next ``size`` ticks, one pair's coins at a time.
-
-            A view is ``t - s`` ticks old at block row t when s was its last
-            refresh in the block, and ``t + 1`` older than at the block's
-            start when it had none.
-            """
-            block = np.zeros((size, d, d), dtype=np.int64)
-            t = np.arange(size)
-            for k, ((j, i), rng) in enumerate(zip(pairs, rngs)):
-                last = np.where(rng.random(size) < p[k], t, -1 - ages[k])
-                np.maximum.accumulate(last, out=last)
-                np.subtract(t, last, out=last)
-                block[:, j, i] = last
-                if model.symmetric:
-                    block[:, i, j] = last
-                ages[k] = last[-1]
-            return block
-
-        # tick 0 reads fresh views and draws no coin; tick n >= 1 is row n - 1
-        self._matrices = Rows(fill)
-
-    def _step(self, n: int) -> None:
-        self._cur = self._matrices.next() if n else np.zeros((self.d, self.d), dtype=np.int64)
+    return _DelaySampler(fill, horizon)
 
 
-def make_delay_sampler(model: DelayModel, d: int, seed: int):
+def make_delay_sampler(model: DelayModel, d: int, seed: int, horizon: int):
+    """Age matrices of ticks 0, 1, ... in blocks cut at ``horizon``."""
+    check_model_shape(model, d)
     if isinstance(model, ZeroDelays):
-        return _ZeroDelaySampler(d)
+        sampler = _DelaySampler(_constant(np.zeros((d, d), dtype=np.int64)), horizon)
+        sampler.always_zero = True
+        return sampler
     if isinstance(model, UniformDelays):
         high = model.tau_max + 1
-        return _IidDelaySampler(
-            d, seed, lambda rng, j, i, size: rng.integers(0, high, size=size))
+        return _iid_delays(
+            d, seed, horizon, lambda rng, j, i, size: rng.integers(0, high, size=size))
     if isinstance(model, GeometricDelays):
         p = 1.0 / (1.0 + _pair_matrix_param(model.mean, d))
-        return _IidDelaySampler(
-            d, seed, lambda rng, j, i, size: rng.geometric(p[j, i], size=size) - 1)
+        return _iid_delays(
+            d, seed, horizon, lambda rng, j, i, size: rng.geometric(p[j, i], size=size) - 1)
     if isinstance(model, StaleRefreshDelays):
-        return _StaleRefreshSampler(model, d, seed)
+        return _stale_refresh_delays(model, d, seed, horizon)
     raise ConfigError(f"unknown delay model {model!r}")
 
 
@@ -296,9 +281,23 @@ class NormBallErrors:
 ErrorModel = ZeroErrors | ComponentUniformErrors | FixedBiasErrors | NormBallErrors
 
 
-def _constant(vec: np.ndarray):
-    """A fill that serves ``vec`` in every row and draws nothing."""
-    return lambda size: np.broadcast_to(vec, (size, len(vec)))
+def _need(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConfigError(message)
+
+
+def check_model_shape(model: DelayModel | ErrorModel, d: int) -> None:
+    """Raise ConfigError when a delay or error model does not fit dimension d."""
+    if isinstance(model, GeometricDelays):
+        _need(np.ndim(model.mean) == 0 or model.mean.shape == (d, d),
+              f"geometric mean matrix must be ({d}, {d})")
+    elif isinstance(model, StaleRefreshDelays):
+        _need(np.ndim(model.p_c) == 0 or model.p_c.shape == (d, d),
+              f"p_c matrix must be ({d}, {d})")
+    elif isinstance(model, FixedBiasErrors):
+        _need(model.bias.shape == (d,), f"fixed-bias vector must have length {d}")
+    elif isinstance(model, NormBallErrors) and isinstance(model.norm, WeightedMaxNorm):
+        _need(model.norm.weights.shape == (d,), f"norm weights must have length {d}")
 
 
 def _max_abs(rows: np.ndarray) -> float:
@@ -320,47 +319,52 @@ class _ErrorSampler(_RowSampler):
     before any of its rows is served; ``worst(block)`` is the block's
     largest norm."""
 
-    def __init__(self, bound: float, fill, worst):
+    def __init__(self, bound: float, fill, worst, rows: int):
         self.bound = bound = float(bound)
 
-        def checked(size):
-            block = fill(size)
+        def checked(start, size):
+            block = fill(start, size)
             top = worst(block)
             if top > bound + 1e-9:
                 raise AssertionError(f"error sample breached its bound: {top} > {bound}")
             return block
 
-        super().__init__(checked)
+        super().__init__(checked, rows)
 
 
-def make_error_sampler(model: ErrorModel, d: int, seed: int,
+def make_error_sampler(model: ErrorModel, d: int, seed: int, horizon: int,
                        domain: int = DOMAIN_ERROR):
+    """Error vectors of ticks 0, 1, ... in blocks cut at ``horizon``."""
+    check_model_shape(model, d)
     if isinstance(model, ZeroErrors):
-        return _ErrorSampler(0.0, _constant(np.zeros(d)), _max_abs)
+        return _ErrorSampler(0.0, _constant(np.zeros(d)), _max_abs, horizon)
     if isinstance(model, FixedBiasErrors):
         bias = model.bias.copy()
         # checked by its largest component, which never exceeds its norm
-        return _ErrorSampler(np.linalg.norm(bias), _constant(bias), _max_abs)
+        return _ErrorSampler(np.linalg.norm(bias), _constant(bias), _max_abs, horizon)
     rng = stream(seed, domain)
     if isinstance(model, ComponentUniformErrors):
         half = model.bound / 2.0
         return _ErrorSampler(
-            model.bound, lambda size: rng.uniform(0.0, half, size=(size, d)), _max_abs)
+            model.bound, lambda start, size: rng.uniform(0.0, half, size=(size, d)),
+            _max_abs, horizon)
     if isinstance(model, NormBallErrors):
         norm, bound = model.norm, float(model.bound)
         if isinstance(norm, WeightedMaxNorm):
             half = bound * norm.weights
             return _ErrorSampler(
-                bound, lambda size: rng.uniform(-half, half, size=(size, d)),
-                _max_norm(norm))
+                bound, lambda start, size: rng.uniform(-half, half, size=(size, d)),
+                _max_norm(norm), horizon)
 
-        def fill(size):
-            g = rng.standard_normal((size, d))
+        def fill(start, size):
+            # a block draws all of its normals before its radii, so every
+            # block draws CHUNK of each and keeps the first ``size`` rows
+            g = rng.standard_normal((CHUNK, d))[:size]
             g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
-            radii = bound * rng.random(size) ** (1.0 / d)
+            radii = bound * rng.random(CHUNK)[:size] ** (1.0 / d)
             return g * radii[:, None]
 
-        return _ErrorSampler(bound, fill, _max_norm(norm))
+        return _ErrorSampler(bound, fill, _max_norm(norm), horizon)
     raise ConfigError(f"unknown error model {model!r}")
 
 
@@ -400,18 +404,20 @@ class RademacherNoise:
 NoiseModel = ZeroNoise | UniformNoise | RademacherNoise
 
 
-def make_noise_sampler(model: NoiseModel, d: int, seed: int):
+def make_noise_sampler(model: NoiseModel, d: int, seed: int, horizon: int):
+    """Noise vectors of ticks 0, 1, ... in blocks cut at ``horizon``."""
     if isinstance(model, ZeroNoise):
-        return _RowSampler(_constant(np.zeros(d)))
+        return _RowSampler(_constant(np.zeros(d)), horizon)
     if not isinstance(model, (UniformNoise, RademacherNoise)):
         raise ConfigError(f"unknown noise model {model!r}")
     rng = stream(seed, DOMAIN_NOISE)
     level = float(model.level)
     if isinstance(model, UniformNoise):
-        return _RowSampler(lambda size: rng.uniform(-level, level, size=(size, d)))
+        return _RowSampler(
+            lambda start, size: rng.uniform(-level, level, size=(size, d)), horizon)
 
-    def fill(size):
+    def fill(start, size):
         signs = rng.integers(0, 2, size=(size, d)) * 2 - 1
         return level * signs.astype(float)
 
-    return _RowSampler(fill)
+    return _RowSampler(fill, horizon)

@@ -138,6 +138,17 @@ def test_sweep_command(tmp_path, capsys):
     assert len(lines) == 3 + 4
 
 
+@pytest.mark.parametrize("value", ["2.7", '"3"', "true"])
+def test_sweep_command_rejects_non_integer_replicates(tmp_path, capsys, value):
+    cfg = tmp_path / "sweep.yaml"
+    cfg.write_text(SWEEP_YAML.replace("replicates: 2", f"replicates: {value}"))
+    code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep.csv")])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config"
+    assert "replicates" in err["message"]
+
+
 def test_check_command(run_yaml, capsys):
     code = main(["check", "--config", str(run_yaml), "--horizon", "10000"])
     assert code == 0

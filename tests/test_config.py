@@ -834,6 +834,16 @@ def test_sweep_cells_are_canonically_ordered():
     assert [c["replicate"] for c in cells[:4]] == [0, 1, 0, 1]
 
 
+def test_sweep_cell_config_applies_overrides_then_the_cell_seed():
+    spec = parse_sweep_config(SWEEP_DOC)
+    cell = spec.cells()[5]
+    data = spec.cell_config(cell)
+    assert data["errors"]["bound"] == cell["overrides"]["errors.bound"]
+    # the swept seed is an override like any other; the cell seed wins
+    assert cell["overrides"]["seed"] != cell["seed"] == data["seed"]
+    assert spec.base["errors"]["bound"] == 0.1 and spec.base["seed"] == 100
+
+
 def test_sweep_cells_ignore_declaration_order():
     reordered = {
         "base": dict(SWEEP_DOC["base"]),

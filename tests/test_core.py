@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -19,17 +20,22 @@ from asyncsa import (
     HarmonicSteps,
     HistoryWindowError,
     IterateHistory,
+    NormBallErrors,
     PowerSteps,
     ProjectionRegion,
     ProjectionSpec,
     QuadraticObjective,
+    RademacherNoise,
     RoundRobin,
     RunConfig,
     ScaledIdentityObjective,
     StaleRefreshDelays,
     UniformDelays,
     UniformNoise,
+    WeightedMaxNorm,
     ZeroDelays,
+    ZeroErrors,
+    ZeroNoise,
     apply_tick,
     build_runtime,
     draw_tick,
@@ -173,6 +179,53 @@ def test_drawn_ticks_do_not_depend_on_the_iterate(activation, delays):
             assert np.array_equal(getattr(ta, name), getattr(tb, name)), (n, name)
 
 
+# one list per drawn input: every kind, and the stale-refresh and norm-ball
+# variants whose blocks are built differently
+_DRAWN_KINDS = (
+    [ZeroDelays(), UniformDelays(tau_max=3), GeometricDelays(mean=2.0),
+     StaleRefreshDelays(p_c=0.4),
+     StaleRefreshDelays(p_c=[[1.0, 0.3, 0.5], [0.2, 1.0, 0.6], [0.7, 0.8, 1.0]])],
+    [ZeroErrors(), ComponentUniformErrors(bound=0.4),
+     FixedBiasErrors(bias=[0.3, -0.4, 0.1]), NormBallErrors(bound=0.5),
+     NormBallErrors(bound=0.5, norm=WeightedMaxNorm(weights=[1.0, 2.0, 0.5]))],
+    [ZeroNoise(), UniformNoise(level=0.05), RademacherNoise(level=0.5)],
+    [AllActive(), RoundRobin(k=2), BernoulliActivation(q=[0.2, 0.5, 0.9])],
+)
+
+
+def _drawn_ticks(kinds, horizon: int, ticks: int) -> list:
+    delays, errors, noise, activation = kinds
+    bundle = build_runtime(RunConfig(
+        dimension=3, horizon=horizon, seed=6, objective=ScaledIdentityObjective(gain=-1.0),
+        steps=PowerSteps(p=0.7), activation=activation, delays=delays, errors=errors,
+        noise=noise))
+    return [draw_tick(n, bundle) for n in range(ticks)]
+
+
+def _bits(value):
+    return None if value is None else (np.asarray(value).dtype, np.asarray(value).tobytes())
+
+
+def _check_horizon_cuts(kinds, horizons) -> None:
+    """A run of each horizon draws the first ticks of a longer run."""
+    long = _drawn_ticks(kinds, 2 * CHUNK + 5, max(horizons))
+    for horizon in horizons:
+        short = _drawn_ticks(kinds, horizon, horizon)
+        for n, (a, b) in enumerate(zip(short, long)):
+            for name in ("active", "step", "tau", "eps", "noise", "all_active"):
+                assert _bits(getattr(a, name)) == _bits(getattr(b, name)), (kinds, n, name)
+
+
+def test_drawn_ticks_do_not_depend_on_the_horizon():
+    # every stream is cut into blocks at the horizon; all kinds are
+    # crossed for short horizons, and each kind is cut once past a block
+    for kinds in itertools.product(*_DRAWN_KINDS):
+        _check_horizon_cuts(kinds, (1, 7))
+    for k in range(5):
+        _check_horizon_cuts([kinds[k % len(kinds)] for kinds in _DRAWN_KINDS],
+                            (1, 7, CHUNK + 3))
+
+
 @pytest.mark.parametrize("steps", [HarmonicSteps(c=3.0), PowerSteps(p=0.7, c=2.0),
                                    ConstantSteps(a0=0.1)], ids=lambda s: s.kind)
 @pytest.mark.parametrize("activation", [AllActive(), RoundRobin(k=2),
@@ -185,15 +238,16 @@ def test_block_drawn_activation_matches_tick_by_tick(activation, steps):
     bundle = build_runtime(RunConfig(
         dimension=d, horizon=50, seed=2, objective=ScaledIdentityObjective(gain=-1.0),
         steps=steps, activation=activation))
-    schedule = AgentSchedule.create(activation, d, seed=2)
+    sampler = AgentSchedule.create(activation, d, seed=2, horizon=50).sampler
+    counters = np.zeros(d, dtype=np.int64)
     for n in range(50):
         sample = draw_tick(n, bundle)
-        active = schedule.sampler.next(n)
+        active = sampler.next(n)
         assert np.array_equal(sample.active, active)
         assert sample.all_active == bool(active.all())
-        assert np.array_equal(sample.step, steps.a_of(schedule.counters))
-        schedule.advance(active)
-        assert np.array_equal(bundle.schedule.counters, schedule.counters)
+        assert np.array_equal(sample.step, steps.a_of(counters))
+        counters += active
+        assert np.array_equal(bundle.schedule.counters, counters)
 
 
 def test_paired_run_reads_step_sizes_once_per_tick(monkeypatch):

@@ -114,6 +114,14 @@ def test_activation_rates_bernoulli():
     assert rates == pytest.approx([conditioned] * 3, abs=0.01)
 
 
+def test_activation_checks_reject_a_wrong_length_q():
+    policy = BernoulliActivation(q=[0.5, 0.5, 0.5])
+    with pytest.raises(ConfigError, match="bernoulli q must be scalar or length 2"):
+        activation_rates(policy, d=2)
+    with pytest.raises(ConfigError, match="bernoulli q must be scalar or length 2"):
+        check_activation(policy, d=2)
+
+
 def test_check_activation_verdicts():
     assert check_activation(AllActive(), d=5).verdict == "pass"
     assert check_activation(RoundRobin(k=1), d=5).verdict == "pass"

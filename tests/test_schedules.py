@@ -20,8 +20,8 @@ from asyncsa.config import spec_from_config, spec_to_config
 
 def test_harmonic_values_and_bounds():
     steps = HarmonicSteps(c=10.0)
-    assert steps.a(0) == pytest.approx(0.1)
-    assert steps.a(90) == pytest.approx(0.01)
+    assert steps.a_of(0) == pytest.approx(0.1)
+    assert steps.a_of(90) == pytest.approx(0.01)
     counts = np.array([0, 10, 990])
     assert steps.a_of(counts) == pytest.approx([0.1, 0.05, 0.001])
     with pytest.raises(ConfigError):
@@ -29,12 +29,12 @@ def test_harmonic_values_and_bounds():
 
 
 def test_power_and_constant_validation():
-    assert PowerSteps(p=0.6).a(0) == pytest.approx(1.0)
+    assert PowerSteps(p=0.6).a_of(0) == pytest.approx(1.0)
     with pytest.raises(ConfigError):
         PowerSteps(p=0.0)
     with pytest.raises(ConfigError):
         PowerSteps(p=1.5)
-    assert ConstantSteps(a0=0.5).a(10**6) == 0.5
+    assert ConstantSteps(a0=0.5).a_of(10**6) == 0.5
     with pytest.raises(ConfigError):
         ConstantSteps(a0=1.5)
 
@@ -72,31 +72,29 @@ def test_activation_config_round_trip_and_errors():
 
 
 def test_all_active_counters_track_tick():
-    sched = AgentSchedule.create(AllActive(), 3, seed=0)
+    sched = AgentSchedule.create(AllActive(), 3, seed=0, horizon=5)
     for n in range(5):
-        mask = sched.sampler.next(n)
-        assert mask.all()
-        sched.advance(mask)
+        mask, _, all_active = sched.draw(n, HarmonicSteps())
+        assert mask.all() and all_active
     assert sched.counters.tolist() == [5, 5, 5]
 
 
 def test_round_robin_cycles_in_index_order():
-    sched = AgentSchedule.create(RoundRobin(k=2), 3, seed=0)
+    sched = AgentSchedule.create(RoundRobin(k=2), 3, seed=0, horizon=3)
     masks = []
     for n in range(3):
-        mask = sched.sampler.next(n)
+        mask, _, _ = sched.draw(n, HarmonicSteps())
         masks.append(np.flatnonzero(mask).tolist())
-        sched.advance(mask)
     assert masks == [[0, 1], [0, 2], [1, 2]]
     assert sched.counters.tolist() == [2, 2, 2]
 
 
 def test_bernoulli_respects_per_agent_rates():
-    sched = AgentSchedule.create(BernoulliActivation(q=[0.5, 1.0]), 2, seed=0)
+    sched = AgentSchedule.create(BernoulliActivation(q=[0.5, 1.0]), 2, seed=0,
+                                 horizon=10_000)
     for n in range(10_000):
-        mask = sched.sampler.next(n)
+        mask, _, _ = sched.draw(n, HarmonicSteps())
         assert mask.any()
-        sched.advance(mask)
     rates = sched.counters / 10_000
     assert rates[1] == 1.0
     assert rates[0] == pytest.approx(0.5, abs=0.02)
@@ -122,7 +120,7 @@ def test_effective_step_masks_inactive_and_needs_one_active():
 
 
 def test_timeline_all_active_matches_harmonic_sum():
-    sched = AgentSchedule.create(AllActive(), 2, seed=0)
+    sched = AgentSchedule.create(AllActive(), 2, seed=0, horizon=1)
     t = timeline(HarmonicSteps(c=10.0), sched, 1000)
     assert t.shape == (1001,)
     assert t[0] == 0.0
@@ -133,19 +131,25 @@ def test_timeline_all_active_matches_harmonic_sum():
     assert sched.counters.tolist() == [0, 0]
 
 
+def test_schedule_rejects_a_wrong_length_q():
+    # timeline's only input that holds a policy is a schedule
+    with pytest.raises(ConfigError, match="bernoulli q must be scalar or length 2"):
+        AgentSchedule.create(BernoulliActivation(q=[0.5, 0.5, 0.5]), 2, seed=0, horizon=1)
+
+
 def test_timeline_round_robin_uses_active_agent_counter():
-    sched = AgentSchedule.create(RoundRobin(k=1), 2, seed=0)
+    sched = AgentSchedule.create(RoundRobin(k=1), 2, seed=0, horizon=1)
     t = timeline(HarmonicSteps(c=10.0), sched, 4)
     # ticks 0,1 both run a fresh agent at a(0); ticks 2,3 at a(1)
     assert t == pytest.approx([0.0, 0.1, 0.2, 0.2 + 1 / 11, 0.2 + 2 / 11])
 
 
 def _counters_trace(policy, d, ticks, seed=0):
-    sched = AgentSchedule.create(policy, d, seed)
+    sched = AgentSchedule.create(policy, d, seed, horizon=ticks)
     rows = np.zeros((ticks, d), dtype=np.int64)
     for n in range(ticks):
         rows[n] = sched.counters
-        sched.advance(sched.sampler.next(n))
+        sched.draw(n, HarmonicSteps())
     return rows
 
 

@@ -41,15 +41,16 @@ D = 3
 
 
 def test_zero_delays_always_zero():
-    sampler = make_delay_sampler(ZeroDelays(), D, seed=0)
+    sampler = make_delay_sampler(ZeroDelays(), D, seed=0, horizon=100)
     assert sampler.always_zero
     assert sampler.matrix(0).tolist() == np.zeros((D, D)).tolist()
-    assert sampler.matrix(100).max() == 0
+    assert max(sampler.matrix(n).max() for n in range(1, 101)) == 0
 
 
 def test_uniform_delays_bounded_and_clamped():
-    sampler = make_delay_sampler(UniformDelays(tau_max=4), D, seed=1)
-    # at tick 1 no age can reach past tick 0
+    sampler = make_delay_sampler(UniformDelays(tau_max=4), D, seed=1, horizon=500)
+    # at tick n no age can reach past tick 0
+    assert sampler.matrix(0).max() == 0
     assert sampler.matrix(1).max() <= 1
     seen = 0
     for n in range(2, 500):
@@ -60,17 +61,9 @@ def test_uniform_delays_bounded_and_clamped():
     assert seen == 4
 
 
-def test_delay_sampler_is_forward_only():
-    sampler = make_delay_sampler(UniformDelays(tau_max=2), D, seed=0)
-    sampler.matrix(5)
-    sampler.matrix(5)  # same tick twice is fine
-    with pytest.raises(ValueError):
-        sampler.matrix(3)
-
-
 def test_geometric_delays_match_mean_off_diagonal():
-    sampler = make_delay_sampler(GeometricDelays(mean=5.0), 2, seed=3)
-    draws = np.array([sampler.matrix(n) for n in range(200, 4200)])
+    sampler = make_delay_sampler(GeometricDelays(mean=5.0), 2, seed=3, horizon=4200)
+    draws = np.array([sampler.matrix(n) for n in range(4200)])[200:]
     # self-views carry no delay; the communication entries have mean 5
     assert draws[:, 0, 0].max() == 0
     assert draws[:, 1, 1].max() == 0
@@ -81,8 +74,8 @@ def test_geometric_delays_match_mean_off_diagonal():
 
 def test_geometric_delays_per_pair_matrix():
     means = np.array([[1.0, 8.0], [2.0, 1.0]])
-    sampler = make_delay_sampler(GeometricDelays(mean=means), 2, seed=3)
-    draws = np.array([sampler.matrix(n) for n in range(200, 3200)])
+    sampler = make_delay_sampler(GeometricDelays(mean=means), 2, seed=3, horizon=3200)
+    draws = np.array([sampler.matrix(n) for n in range(3200)])[200:]
     assert draws[:, 0, 1].mean() == pytest.approx(8.0, abs=0.8)
     assert draws[:, 1, 0].mean() == pytest.approx(2.0, abs=0.3)
 
@@ -92,10 +85,12 @@ def test_iid_delay_refill_frees_the_spent_block_first():
     block = CHUNK * d * d * 8
     tracemalloc.start()
     try:
-        sampler = make_delay_sampler(UniformDelays(tau_max=3), d, seed=0)
-        sampler.matrix(0)
+        sampler = make_delay_sampler(UniformDelays(tau_max=3), d, seed=0,
+                                     horizon=2 * CHUNK)
+        for n in range(CHUNK):  # uses up the first block
+            sampler.matrix(n)
         tracemalloc.reset_peak()
-        sampler.matrix(CHUNK)  # uses up the first block, then draws the second
+        sampler.matrix(CHUNK)  # draws the second
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -103,10 +98,26 @@ def test_iid_delay_refill_frees_the_spent_block_first():
     assert peak < 1.5 * block
 
 
+def test_short_run_draws_a_short_delay_block():
+    # a block is cut at the horizon: one tick draws one row, not CHUNK
+    d = 24
+    block = CHUNK * d * d * 8
+    tracemalloc.start()
+    try:
+        sampler = make_delay_sampler(UniformDelays(tau_max=3), d, seed=0, horizon=1)
+        built = tracemalloc.get_traced_memory()[0]  # the pair streams
+        tracemalloc.reset_peak()
+        sampler.matrix(0)
+        peak = tracemalloc.get_traced_memory()[1] - built
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.01 * block
+
+
 def test_stale_refresh_starts_fresh_and_tracks_ages():
-    sampler = make_delay_sampler(StaleRefreshDelays(p_c=0.4), 2, seed=5)
-    assert sampler.matrix(0).max() == 0
+    sampler = make_delay_sampler(StaleRefreshDelays(p_c=0.4), 2, seed=5, horizon=50)
     prev = sampler.matrix(0)
+    assert prev.max() == 0
     for n in range(1, 50):
         tau = sampler.matrix(n)
         # an age either resets to zero or grows by exactly one
@@ -125,7 +136,7 @@ def test_stale_refresh_ages_follow_the_coin_recursion(model):
     # two block boundaries: tick n >= 1 reads coin n - 1 and resets the
     # age when it falls below p_c, else adds one
     ticks = 2 * CHUNK + 10
-    sampler = make_delay_sampler(model, D, seed=4)
+    sampler = make_delay_sampler(model, D, seed=4, horizon=ticks)
     got = np.array([sampler.matrix(n) for n in range(ticks)])
     p = np.broadcast_to(model.p_c, (D, D))
     for j in range(D):
@@ -143,15 +154,15 @@ def test_stale_refresh_ages_follow_the_coin_recursion(model):
 
 
 def test_stale_refresh_symmetric_ages_mirror():
-    sampler = make_delay_sampler(StaleRefreshDelays(p_c=0.3), 3, seed=9)
+    sampler = make_delay_sampler(StaleRefreshDelays(p_c=0.3), 3, seed=9, horizon=200)
     for n in range(200):
         tau = sampler.matrix(n)
         assert np.array_equal(tau, tau.T)
 
 
 def test_stale_refresh_mean_age():
-    sampler = make_delay_sampler(StaleRefreshDelays(p_c=0.4), 2, seed=11)
-    ages = np.array([sampler.matrix(n) for n in range(500, 8500)])
+    sampler = make_delay_sampler(StaleRefreshDelays(p_c=0.4), 2, seed=11, horizon=8500)
+    ages = np.array([sampler.matrix(n) for n in range(8500)])[500:]
     # stationary mean communication age is (1 - p) / p = 1.5
     assert ages[:, 0, 1].mean() == pytest.approx(1.5, abs=0.2)
 
@@ -165,7 +176,7 @@ def test_stale_refresh_validation():
 
 
 def test_stale_refresh_p_one_is_zero_delay():
-    sampler = make_delay_sampler(StaleRefreshDelays(p_c=1.0), 2, seed=0)
+    sampler = make_delay_sampler(StaleRefreshDelays(p_c=1.0), 2, seed=0, horizon=50)
     for n in range(50):
         assert sampler.matrix(n).max() == 0
 
@@ -186,13 +197,13 @@ def test_delay_config_round_trip_and_errors():
 
 
 def test_zero_errors():
-    sampler = make_error_sampler(ZeroErrors(), D, seed=0)
+    sampler = make_error_sampler(ZeroErrors(), D, seed=0, horizon=1)
     assert sampler.bound == 0.0
     assert sampler.sample(0).tolist() == [0.0] * D
 
 
 def test_component_uniform_range_and_mean():
-    sampler = make_error_sampler(ComponentUniformErrors(bound=0.4), D, seed=2)
+    sampler = make_error_sampler(ComponentUniformErrors(bound=0.4), D, seed=2, horizon=4000)
     draws = np.array([sampler.sample(n) for n in range(4000)])
     assert draws.min() >= 0.0
     assert draws.max() <= 0.2
@@ -201,7 +212,7 @@ def test_component_uniform_range_and_mean():
 
 
 def test_fixed_bias_repeats_and_validates_length():
-    sampler = make_error_sampler(FixedBiasErrors(bias=[0.3, -0.4]), 2, seed=0)
+    sampler = make_error_sampler(FixedBiasErrors(bias=[0.3, -0.4]), 2, seed=0, horizon=5)
     assert sampler.bound == pytest.approx(0.5)
     for n in range(5):
         assert sampler.sample(n) == pytest.approx([0.3, -0.4])
@@ -211,8 +222,18 @@ def test_fixed_bias_repeats_and_validates_length():
                   errors=FixedBiasErrors(bias=[1.0]))
 
 
+@pytest.mark.parametrize("model", [
+    FixedBiasErrors(bias=[1.0]),
+    NormBallErrors(bound=0.5, norm=WeightedMaxNorm(weights=[1.0])),
+], ids=["fixed-bias", "weighted-max-box"])
+def test_error_sampler_rejects_a_wrong_length_model(model):
+    # a length-1 vector would otherwise broadcast to every agent
+    with pytest.raises(ConfigError, match="must have length 2"):
+        make_error_sampler(model, 2, seed=0, horizon=1)
+
+
 def test_norm_ball_euclidean_fills_the_ball():
-    sampler = make_error_sampler(NormBallErrors(bound=0.5), 2, seed=7)
+    sampler = make_error_sampler(NormBallErrors(bound=0.5), 2, seed=7, horizon=4000)
     draws = np.array([sampler.sample(n) for n in range(4000)])
     norms = np.linalg.norm(draws, axis=1)
     assert norms.max() <= 0.5 + 1e-12
@@ -223,7 +244,7 @@ def test_norm_ball_euclidean_fills_the_ball():
 def test_norm_ball_weighted_max_is_a_box():
     norm = WeightedMaxNorm(weights=[1.0, 2.0])
     sampler = make_error_sampler(NormBallErrors(bound=0.5, norm=norm), 2,
-                                 seed=7)
+                                 seed=7, horizon=4000)
     draws = np.array([sampler.sample(n) for n in range(4000)])
     assert np.abs(draws[:, 0]).max() <= 0.5 + 1e-12
     assert np.abs(draws[:, 1]).max() <= 1.0 + 1e-12
@@ -247,21 +268,21 @@ def test_error_config_round_trip_and_errors():
 
 
 def test_uniform_noise_bounds_and_mean():
-    sampler = make_noise_sampler(UniformNoise(level=0.05), D, seed=1)
+    sampler = make_noise_sampler(UniformNoise(level=0.05), D, seed=1, horizon=4000)
     draws = np.array([sampler.sample(n) for n in range(4000)])
     assert np.abs(draws).max() <= 0.05
     assert abs(draws.mean()) < 0.002
 
 
 def test_rademacher_noise_is_exactly_pm_level():
-    sampler = make_noise_sampler(RademacherNoise(level=0.5), D, seed=1)
+    sampler = make_noise_sampler(RademacherNoise(level=0.5), D, seed=1, horizon=2000)
     draws = np.array([sampler.sample(n) for n in range(2000)])
     assert set(np.unique(draws).tolist()) == {-0.5, 0.5}
     assert abs(draws.mean()) < 0.05
 
 
 def test_zero_noise_flag():
-    sampler = make_noise_sampler(ZeroNoise(), D, seed=0)
+    sampler = make_noise_sampler(ZeroNoise(), D, seed=0, horizon=4)
     assert sampler.sample(3).tolist() == [0.0] * D
 
 
@@ -324,16 +345,21 @@ def _digest(draw) -> str:
 def _stream_digests() -> dict[str, str]:
     out = {}
     for name, model in _DELAY_VARIANTS.items():
-        out[f"delays/{name}"] = _digest(make_delay_sampler(model, D, seed=7).matrix)
+        out[f"delays/{name}"] = _digest(
+            make_delay_sampler(model, D, seed=7, horizon=_DRAWS).matrix)
     for name, model in _ERROR_VARIANTS.items():
-        out[f"errors/{name}"] = _digest(make_error_sampler(model, D, seed=7).sample)
+        out[f"errors/{name}"] = _digest(
+            make_error_sampler(model, D, seed=7, horizon=_DRAWS).sample)
         if name not in ("zero", "fixed-bias"):
-            alt = make_error_sampler(model, D, seed=7, domain=DOMAIN_ERROR_ALT)
+            alt = make_error_sampler(model, D, seed=7, horizon=_DRAWS,
+                                     domain=DOMAIN_ERROR_ALT)
             out[f"errors/{name}/alt"] = _digest(alt.sample)
     for name, model in _NOISE_VARIANTS.items():
-        out[f"noise/{name}"] = _digest(make_noise_sampler(model, D, seed=7).sample)
+        out[f"noise/{name}"] = _digest(
+            make_noise_sampler(model, D, seed=7, horizon=_DRAWS).sample)
     for name, policy in _ACTIVATION_VARIANTS.items():
-        out[f"activation/{name}"] = _digest(AgentSchedule.create(policy, D, seed=7).sampler.next)
+        out[f"activation/{name}"] = _digest(
+            AgentSchedule.create(policy, D, seed=7, horizon=_DRAWS).sampler.next)
     return out
 
 
