@@ -46,6 +46,8 @@ from asyncsa import (
 from asyncsa._rng import CHUNK
 from asyncsa.fields import QuadraticBowl, QuadraticField, ScaledIdentityField
 
+import reference
+
 
 def _cfg(**kw) -> RunConfig:
     base = dict(
@@ -248,6 +250,38 @@ def test_block_drawn_activation_matches_tick_by_tick(activation, steps):
         assert np.array_equal(sample.step, steps.a_of(counters))
         counters += active
         assert np.array_equal(bundle.schedule.counters, counters)
+
+
+_ORACLE_ACTIVATIONS = {
+    "all": lambda d: AllActive(),
+    "round-robin-1": lambda d: RoundRobin(k=1),
+    "round-robin-2": lambda d: RoundRobin(k=2),
+    "round-robin-d": lambda d: RoundRobin(k=d),
+    "bernoulli-0.3": lambda d: BernoulliActivation(q=0.3),
+    "bernoulli-vector": lambda d: BernoulliActivation(q=np.resize([0.05, 0.9, 0.2], d)),
+    "bernoulli-1": lambda d: BernoulliActivation(q=1.0),
+}
+
+
+@pytest.mark.parametrize("steps", [HarmonicSteps(c=3.0), PowerSteps(p=0.7, c=2.0),
+                                   ConstantSteps(a0=0.1)], ids=lambda s: s.kind)
+@pytest.mark.parametrize("activation", _ORACLE_ACTIVATIONS)
+@pytest.mark.parametrize("d, ticks", [(300, 50), (3, 2 * CHUNK + 5)],
+                         ids=["d300", "d3"])
+def test_drawn_activation_matches_the_reference_schedule(d, ticks, activation, steps):
+    # at d = 300 a schedule block holds 3 ticks, so 50 ticks cross 17 block
+    # boundaries; at d = 3 the Bernoulli coin stream is refilled twice
+    policy = _ORACLE_ACTIVATIONS[activation](d)
+    bundle = build_runtime(RunConfig(
+        dimension=d, horizon=ticks, seed=4, objective=ScaledIdentityObjective(gain=-1.0),
+        steps=steps, activation=policy))
+    oracle = reference.ReferenceSchedule(policy, d, seed=4, steps=steps)
+    for n in range(ticks):
+        sample = draw_tick(n, bundle)
+        active, step = oracle.tick(n)
+        assert _bits(sample.active) == _bits(active)
+        assert _bits(sample.step) == _bits(step)
+        assert _bits(bundle.schedule.counters) == _bits(oracle.counters)
 
 
 def test_paired_run_reads_step_sizes_once_per_tick(monkeypatch):
