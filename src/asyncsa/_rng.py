@@ -5,9 +5,11 @@ the run seed plus a purpose tag (and, for delays, the ordered agent pair).
 Changing one model in a config therefore never shifts the sample sequence
 of another, and identical (config, seed) pairs replay bit-for-bit.
 
-Buffered streams are read through ``Rows``, the one stream cursor: draws
-come in blocks of at most ``CHUNK`` rows, cut at the run's horizon, served
-one row per tick.
+Every per-tick input of a run that does not depend on the iterate
+(activation masks, delays, errors, noise) is read through ``Rows``, the
+one stream cursor: rows come in blocks of at most ``CHUNK``, cut at the
+run's horizon, served one row per tick.  A ``constant`` fill serves one
+value and draws nothing.
 """
 
 from __future__ import annotations
@@ -38,6 +40,11 @@ def stream(seed: int, domain: int, *key: int) -> np.random.Generator:
     """Independent generator for (seed, domain, key...)."""
     entropy = (int(seed) & _MASK64, int(domain)) + tuple(int(k) for k in key)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+
+
+def constant(value: np.ndarray):
+    """A ``Rows`` fill that serves ``value`` in every row and draws nothing."""
+    return lambda start, size: np.broadcast_to(value, (size, *value.shape))
 
 
 class Rows:

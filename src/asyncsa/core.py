@@ -48,7 +48,7 @@ from .fields import (
 )
 from .mdp import BellmanResidualField, load_fixture, random_mdp
 from .norms import EuclideanNorm, Norm, weighted_norm
-from .schedules import AgentSchedule, StepSizePolicy
+from .schedules import AgentSchedule
 from .stochastics import (
     UniformDelays,
     make_delay_sampler,
@@ -215,8 +215,8 @@ class TickSample:
 
     ``step`` holds every agent's step size a(nu(n, i)), read from the
     activation counters before they are advanced past tick n.
-    ``all_active`` may be set when every entry of ``active`` is true; the
-    update then skips the mask.
+    ``all_active`` is set when the activation policy activates every agent
+    on every tick; the update then skips the mask.
     """
 
     active: np.ndarray
@@ -233,15 +233,15 @@ def draw_tick(n: int, bundle: RuntimeBundle) -> TickSample:
     Ticks are drawn in order (see :meth:`AgentSchedule.draw`).  The very
     first activation of an agent uses a(0).
     """
-    active, step, all_active = bundle.schedule.draw(n, bundle.steps)
-    models = bundle.models
+    schedule, models = bundle.schedule, bundle.models
+    active, step = schedule.draw(n)
     return TickSample(
         active,
         step,
         None if models.delays.always_zero else models.delays.matrix(n),
         models.errors.sample(n),
         models.noise.sample(n),
-        all_active,
+        schedule.all_active,
     )
 
 
@@ -299,7 +299,6 @@ class RuntimeBundle:
     horizon: int
     seed: int
     field: Field
-    steps: StepSizePolicy
     schedule: AgentSchedule
     models: StochasticModels
     region: ProjectionRegion | None
@@ -348,7 +347,7 @@ def build_runtime(cfg: RunConfig) -> RuntimeBundle:
     field = build_field(cfg)
     x0 = (stream(cfg.seed, DOMAIN_INIT).uniform(-1.0, 1.0, d) if cfg.x0 is None
           else np.asarray(cfg.x0, dtype=float).copy())
-    schedule = AgentSchedule.create(cfg.activation, d, cfg.seed, cfg.horizon)
+    schedule = AgentSchedule(cfg.activation, d, cfg.seed, cfg.horizon, cfg.steps)
     models = StochasticModels(
         delays=make_delay_sampler(cfg.delays, d, cfg.seed, cfg.horizon),
         errors=make_error_sampler(cfg.errors, d, cfg.seed, cfg.horizon),
@@ -361,7 +360,6 @@ def build_runtime(cfg: RunConfig) -> RuntimeBundle:
         horizon=cfg.horizon,
         seed=cfg.seed,
         field=field,
-        steps=cfg.steps,
         schedule=schedule,
         models=models,
         region=region,

@@ -19,7 +19,8 @@ from ._rng import DOMAIN_CHECK, stream
 from .errors import ConfigError
 from .mdp import FiniteMDP, bellman_apply
 from .norms import Norm, unit_max_norm, weighted_norm
-from .schedules import ActivationPolicy, AgentSchedule, StepSizePolicy
+from .schedules import ActivationPolicy, StepSizePolicy, make_activation_sampler
+from .stability import non_expansiveness_check
 
 __all__ = [
     "CheckItem",
@@ -188,7 +189,7 @@ def check_step_size(policy: StepSizePolicy, horizon: int = 100_000,
 def activation_rates(policy: ActivationPolicy, d: int, horizon: int = 10_000,
                      seed: int = 0) -> np.ndarray:
     """Fraction of ticks each agent was active over a simulated window."""
-    sampler = AgentSchedule.create(policy, d, seed, int(horizon)).sampler
+    sampler = make_activation_sampler(policy, d, seed, int(horizon))
     counts = sum(map(sampler.next, range(int(horizon))), np.zeros(d, dtype=np.int64))
     return counts / float(horizon)
 
@@ -268,18 +269,9 @@ def contraction_estimate(mdp: FiniteMDP, norm: Norm | None = None,
                          samples: int = 200, seed: int = 0,
                          scale: float = 1.0) -> float:
     """Largest observed one-step contraction ratio of the update operator."""
-    norm = norm if norm is not None else unit_max_norm(mdp.states)
-    rng = stream(seed, DOMAIN_CHECK)
-    worst = 0.0
-    for _ in range(int(samples)):
-        u = scale * rng.standard_normal(mdp.states)
-        v = scale * rng.standard_normal(mdp.states)
-        den = weighted_norm(u - v, norm)
-        if den < 1e-12:
-            continue
-        num = weighted_norm(bellman_apply(mdp, u) - bellman_apply(mdp, v), norm)
-        worst = max(worst, num / den)
-    return worst
+    return non_expansiveness_check(
+        lambda v: bellman_apply(mdp, v), mdp.states, norm or unit_max_norm(mdp.states),
+        int(samples), seed, scale)["max_ratio"]
 
 
 def gradient_fidelity(surface, points: np.ndarray | None = None,

@@ -94,6 +94,14 @@ def cell_config(instance, eps: float, p_c: float, seed: int,
     )
 
 
+def _map(fn, work: list, jobs: int) -> list:
+    """``fn`` over ``work`` in order, on up to ``jobs`` worker processes."""
+    if jobs > 1 and len(work) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, work))
+    return [fn(w) for w in work]
+
+
 def _rows_for_seed(args) -> list[dict]:
     run_seed, p_c, eps_grid = args
     instance = sample_instance(run_seed)
@@ -137,12 +145,7 @@ def reproduce_experiment(p_c: float, seeds, eps_grid=EPS_GRID,
     """
     seeds = tuple(int(s) for s in seeds)
     eps_grid = tuple(sorted(float(e) for e in eps_grid))
-    work = [(s, float(p_c), eps_grid) for s in seeds]
-    if jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_rows_for_seed, work))
-    else:
-        chunks = [_rows_for_seed(w) for w in work]
+    chunks = _map(_rows_for_seed, [(s, float(p_c), eps_grid) for s in seeds], jobs)
     rows = [row for chunk in chunks for row in chunk]
     return AggregateResult(p_c=float(p_c), eps_grid=eps_grid, seeds=seeds,
                            rows=rows)
@@ -302,11 +305,7 @@ def _sweep_cell(args) -> dict:
 
 def sweep_run(spec: SweepSpec, jobs: int = 1) -> list[dict]:
     """Execute every sweep cell; row order and content are canonical."""
-    work = [(spec, cell) for cell in spec.cells()]
-    if jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_sweep_cell, work))
-    return [_sweep_cell(w) for w in work]
+    return _map(_sweep_cell, [(spec, cell) for cell in spec.cells()], jobs)
 
 
 def write_sweep_csv(spec: SweepSpec, rows: list[dict], path) -> None:

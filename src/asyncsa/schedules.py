@@ -5,8 +5,14 @@ Conventions
 * Ticks are global and 0-indexed.  At tick n an active agent i scales its
   update by a(v) where v is the number of ticks *before* n at which i was
   active.  With every agent active at every tick this reduces to a(n).
-* Activation counters live in AgentSchedule and are advanced once per tick
-  after the step sizes for that tick have been read.
+* Activation masks are an ``_rng.Rows`` stream built by
+  ``make_activation_sampler``, one fill per policy kind: all-active serves
+  a constant and draws nothing, round-robin computes a block of masks from
+  the tick numbers, and Bernoulli keeps the coin rows with an active agent,
+  drawing only as many more rows as its block still lacks.
+* AgentSchedule binds a run's step policy and reads the masks a block of
+  ticks at a time.  Its counters are advanced once per tick after the step
+  sizes for that tick have been read.
 * Every policy keeps a(n) in (0, 1]; constants are accepted for
   diagnostics only and are flagged as neither vanishing nor square
   summable.
@@ -14,12 +20,11 @@ Conventions
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import DOMAIN_ACTIVATION, Rows, stream
+from ._rng import DOMAIN_ACTIVATION, Rows, constant, stream
 from .errors import ConfigError, InsufficientActivationError
 
 __all__ = [
@@ -31,7 +36,7 @@ __all__ = [
     "BernoulliActivation",
     "AgentSchedule",
     "check_policy_shape",
-    "effective_step",
+    "make_activation_sampler",
     "timeline",
     "balance_ratio",
 ]
@@ -150,42 +155,6 @@ class BernoulliActivation:
 ActivationPolicy = AllActive | RoundRobin | BernoulliActivation
 
 
-class _AllSampler:
-    def __init__(self, d: int):
-        self._mask = np.ones(d, dtype=bool)
-
-    def next(self, n: int) -> np.ndarray:
-        return self._mask
-
-
-class _RoundRobinSampler:
-    def __init__(self, d: int, k: int):
-        self._d = d
-        self._k = min(k, d)
-
-    def next(self, n: int) -> np.ndarray:
-        mask = np.zeros(self._d, dtype=bool)
-        start = (n * self._k) % self._d
-        idx = (start + np.arange(self._k)) % self._d
-        mask[idx] = True
-        return mask
-
-
-class _BernoulliSampler:
-    def __init__(self, q: np.ndarray, d: int, seed: int, horizon: int):
-        self._q = np.full(d, float(q[0])) if q.size == 1 else q
-        rng = stream(seed, DOMAIN_ACTIVATION)
-        # an empty draw is redrawn: size the stream by the expected rows
-        rows = math.ceil(horizon / (1.0 - np.prod(1.0 - self._q)))
-        self._rows = Rows(lambda start, size: rng.random((size, d)), rows)
-
-    def next(self, n: int) -> np.ndarray:
-        while True:
-            mask = self._rows.next() < self._q
-            if mask.any():
-                return mask
-
-
 def check_policy_shape(policy: ActivationPolicy, d: int) -> None:
     """Raise ConfigError when an activation policy does not fit dimension d."""
     if isinstance(policy, BernoulliActivation) and policy.q.size != 1 \
@@ -193,13 +162,38 @@ def check_policy_shape(policy: ActivationPolicy, d: int) -> None:
         raise ConfigError(f"bernoulli q must be scalar or length {d}")
 
 
-def _make_sampler(policy: ActivationPolicy, d: int, seed: int, horizon: int):
+def make_activation_sampler(policy: ActivationPolicy, d: int, seed: int,
+                            horizon: int) -> Rows:
+    """Active masks of ticks 0, 1, ... in blocks cut at ``horizon``."""
+    if d < 1:
+        raise ConfigError("dimension must be >= 1")
     check_policy_shape(policy, d)
     if isinstance(policy, AllActive):
-        return _AllSampler(d)
+        return Rows(constant(np.ones(d, dtype=bool)), horizon)
     if isinstance(policy, RoundRobin):
-        return _RoundRobinSampler(d, policy.k)
-    return _BernoulliSampler(policy.q, d, seed, horizon)
+        k = min(policy.k, d)
+
+        def fill(start, size):
+            """Tick t activates agents (t k + j) mod d for j < k."""
+            ticks = np.arange(start, start + size)[:, None]
+            masks = np.zeros((size, d), dtype=bool)
+            np.put_along_axis(masks, (ticks * k + np.arange(k)) % d, True, axis=1)
+            return masks
+
+        return Rows(fill, horizon)
+    q = policy.q
+    rng = stream(seed, DOMAIN_ACTIVATION)
+
+    def fill(start, size):
+        """The next ``size`` coin rows with an active agent; an empty row
+        is dropped, and only as many rows are drawn as are still missing."""
+        masks = np.empty((0, d), dtype=bool)
+        while len(masks) < size:
+            rows = rng.random((size - len(masks), d)) < q
+            masks = np.concatenate((masks, rows[rows.any(axis=1)]))
+        return masks
+
+    return Rows(fill, horizon)
 
 
 # (tick, agent) cells per block of drawn ticks: hundreds of ticks at small d,
@@ -207,77 +201,60 @@ def _make_sampler(policy: ActivationPolicy, d: int, seed: int, horizon: int):
 _BLOCK_CELLS = 1024
 
 
-@dataclass
+@dataclass(eq=False)
 class AgentSchedule:
-    """Activation source plus per-agent update counters for one run."""
+    """Activation masks, per-agent update counters and step sizes for one
+    run.
 
-    d: int
+    ``sampler`` is the stream of active masks; ``all_active`` is true when
+    the policy activates every agent on every tick.
+    """
+
     policy: ActivationPolicy
+    d: int
     seed: int
     horizon: int
-    counters: np.ndarray
-    sampler: object
-    _block: tuple = field(default=(0, (), None, None, None), init=False, repr=False)
+    steps: StepSizePolicy
+    counters: np.ndarray = field(init=False)
+    sampler: Rows = field(init=False, repr=False)
+    all_active: bool = field(init=False)
+    _block: tuple = field(default=(0, (), None, None), init=False, repr=False)
 
-    @classmethod
-    def create(cls, policy: ActivationPolicy, d: int, seed: int,
-               horizon: int) -> "AgentSchedule":
-        if d < 1:
-            raise ConfigError("dimension must be >= 1")
-        return cls(
-            d=d,
-            policy=policy,
-            seed=int(seed),
-            horizon=horizon,
-            counters=np.zeros(d, dtype=np.int64),
-            sampler=_make_sampler(policy, d, int(seed), horizon),
+    def __post_init__(self):
+        policy, d = self.policy, self.d
+        self.seed = int(self.seed)
+        self.sampler = make_activation_sampler(policy, d, self.seed, self.horizon)
+        self.counters = np.zeros(d, dtype=np.int64)
+        self.all_active = (
+            isinstance(policy, AllActive)
+            or isinstance(policy, RoundRobin) and policy.k >= d
+            or isinstance(policy, BernoulliActivation) and bool(np.all(policy.q == 1.0))
         )
 
-    def draw(self, n: int, steps: StepSizePolicy):
-        """Tick n's active mask, step sizes and whether every agent is
-        active; moves ``counters`` past tick n.
+    def draw(self, n: int):
+        """Tick n's active mask and step sizes; moves ``counters`` past
+        tick n.
 
         Ticks are drawn in order, a block of about ``_BLOCK_CELLS`` (tick,
         agent) cells at a time, cut at ``horizon``: step sizes are read
         from the counts before each tick, all at once.
         """
-        start, active, step, after, every = self._block
+        start, active, step, after = self._block
         k = n - start
         if not 0 <= k < len(active):
             size = max(1, min(_BLOCK_CELLS // self.d, self.horizon - n))
             active = np.array([self.sampler.next(m) for m in range(n, n + size)])
             after = np.cumsum(active, axis=0, dtype=np.int64)
             after += self.counters
-            step = steps.a_of(after - active)
-            every = np.logical_and.reduce(active, axis=1).tolist()
-            self._block = n, active, step, after, every
+            step = self.steps.a_of(after - active)
+            self._block = n, active, step, after
             k = 0
         self.counters = after[k]
-        return active[k], step[k], every[k]
+        return active[k], step[k]
 
 
 # ---------------------------------------------------------------------------
 # derived schedule quantities
-
-
-def effective_step(
-    n: int,
-    active: np.ndarray,
-    counters: np.ndarray,
-    policy: StepSizePolicy,
-) -> tuple[float, np.ndarray]:
-    """Largest active step size and per-agent fractions for tick n.
-
-    Returns (abar, q) with abar = max over active i of a(counters[i]) and
-    q_i = a(counters[i]) / abar for active agents, 0 elsewhere.
-    """
-    active = np.asarray(active, dtype=bool)
-    if not active.any():
-        raise ValueError("effective_step needs at least one active agent")
-    a = policy.a_of(np.asarray(counters))
-    abar = float(a[active].max())
-    q = np.where(active, a / abar, 0.0)
-    return abar, q
 
 
 def timeline(policy: StepSizePolicy, schedule: AgentSchedule, ticks: int) -> np.ndarray:
@@ -288,11 +265,11 @@ def timeline(policy: StepSizePolicy, schedule: AgentSchedule, ticks: int) -> np.
     """
     if ticks < 0:
         raise ValueError("ticks must be >= 0")
-    sched = AgentSchedule.create(schedule.policy, schedule.d, schedule.seed, ticks)
+    sched = AgentSchedule(schedule.policy, schedule.d, schedule.seed, ticks, policy)
     t = np.zeros(ticks + 1)
     acc = 0.0
     for m in range(ticks):
-        active, step, _ = sched.draw(m, policy)
+        active, step = sched.draw(m)
         acc += float(step[active].max())
         t[m + 1] = acc
     return t

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import CHUNK, DOMAIN_DELAY, DOMAIN_ERROR, DOMAIN_NOISE, Rows, stream
+from ._rng import CHUNK, DOMAIN_DELAY, DOMAIN_ERROR, DOMAIN_NOISE, Rows, constant, stream
 from .errors import ConfigError
 from .norms import EuclideanNorm, Norm, WeightedMaxNorm
 
@@ -126,11 +126,6 @@ class StaleRefreshDelays:
 DelayModel = ZeroDelays | UniformDelays | GeometricDelays | StaleRefreshDelays
 
 
-def _constant(value: np.ndarray):
-    """A fill that serves ``value`` in every row and draws nothing."""
-    return lambda start, size: np.broadcast_to(value, (size, *value.shape))
-
-
 class _DelaySampler(Rows):
     """Per-tick age matrices: ``matrix(n)`` is the next row of ``fill``'s
     blocks, tick n's when the ticks before it were read in order.
@@ -207,7 +202,7 @@ def make_delay_sampler(model: DelayModel, d: int, seed: int, horizon: int):
     """Age matrices of ticks 0, 1, ... in blocks cut at ``horizon``."""
     check_model_shape(model, d)
     if isinstance(model, ZeroDelays):
-        sampler = _DelaySampler(_constant(np.zeros((d, d), dtype=np.int64)), horizon)
+        sampler = _DelaySampler(constant(np.zeros((d, d), dtype=np.int64)), horizon)
         sampler.always_zero = True
         return sampler
     if isinstance(model, UniformDelays):
@@ -337,11 +332,11 @@ def make_error_sampler(model: ErrorModel, d: int, seed: int, horizon: int,
     """Error vectors of ticks 0, 1, ... in blocks cut at ``horizon``."""
     check_model_shape(model, d)
     if isinstance(model, ZeroErrors):
-        return _ErrorSampler(0.0, _constant(np.zeros(d)), _max_abs, horizon)
+        return _ErrorSampler(0.0, constant(np.zeros(d)), _max_abs, horizon)
     if isinstance(model, FixedBiasErrors):
         bias = model.bias.copy()
         # checked by its largest component, which never exceeds its norm
-        return _ErrorSampler(np.linalg.norm(bias), _constant(bias), _max_abs, horizon)
+        return _ErrorSampler(np.linalg.norm(bias), constant(bias), _max_abs, horizon)
     rng = stream(seed, domain)
     if isinstance(model, ComponentUniformErrors):
         half = model.bound / 2.0
@@ -407,7 +402,7 @@ NoiseModel = ZeroNoise | UniformNoise | RademacherNoise
 def make_noise_sampler(model: NoiseModel, d: int, seed: int, horizon: int):
     """Noise vectors of ticks 0, 1, ... in blocks cut at ``horizon``."""
     if isinstance(model, ZeroNoise):
-        return _RowSampler(_constant(np.zeros(d)), horizon)
+        return _RowSampler(constant(np.zeros(d)), horizon)
     if not isinstance(model, (UniformNoise, RademacherNoise)):
         raise ConfigError(f"unknown noise model {model!r}")
     rng = stream(seed, DOMAIN_NOISE)

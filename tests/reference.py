@@ -7,8 +7,9 @@ that component straight from the objective's definition, agent by agent,
 and shares no evaluation code with ``asyncsa.fields`` or ``asyncsa.mdp``:
 the package's batched ``vector_views`` are checked against it.
 :class:`ReferenceSchedule` draws activation one tick at a time and shares
-no code with ``asyncsa.schedules``: the package's block-drawn masks, step
-sizes and counters are checked against it.
+no mask, counter or stream-reading code with ``asyncsa.schedules``: the
+package's block-drawn masks, step sizes and counters are checked against
+it.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ class ReferenceSchedule:
     Bernoulli draws one coin row per call from the activation stream and
     redraws a row in which no agent is active.  ``counters`` counts each
     agent's active ticks so far; a tick's step sizes are the step policy's
-    a(count) before the tick.
+    ``a_of`` of the counts before the tick.
     """
 
     def __init__(self, policy, d: int, seed: int, steps):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from asyncsa import (
-    AgentSchedule,
     AllActive,
     BernoulliActivation,
     ComponentUniformErrors,
@@ -45,6 +44,7 @@ from asyncsa import (
 )
 from asyncsa._rng import CHUNK
 from asyncsa.fields import QuadraticBowl, QuadraticField, ScaledIdentityField
+from asyncsa.schedules import make_activation_sampler
 
 import reference
 
@@ -191,7 +191,8 @@ _DRAWN_KINDS = (
      FixedBiasErrors(bias=[0.3, -0.4, 0.1]), NormBallErrors(bound=0.5),
      NormBallErrors(bound=0.5, norm=WeightedMaxNorm(weights=[1.0, 2.0, 0.5]))],
     [ZeroNoise(), UniformNoise(level=0.05), RademacherNoise(level=0.5)],
-    [AllActive(), RoundRobin(k=2), BernoulliActivation(q=[0.2, 0.5, 0.9])],
+    [AllActive(), RoundRobin(k=2), BernoulliActivation(q=[0.2, 0.5, 0.9]),
+     BernoulliActivation(q=0.02), RoundRobin(k=3)],
 )
 
 
@@ -240,13 +241,13 @@ def test_block_drawn_activation_matches_tick_by_tick(activation, steps):
     bundle = build_runtime(RunConfig(
         dimension=d, horizon=50, seed=2, objective=ScaledIdentityObjective(gain=-1.0),
         steps=steps, activation=activation))
-    sampler = AgentSchedule.create(activation, d, seed=2, horizon=50).sampler
+    sampler = make_activation_sampler(activation, d, seed=2, horizon=50)
     counters = np.zeros(d, dtype=np.int64)
     for n in range(50):
         sample = draw_tick(n, bundle)
         active = sampler.next(n)
         assert np.array_equal(sample.active, active)
-        assert sample.all_active == bool(active.all())
+        assert sample.all_active == isinstance(activation, AllActive)
         assert np.array_equal(sample.step, steps.a_of(counters))
         counters += active
         assert np.array_equal(bundle.schedule.counters, counters)

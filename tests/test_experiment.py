@@ -215,3 +215,12 @@ def test_sweep_csv_layout(tmp_path):
     cells = lines[3].split(",")
     assert cells[0] == "0" and cells[-1] == "ok"
     assert float(cells[4]) == rows[0]["value"]
+
+
+def test_worker_processes_give_the_serial_rows():
+    # repr compares divergent cells' NaN values too
+    serial = reproduce_experiment(0.4, (1, 2), eps_grid=(0.5, 1.0, 1.5), jobs=1)
+    pooled = reproduce_experiment(0.4, (1, 2), eps_grid=(0.5, 1.0, 1.5), jobs=2)
+    assert repr(pooled.rows) == repr(serial.rows)
+    spec = parse_sweep_config(SWEEP_DOC)
+    assert repr(sweep_run(spec, jobs=2)) == repr(sweep_run(spec, jobs=1))

@@ -12,7 +12,6 @@ from asyncsa import (
     PowerSteps,
     RoundRobin,
     balance_ratio,
-    effective_step,
     timeline,
 )
 from asyncsa.config import spec_from_config, spec_to_config
@@ -72,55 +71,37 @@ def test_activation_config_round_trip_and_errors():
 
 
 def test_all_active_counters_track_tick():
-    sched = AgentSchedule.create(AllActive(), 3, seed=0, horizon=5)
+    sched = AgentSchedule(AllActive(), 3, seed=0, horizon=5, steps=HarmonicSteps())
+    assert sched.all_active
     for n in range(5):
-        mask, _, all_active = sched.draw(n, HarmonicSteps())
-        assert mask.all() and all_active
+        mask, _ = sched.draw(n)
+        assert mask.all()
     assert sched.counters.tolist() == [5, 5, 5]
 
 
 def test_round_robin_cycles_in_index_order():
-    sched = AgentSchedule.create(RoundRobin(k=2), 3, seed=0, horizon=3)
+    sched = AgentSchedule(RoundRobin(k=2), 3, seed=0, horizon=3, steps=HarmonicSteps())
     masks = []
     for n in range(3):
-        mask, _, _ = sched.draw(n, HarmonicSteps())
+        mask, _ = sched.draw(n)
         masks.append(np.flatnonzero(mask).tolist())
     assert masks == [[0, 1], [0, 2], [1, 2]]
     assert sched.counters.tolist() == [2, 2, 2]
 
 
 def test_bernoulli_respects_per_agent_rates():
-    sched = AgentSchedule.create(BernoulliActivation(q=[0.5, 1.0]), 2, seed=0,
-                                 horizon=10_000)
+    sched = AgentSchedule(BernoulliActivation(q=[0.5, 1.0]), 2, seed=0,
+                          horizon=10_000, steps=HarmonicSteps())
     for n in range(10_000):
-        mask, _, _ = sched.draw(n, HarmonicSteps())
+        mask, _ = sched.draw(n)
         assert mask.any()
     rates = sched.counters / 10_000
     assert rates[1] == 1.0
     assert rates[0] == pytest.approx(0.5, abs=0.02)
 
 
-def test_effective_step_example():
-    # counters (0, 10) under a(n) = 1/(n+11): largest step 1/11, the other
-    # agent runs at fraction 11/21 of it
-    abar, q = effective_step(0, np.array([True, True]), np.array([0, 10]),
-                             HarmonicSteps(c=11.0))
-    assert abar == pytest.approx(1 / 11)
-    assert q == pytest.approx([1.0, 11 / 21])
-
-
-def test_effective_step_masks_inactive_and_needs_one_active():
-    abar, q = effective_step(0, np.array([False, True]), np.array([0, 0]),
-                             HarmonicSteps(c=10.0))
-    assert abar == pytest.approx(0.1)
-    assert q.tolist() == [0.0, 1.0]
-    with pytest.raises(ValueError):
-        effective_step(0, np.array([False, False]), np.array([0, 0]),
-                       HarmonicSteps())
-
-
 def test_timeline_all_active_matches_harmonic_sum():
-    sched = AgentSchedule.create(AllActive(), 2, seed=0, horizon=1)
+    sched = AgentSchedule(AllActive(), 2, seed=0, horizon=1, steps=HarmonicSteps())
     t = timeline(HarmonicSteps(c=10.0), sched, 1000)
     assert t.shape == (1001,)
     assert t[0] == 0.0
@@ -134,22 +115,23 @@ def test_timeline_all_active_matches_harmonic_sum():
 def test_schedule_rejects_a_wrong_length_q():
     # timeline's only input that holds a policy is a schedule
     with pytest.raises(ConfigError, match="bernoulli q must be scalar or length 2"):
-        AgentSchedule.create(BernoulliActivation(q=[0.5, 0.5, 0.5]), 2, seed=0, horizon=1)
+        AgentSchedule(BernoulliActivation(q=[0.5, 0.5, 0.5]), 2, seed=0, horizon=1,
+                      steps=HarmonicSteps())
 
 
 def test_timeline_round_robin_uses_active_agent_counter():
-    sched = AgentSchedule.create(RoundRobin(k=1), 2, seed=0, horizon=1)
+    sched = AgentSchedule(RoundRobin(k=1), 2, seed=0, horizon=1, steps=HarmonicSteps())
     t = timeline(HarmonicSteps(c=10.0), sched, 4)
     # ticks 0,1 both run a fresh agent at a(0); ticks 2,3 at a(1)
     assert t == pytest.approx([0.0, 0.1, 0.2, 0.2 + 1 / 11, 0.2 + 2 / 11])
 
 
 def _counters_trace(policy, d, ticks, seed=0):
-    sched = AgentSchedule.create(policy, d, seed, horizon=ticks)
+    sched = AgentSchedule(policy, d, seed, horizon=ticks, steps=HarmonicSteps())
     rows = np.zeros((ticks, d), dtype=np.int64)
     for n in range(ticks):
         rows[n] = sched.counters
-        sched.draw(n, HarmonicSteps())
+        sched.draw(n)
     return rows
 
 
@@ -182,3 +164,20 @@ def test_balance_ratio_bernoulli_stays_near_one():
         r = balance_ratio(tr, HarmonicSteps(c=10.0), 0, 1, 19_999)
         hits += 0.9 <= r <= 1.1
     assert hits >= 18
+
+
+@pytest.mark.parametrize("policy, d, expected", [
+    (AllActive(), 3, True),
+    (RoundRobin(k=3), 3, True),
+    (RoundRobin(k=5), 3, True),
+    (RoundRobin(k=2), 3, False),
+    (BernoulliActivation(q=1.0), 3, True),
+    (BernoulliActivation(q=[1.0, 1.0]), 2, True),
+    (BernoulliActivation(q=[1.0, 0.5]), 2, False),
+], ids=["all", "round-robin-d", "round-robin-over-d", "round-robin-under-d",
+        "bernoulli-1", "bernoulli-ones", "bernoulli-mixed"])
+def test_all_active_is_read_from_the_policy(policy, d, expected):
+    sched = AgentSchedule(policy, d, seed=0, horizon=4, steps=HarmonicSteps())
+    assert sched.all_active is expected
+    if expected:
+        assert all(sched.draw(n)[0].all() for n in range(4))

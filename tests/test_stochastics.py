@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from asyncsa import (
-    AgentSchedule,
     AllActive,
     BernoulliActivation,
     ComponentUniformErrors,
@@ -27,6 +26,7 @@ from asyncsa import (
 )
 from asyncsa._rng import CHUNK, DOMAIN_DELAY, DOMAIN_ERROR_ALT, stream
 from asyncsa.config import spec_from_config, spec_to_config
+from asyncsa.schedules import make_activation_sampler
 from asyncsa.stochastics import (
     make_delay_sampler,
     make_error_sampler,
@@ -359,7 +359,7 @@ def _stream_digests() -> dict[str, str]:
             make_noise_sampler(model, D, seed=7, horizon=_DRAWS).sample)
     for name, policy in _ACTIVATION_VARIANTS.items():
         out[f"activation/{name}"] = _digest(
-            AgentSchedule.create(policy, D, seed=7, horizon=_DRAWS).sampler.next)
+            make_activation_sampler(policy, D, seed=7, horizon=_DRAWS).next)
     return out
 
 
