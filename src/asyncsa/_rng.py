@@ -7,8 +7,9 @@ of another, and identical (config, seed) pairs replay bit-for-bit.
 
 Every per-tick input of a run that does not depend on the iterate
 (activation masks, delays, errors, noise) is read through ``Rows``, the
-one stream cursor: rows come in blocks of at most ``CHUNK``, cut at the
-run's horizon, served one row per tick.  A ``constant`` fill serves one
+one stream cursor: rows are drawn in blocks of at most ``CHUNK``, cut at
+the run's horizon, and read a run of rows at a time with ``take``.  How a
+stream is read never changes its draws.  A ``constant`` fill serves one
 value and draws nothing.
 """
 
@@ -48,15 +49,13 @@ def constant(value: np.ndarray):
 
 
 class Rows:
-    """The rows of a stream, one per ``next()`` call.
+    """The rows of a stream, read in order with ``take(size)``.
 
     ``fill(start, size)`` returns rows ``start .. start + size - 1``.  A
     block is drawn only when the current one is used up, with ``size`` the
     smaller of ``CHUNK`` and the rows left before ``rows`` (the run's
     horizon), and at least one: a caller may read past ``rows``, one row
-    per block.  The spent block is released before ``fill`` runs, and a
-    block's last row is served as a copy: a caller holding only the latest
-    row keeps no spent block alive across a refill.
+    per block.  The spent block is released before ``fill`` runs.
     """
 
     def __init__(self, fill, rows: int):
@@ -64,17 +63,32 @@ class Rows:
         self._rows = rows
         self._start = 0  # first row of the next block
         self._block = ()
-        self._left = 0  # rows of the block not served yet
+        self._pos = 0  # first row of the block not read yet
+
+    def take(self, size: int) -> np.ndarray:
+        """The next ``size`` rows: a view of the current block, or a copy
+        when they run past its end.  A copy holds no spent block: a
+        block's unread rows are copied before the next block is drawn."""
+        spent = []  # copies of the rows read from used-up blocks
+        while True:
+            block, pos = self._block, self._pos
+            end = pos + size
+            if end <= len(block):
+                break
+            if pos < len(block):
+                spent.append(block[pos:].copy())
+                size = end - len(block)
+            block = self._block = ()  # release the spent block before fill allocates
+            start = self._start
+            rows = max(1, min(CHUNK, self._rows - start))
+            self._block = self._fill(start, rows)
+            self._start = start + rows
+            self._pos = 0
+        self._pos = end
+        if spent:
+            return np.concatenate((*spent, block[pos:end]))
+        return block[pos:end]
 
     def next(self, tick: int | None = None) -> np.ndarray:
-        """The next row.  ``tick`` is not used (rows come in call order);
-        it lets a row stream serve as a per-tick sampler."""
-        left = self._left
-        if not left:
-            start = self._start
-            left = max(1, min(CHUNK, self._rows - start))
-            self._block = ()  # release the spent block before fill allocates
-            self._block = self._fill(start, left)
-            self._start = start + left
-        self._left = left - 1
-        return self._block[-1].copy() if left == 1 else self._block[-left]
+        """The next row, as a copy; ``tick`` is not used."""
+        return self.take(1)[0].copy()

@@ -175,9 +175,6 @@ class ProjectionRegion:
         if not 0 < self.r_inner < self.r_outer:
             raise ConfigError("projection needs 0 < r_inner < r_outer")
 
-    def contains(self, x: np.ndarray) -> bool:
-        return bool(weighted_norm(x - self.center, self.norm) < self.r_outer)
-
     def project(self, x: np.ndarray) -> tuple[np.ndarray, bool]:
         offset = x - self.center
         size = weighted_norm(offset, self.norm)
@@ -227,22 +224,36 @@ class TickSample:
     all_active: bool = False
 
 
-def draw_tick(n: int, bundle: RuntimeBundle) -> TickSample:
-    """Draw tick ``n``'s inputs and advance the activation counters past it.
+# (tick, agent) cells per block of drawn ticks: hundreds of ticks at small d,
+# and small next to a CHUNK-row block of an error or noise stream at any d
+BLOCK_CELLS = 1024
 
-    Ticks are drawn in order (see :meth:`AgentSchedule.draw`).  The very
-    first activation of an agent uses a(0).
+
+def draw_tick(n: int, bundle: RuntimeBundle) -> TickSample:
+    """Tick ``n``'s inputs; sets the activation counters past tick n.
+
+    Ticks are drawn in order, about ``BLOCK_CELLS`` (tick, agent) cells of
+    every input at a time, cut at the horizon.  A block's last row is
+    served as copies, so a caller holding only the latest sample keeps no
+    spent block alive.  An agent's first activation uses a(0).
     """
-    schedule, models = bundle.schedule, bundle.models
-    active, step = schedule.draw(n)
-    return TickSample(
-        active,
-        step,
-        None if models.delays.always_zero else models.delays.matrix(n),
-        models.errors.sample(n),
-        models.noise.sample(n),
-        schedule.all_active,
-    )
+    schedule, block = bundle.schedule, bundle.block
+    k = n - block[0]
+    if not 0 <= k < len(block[1]):
+        block = bundle.block = None  # release the spent block before the fills
+        models = bundle.models
+        size = max(1, min(BLOCK_CELLS // bundle.d, bundle.horizon - n))
+        tau = None if models.delays.always_zero else models.delays.take(size)
+        block = bundle.block = (n, *schedule.take(size), tau,
+                                models.errors.take(size), models.noise.take(size))
+        k = 0
+    if k + 1 == len(block[1]):  # the last row: copies, so no sample holds the block
+        block = bundle.block = (n, *(a if a is None else a[k:].copy() for a in block[1:]))
+        k = 0
+    _, active, step, after, tau, eps, noise = block
+    schedule.counters = after[k]
+    return TickSample(active[k], step[k], None if tau is None else tau[k], eps[k],
+                      noise[k], schedule.all_active)
 
 
 def apply_tick(history: IterateHistory, field: Field, sample: TickSample,
@@ -303,6 +314,8 @@ class RuntimeBundle:
     models: StochasticModels
     region: ProjectionRegion | None
     x0: np.ndarray
+    # draw_tick's block: (first tick, active, step, after, ages, errors, noise)
+    block: tuple = (0, ())
 
 
 def build_field(cfg: RunConfig) -> Field:

@@ -10,12 +10,11 @@ land well clear of the gaps; see docs/formats.md for the exact values.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import DOMAIN_CHECK, stream
+from ._rng import CHUNK, DOMAIN_CHECK, stream
 from .errors import ConfigError
 from .mdp import FiniteMDP, bellman_apply
 from .norms import Norm, unit_max_norm, weighted_norm
@@ -82,9 +81,6 @@ class CheckReport:
             "verdict": self.verdict,
             "items": [it.to_json_dict() for it in self.items],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +185,11 @@ def check_step_size(policy: StepSizePolicy, horizon: int = 100_000,
 def activation_rates(policy: ActivationPolicy, d: int, horizon: int = 10_000,
                      seed: int = 0) -> np.ndarray:
     """Fraction of ticks each agent was active over a simulated window."""
-    sampler = make_activation_sampler(policy, d, seed, int(horizon))
-    counts = sum(map(sampler.next, range(int(horizon))), np.zeros(d, dtype=np.int64))
+    H = int(horizon)
+    sampler = make_activation_sampler(policy, d, seed, H)
+    counts = np.zeros(d, dtype=np.int64)
+    for start in range(0, H, CHUNK):
+        counts += sampler.take(min(CHUNK, H - start)).sum(axis=0)
     return counts / float(horizon)
 
 

@@ -10,12 +10,11 @@ Conventions
   a constant and draws nothing, round-robin computes a block of masks from
   the tick numbers, and Bernoulli keeps the coin rows with an active agent,
   drawing only as many more rows as its block still lacks.
-* AgentSchedule binds a run's step policy and reads the masks a block of
-  ticks at a time.  Its counters are advanced once per tick after the step
-  sizes for that tick have been read.
+* AgentSchedule binds a run's step policy and reads the masks a run of
+  ticks at a time with ``take``: each tick's step sizes are read from the
+  counters before that tick.
 * Every policy keeps a(n) in (0, 1]; constants are accepted for
-  diagnostics only and are flagged as neither vanishing nor square
-  summable.
+  diagnostics only.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import DOMAIN_ACTIVATION, Rows, constant, stream
+from ._rng import CHUNK, DOMAIN_ACTIVATION, Rows, constant, stream
 from .errors import ConfigError, InsufficientActivationError
 
 __all__ = [
@@ -52,15 +51,10 @@ class HarmonicSteps:
 
     c: float = 1.0
     kind: str = field(default="harmonic", init=False)
-    sum_diverges: bool = field(default=True, init=False)
 
     def __post_init__(self):
         if not self.c >= 1.0:
             raise ConfigError("harmonic steps need c >= 1")
-
-    @property
-    def square_summable(self) -> bool:
-        return True
 
     def a_of(self, counts: np.ndarray) -> np.ndarray:
         return 1.0 / (counts + self.c)
@@ -77,17 +71,12 @@ class PowerSteps:
     p: float
     c: float = 1.0
     kind: str = field(default="power", init=False)
-    sum_diverges: bool = field(default=True, init=False)
 
     def __post_init__(self):
         if not 0.0 < self.p <= 1.0:
             raise ConfigError("power steps need p in (0, 1]")
         if not self.c >= 1.0:
             raise ConfigError("power steps need c >= 1")
-
-    @property
-    def square_summable(self) -> bool:
-        return self.p > 0.5
 
     def a_of(self, counts: np.ndarray) -> np.ndarray:
         return 1.0 / (counts + self.c) ** self.p
@@ -99,15 +88,10 @@ class ConstantSteps:
 
     a0: float
     kind: str = field(default="constant", init=False)
-    sum_diverges: bool = field(default=True, init=False)
 
     def __post_init__(self):
         if not 0.0 < self.a0 <= 1.0:
             raise ConfigError("constant steps need a0 in (0, 1]")
-
-    @property
-    def square_summable(self) -> bool:
-        return False
 
     def a_of(self, counts: np.ndarray) -> np.ndarray:
         return np.full(np.shape(counts), self.a0)
@@ -196,11 +180,6 @@ def make_activation_sampler(policy: ActivationPolicy, d: int, seed: int,
     return Rows(fill, horizon)
 
 
-# (tick, agent) cells per block of drawn ticks: hundreds of ticks at small d,
-# and small next to a CHUNK-row block of an error or noise stream at any d
-_BLOCK_CELLS = 1024
-
-
 @dataclass(eq=False)
 class AgentSchedule:
     """Activation masks, per-agent update counters and step sizes for one
@@ -218,7 +197,6 @@ class AgentSchedule:
     counters: np.ndarray = field(init=False)
     sampler: Rows = field(init=False, repr=False)
     all_active: bool = field(init=False)
-    _block: tuple = field(default=(0, (), None, None), init=False, repr=False)
 
     def __post_init__(self):
         policy, d = self.policy, self.d
@@ -231,26 +209,16 @@ class AgentSchedule:
             or isinstance(policy, BernoulliActivation) and bool(np.all(policy.q == 1.0))
         )
 
-    def draw(self, n: int):
-        """Tick n's active mask and step sizes; moves ``counters`` past
-        tick n.
-
-        Ticks are drawn in order, a block of about ``_BLOCK_CELLS`` (tick,
-        agent) cells at a time, cut at ``horizon``: step sizes are read
-        from the counts before each tick, all at once.
-        """
-        start, active, step, after = self._block
-        k = n - start
-        if not 0 <= k < len(active):
-            size = max(1, min(_BLOCK_CELLS // self.d, self.horizon - n))
-            active = np.array([self.sampler.next(m) for m in range(n, n + size)])
-            after = np.cumsum(active, axis=0, dtype=np.int64)
-            after += self.counters
-            step = self.steps.a_of(after - active)
-            self._block = n, active, step, after
-            k = 0
-        self.counters = after[k]
-        return active[k], step[k]
+    def take(self, size: int):
+        """The next ``size`` ticks' ``(active, step, after)``: active masks,
+        step sizes read from the counts before each tick, and the counts
+        after each tick.  ``counters`` moves past the last of them."""
+        active = self.sampler.take(size)
+        after = np.cumsum(active, axis=0, dtype=np.int64)
+        after += self.counters
+        step = self.steps.a_of(after - active)
+        self.counters = after[-1].copy()
+        return active, step, after
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +235,10 @@ def timeline(policy: StepSizePolicy, schedule: AgentSchedule, ticks: int) -> np.
         raise ValueError("ticks must be >= 0")
     sched = AgentSchedule(schedule.policy, schedule.d, schedule.seed, ticks, policy)
     t = np.zeros(ticks + 1)
-    acc = 0.0
-    for m in range(ticks):
-        active, step = sched.draw(m)
-        acc += float(step[active].max())
-        t[m + 1] = acc
+    for start in range(0, ticks, CHUNK):
+        active, step, _ = sched.take(min(CHUNK, ticks - start))
+        t[start + 1: start + 1 + len(active)] = np.where(active, step, 0.0).max(axis=1)
+    np.cumsum(t, out=t)
     return t
 
 

@@ -170,6 +170,8 @@ def non_expansiveness_check(op, d: int, norm: Norm | None = None,
             continue
         num = weighted_norm(np.asarray(op(u)) - np.asarray(op(v)), norm)
         ratios.append(num / den)
+    if not ratios:
+        raise ConfigError(f"no usable point pair among {samples} samples")
     ratios = np.asarray(ratios)
     return {
         "samples": int(ratios.size),

@@ -127,8 +127,8 @@ DelayModel = ZeroDelays | UniformDelays | GeometricDelays | StaleRefreshDelays
 
 
 class _DelaySampler(Rows):
-    """Per-tick age matrices: ``matrix(n)`` is the next row of ``fill``'s
-    blocks, tick n's when the ticks before it were read in order.
+    """Per-tick age matrices, read in tick order with ``take``;
+    ``matrix(n)`` reads one, tick n's when the ticks before it were read.
 
     The diagonal is always zero: delays model communication between
     distinct agents, and an agent reads its own component directly.
@@ -304,7 +304,8 @@ def _max_norm(norm: Norm):
 
 
 class _RowSampler(Rows):
-    """Per-tick vectors: ``sample(n)`` is the next row of ``fill``'s blocks."""
+    """Per-tick vectors, read in tick order with ``take``; ``sample(n)``
+    reads one."""
 
     sample = Rows.next
 

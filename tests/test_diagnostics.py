@@ -82,7 +82,7 @@ def test_step_check_needs_a_real_window():
 
 def test_report_json_round_trip():
     report = check_step_size(HarmonicSteps(c=1.0), horizon=1000)
-    data = json.loads(report.to_json())
+    data = json.loads(json.dumps(report.to_json_dict(), sort_keys=True))
     assert data["name"] == "step-size"
     assert data["horizon"] == 1000
     assert data["verdict"] == "pass"
@@ -168,6 +168,11 @@ def test_contraction_estimate_respects_discount():
         assert contraction_estimate(mdp, samples=200) <= 0.9 + 1e-12
     loose = random_mdp(4, 3, seed=2, discount=0.5)
     assert contraction_estimate(loose) <= 0.5 + 1e-12
+
+
+def test_contraction_estimate_needs_a_sample():
+    with pytest.raises(ConfigError, match="no usable point pair among 0 samples"):
+        contraction_estimate(random_mdp(3, 2, 0), samples=0)
 
 
 def test_gradient_fidelity_on_smooth_surfaces():

@@ -38,15 +38,6 @@ def test_power_and_constant_validation():
         ConstantSteps(a0=1.5)
 
 
-def test_square_summable_flags():
-    assert HarmonicSteps(c=1.0).square_summable
-    assert not PowerSteps(p=0.4).square_summable
-    assert PowerSteps(p=0.6).square_summable
-    assert not ConstantSteps(a0=0.1).square_summable
-    for policy in (HarmonicSteps(), PowerSteps(p=0.7), ConstantSteps(a0=1.0)):
-        assert policy.sum_diverges
-
-
 def test_step_policy_config_round_trip_and_errors():
     for policy in (HarmonicSteps(c=3.0), PowerSteps(p=0.6, c=2.0),
                    ConstantSteps(a0=0.25)):
@@ -74,7 +65,7 @@ def test_all_active_counters_track_tick():
     sched = AgentSchedule(AllActive(), 3, seed=0, horizon=5, steps=HarmonicSteps())
     assert sched.all_active
     for n in range(5):
-        mask, _ = sched.draw(n)
+        (mask,), _, _ = sched.take(1)
         assert mask.all()
     assert sched.counters.tolist() == [5, 5, 5]
 
@@ -83,7 +74,7 @@ def test_round_robin_cycles_in_index_order():
     sched = AgentSchedule(RoundRobin(k=2), 3, seed=0, horizon=3, steps=HarmonicSteps())
     masks = []
     for n in range(3):
-        mask, _ = sched.draw(n)
+        (mask,), _, _ = sched.take(1)
         masks.append(np.flatnonzero(mask).tolist())
     assert masks == [[0, 1], [0, 2], [1, 2]]
     assert sched.counters.tolist() == [2, 2, 2]
@@ -93,7 +84,7 @@ def test_bernoulli_respects_per_agent_rates():
     sched = AgentSchedule(BernoulliActivation(q=[0.5, 1.0]), 2, seed=0,
                           horizon=10_000, steps=HarmonicSteps())
     for n in range(10_000):
-        mask, _ = sched.draw(n)
+        (mask,), _, _ = sched.take(1)
         assert mask.any()
     rates = sched.counters / 10_000
     assert rates[1] == 1.0
@@ -127,12 +118,10 @@ def test_timeline_round_robin_uses_active_agent_counter():
 
 
 def _counters_trace(policy, d, ticks, seed=0):
+    # row n: the counts before tick n
     sched = AgentSchedule(policy, d, seed, horizon=ticks, steps=HarmonicSteps())
-    rows = np.zeros((ticks, d), dtype=np.int64)
-    for n in range(ticks):
-        rows[n] = sched.counters
-        sched.draw(n)
-    return rows
+    active, _, after = sched.take(ticks)
+    return after - active
 
 
 def test_balance_ratio_self_is_exactly_one():
@@ -180,4 +169,4 @@ def test_all_active_is_read_from_the_policy(policy, d, expected):
     sched = AgentSchedule(policy, d, seed=0, horizon=4, steps=HarmonicSteps())
     assert sched.all_active is expected
     if expected:
-        assert all(sched.draw(n)[0].all() for n in range(4))
+        assert all(sched.take(1)[0].all() for n in range(4))

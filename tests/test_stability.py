@@ -113,3 +113,9 @@ def test_bellman_operator_is_discount_contractive():
 def test_non_expansiveness_flags_expansive_map():
     report = non_expansiveness_check(lambda v: 2.0 * v, d=3, samples=50)
     assert report["max_ratio"] == pytest.approx(2.0)
+
+
+def test_non_expansiveness_check_needs_a_sample():
+    mdp = random_mdp(3, 2, 0)
+    with pytest.raises(ConfigError, match="no usable point pair among 0 samples"):
+        non_expansiveness_check(lambda v: bellman_apply(mdp, v), d=3, samples=0)

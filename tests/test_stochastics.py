@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -342,24 +343,24 @@ def _digest(draw) -> str:
     return h.hexdigest()
 
 
-def _stream_digests() -> dict[str, str]:
+def _stream_digests(reader=lambda sampler: sampler.next) -> dict[str, str]:
     out = {}
     for name, model in _DELAY_VARIANTS.items():
         out[f"delays/{name}"] = _digest(
-            make_delay_sampler(model, D, seed=7, horizon=_DRAWS).matrix)
+            reader(make_delay_sampler(model, D, seed=7, horizon=_DRAWS)))
     for name, model in _ERROR_VARIANTS.items():
         out[f"errors/{name}"] = _digest(
-            make_error_sampler(model, D, seed=7, horizon=_DRAWS).sample)
+            reader(make_error_sampler(model, D, seed=7, horizon=_DRAWS)))
         if name not in ("zero", "fixed-bias"):
             alt = make_error_sampler(model, D, seed=7, horizon=_DRAWS,
                                      domain=DOMAIN_ERROR_ALT)
-            out[f"errors/{name}/alt"] = _digest(alt.sample)
+            out[f"errors/{name}/alt"] = _digest(reader(alt))
     for name, model in _NOISE_VARIANTS.items():
         out[f"noise/{name}"] = _digest(
-            make_noise_sampler(model, D, seed=7, horizon=_DRAWS).sample)
+            reader(make_noise_sampler(model, D, seed=7, horizon=_DRAWS)))
     for name, policy in _ACTIVATION_VARIANTS.items():
         out[f"activation/{name}"] = _digest(
-            make_activation_sampler(policy, D, seed=7, horizon=_DRAWS).next)
+            reader(make_activation_sampler(policy, D, seed=7, horizon=_DRAWS)))
     return out
 
 
@@ -391,3 +392,17 @@ _STREAM_DIGESTS = {
 
 def test_sampler_streams_are_frozen():
     assert _stream_digests() == _STREAM_DIGESTS
+
+
+def _in_runs(sampler):
+    """Row n of ``sampler``, read with ``take`` in runs of 1, 42, 3000 and
+    5 rows; the run from row 3091 spans the block boundary at CHUNK."""
+    rows = []
+    sizes = itertools.cycle((1, 42, 3000, 5))
+    while len(rows) < _DRAWS:
+        rows.extend(sampler.take(min(next(sizes), _DRAWS - len(rows))))
+    return rows.__getitem__
+
+
+def test_reading_streams_in_runs_keeps_their_digests():
+    assert _stream_digests(_in_runs) == _STREAM_DIGESTS
