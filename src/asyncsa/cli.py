@@ -29,6 +29,7 @@ from .diagnostics import (
     a2vi_residual_report,
     check_activation,
     check_step_size,
+    worst_verdict,
 )
 from .errors import ConfigError, DivergenceError
 from .experiment import (
@@ -185,13 +186,7 @@ def _cmd_check(args) -> int:
     _emit({
         "step_size": steps_report.to_json_dict(),
         "activation": act_report.to_json_dict(),
-        "verdict": (
-            "fail"
-            if "fail" in (steps_report.verdict, act_report.verdict)
-            else "inconclusive"
-            if "inconclusive" in (steps_report.verdict, act_report.verdict)
-            else "pass"
-        ),
+        "verdict": worst_verdict([steps_report.verdict, act_report.verdict]),
     })
     return 0
 

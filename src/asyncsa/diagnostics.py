@@ -24,6 +24,7 @@ from .stability import non_expansiveness_check
 __all__ = [
     "CheckItem",
     "CheckReport",
+    "worst_verdict",
     "check_step_size",
     "activation_rates",
     "check_activation",
@@ -53,6 +54,12 @@ class CheckItem:
         }
 
 
+def worst_verdict(verdicts) -> str:
+    """The worst of some verdicts: fail, then inconclusive, then pass."""
+    verdicts = set(verdicts)
+    return next((v for v in ("fail", "inconclusive") if v in verdicts), "pass")
+
+
 @dataclass(eq=False)
 class CheckReport:
     name: str
@@ -61,12 +68,7 @@ class CheckReport:
 
     @property
     def verdict(self) -> str:
-        verdicts = {item.verdict for item in self.items}
-        if "fail" in verdicts:
-            return "fail"
-        if "inconclusive" in verdicts:
-            return "inconclusive"
-        return "pass"
+        return worst_verdict(item.verdict for item in self.items)
 
     def item(self, name: str) -> CheckItem:
         for it in self.items:

@@ -13,9 +13,8 @@ reproducible in isolation.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -34,7 +33,7 @@ from .errors import ConfigError, DivergenceError
 from .fields import random_pd_matrix
 from .schedules import AllActive, HarmonicSteps
 from .stochastics import ComponentUniformErrors, StaleRefreshDelays, ZeroNoise
-from .trace import _fmt
+from .trace import read_table, write_table
 
 __all__ = [
     "EPS_GRID",
@@ -59,6 +58,8 @@ EPS_GRID = tuple(round(k / 10.0, 1) for k in range(2, 31))
 _AGG_COLUMNS = (
     "run_id", "epsilon", "error_norm", "log_final_norm", "p_c", "seed", "status",
 )
+_AGG_FLOATS = ("epsilon", "error_norm", "log_final_norm", "p_c")
+_LONG_COLUMNS = ("epsilon", "seed", "log_final_norm")
 
 _STUDY_HORIZON = 1000
 _STUDY_STEP_C = 10.0
@@ -187,53 +188,24 @@ def write_aggregate_csv(result: AggregateResult, path) -> None:
         "horizon": _STUDY_HORIZON,
         "step_c": _STUDY_STEP_C,
     }
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# schema: {AGGREGATE_SCHEMA}\n")
-        fh.write(f"# config: {json.dumps(meta, sort_keys=True)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(_AGG_COLUMNS)
-        for r in result.rows:
-            writer.writerow([
-                r["run_id"],
-                _fmt(r["epsilon"]),
-                _fmt(r["error_norm"]),
-                _fmt(r["log_final_norm"]),
-                _fmt(r["p_c"]),
-                r["seed"],
-                r["status"],
-            ])
+    rows = result.rows
+    write_table(path, AGGREGATE_SCHEMA, [("config", meta)], _AGG_COLUMNS, [
+        np.array([r[c] for r in rows], dtype=float) if c in _AGG_FLOATS
+        else [r[c] for r in rows]
+        for c in _AGG_COLUMNS
+    ])
 
 
 def read_aggregate_csv(path) -> tuple[dict, list[dict]]:
-    meta = {}
-    rows = []
-    with open(path, newline="") as fh:
-        header_seen = False
-        for record in csv.reader(_strip_comments(fh, meta)):
-            if not header_seen:
-                if tuple(record) != _AGG_COLUMNS:
-                    raise ConfigError(f"{path}: unexpected aggregate columns")
-                header_seen = True
-                continue
-            rows.append({
-                "run_id": record[0],
-                "epsilon": float(record[1]),
-                "error_norm": float(record[2]),
-                "log_final_norm": float(record[3]),
-                "p_c": float(record[4]),
-                "seed": int(record[5]),
-                "status": record[6],
-            })
+    meta, _, records = read_table(path, {AGGREGATE_SCHEMA: _AGG_COLUMNS})
+    rows = [
+        {
+            c: float(v) if c in _AGG_FLOATS else int(v) if c == "seed" else v
+            for c, v in zip(_AGG_COLUMNS, record)
+        }
+        for record in records
+    ]
     return meta, rows
-
-
-def _strip_comments(fh, meta: dict):
-    for line in fh:
-        if line.startswith("# "):
-            key, _, value = line[2:].partition(":")
-            meta[key.strip()] = value.strip()
-            continue
-        yield line
 
 
 def emit_plot_data(result: AggregateResult, path, style: str = "wide") -> None:
@@ -241,37 +213,31 @@ def emit_plot_data(result: AggregateResult, path, style: str = "wide") -> None:
     if style not in ("wide", "long"):
         raise ConfigError(f"unknown plot style {style!r}")
     ok = [r for r in result.rows if r["status"] == "ok"]
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# schema: plot-{style}-v1\n")
-        writer = csv.writer(fh)
-        if style == "long":
-            writer.writerow(["epsilon", "seed", "log_final_norm"])
-            for r in sorted(ok, key=lambda r: (r["epsilon"], r["seed"])):
-                writer.writerow([
-                    _fmt(r["epsilon"]), r["seed"], _fmt(r["log_final_norm"]),
-                ])
-            return
-        seeds = list(result.seeds)
-        writer.writerow(["epsilon"] + [f"s{s}" for s in seeds] + ["median"])
-        by_cell = {(r["epsilon"], r["seed"]): r["log_final_norm"] for r in ok}
-        for e in result.eps_grid:
-            vals = [by_cell.get((e, s)) for s in seeds]
-            present = [v for v in vals if v is not None]
-            writer.writerow(
-                [_fmt(e)]
-                + ["" if v is None else _fmt(v) for v in vals]
-                + [_fmt(float(np.median(present))) if present else ""]
-            )
+    if style == "long":
+        ok.sort(key=lambda r: (r["epsilon"], r["seed"]))
+        write_table(path, "plot-long-v1", [], _LONG_COLUMNS, [
+            np.array([r["epsilon"] for r in ok], dtype=float),
+            [r["seed"] for r in ok],
+            np.array([r["log_final_norm"] for r in ok], dtype=float),
+        ])
+        return
+    seeds = list(result.seeds)
+    by_cell = {(r["epsilon"], r["seed"]): r["log_final_norm"] for r in ok}
+    grid = [[by_cell.get((e, s)) for s in seeds] for e in result.eps_grid]
+    present = [[v for v in row if v is not None] for row in grid]
+    write_table(path, "plot-wide-v1", [],
+                ["epsilon"] + [f"s{s}" for s in seeds] + ["median"],
+                [np.array(result.eps_grid, dtype=float), *zip(*grid),
+                 [float(np.median(p)) if p else None for p in present]])
 
 
 def read_plot_data(path) -> dict:
-    with open(path, newline="") as fh:
-        schema_line = fh.readline().strip()
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [row for row in reader]
-    return {"schema": schema_line.removeprefix("# schema: "),
-            "columns": header, "rows": rows}
+    meta, header, rows = read_table(path, {
+        "plot-wide-v1": lambda header: ["epsilon"] + [
+            c for c in header[1:-1] if re.fullmatch(r"s-?\d+", c)] + ["median"],
+        "plot-long-v1": _LONG_COLUMNS,
+    })
+    return {"schema": meta["schema"], "columns": header, "rows": rows}
 
 
 # ---------------------------------------------------------------------------
@@ -315,20 +281,9 @@ def write_sweep_csv(spec: SweepSpec, rows: list[dict], path) -> None:
         "parameters": {k: list(v) for k, v in spec.parameters.items()},
         "replicates": spec.replicates,
     }
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# schema: {SWEEP_SCHEMA}\n")
-        fh.write(f"# config: {json.dumps(meta, sort_keys=True)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["index", *axes, "replicate", "seed", "value", "status"])
-        for r in rows:
-            writer.writerow([
-                r["index"],
-                *(
-                    _fmt(r[a]) if isinstance(r[a], float) else r[a]
-                    for a in axes
-                ),
-                r["replicate"],
-                r["seed"],
-                _fmt(r["value"]),
-                r["status"],
-            ])
+    header = ["index", *axes, "replicate", "seed", "value", "status"]
+    write_table(path, SWEEP_SCHEMA, [("config", meta)], header, [
+        np.array([r["value"] for r in rows], dtype=float) if c == "value"
+        else [r[c] for r in rows]
+        for c in header
+    ])

@@ -11,8 +11,6 @@ weaker growth bound paid for by the error mismatch).
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,7 +21,7 @@ from .core import IterateHistory, apply_tick, build_runtime, tick_loop
 from .errors import ConfigError
 from .norms import Norm, weighted_norm
 from .stochastics import make_error_sampler
-from .trace import _fmt
+from .trace import write_table
 
 __all__ = [
     "PairedRun",
@@ -182,16 +180,11 @@ def non_expansiveness_check(op, d: int, norm: Norm | None = None,
 
 def write_gap_csv(paired: PairedRun, path) -> None:
     """Gap series as CSV; row n carries the tick-n event flag."""
-    N = len(paired.step_bound)
-    event_at = np.zeros(N + 1, dtype=bool)
-    for t in paired.projection_ticks:
-        if t >= 0:
-            event_at[t] = True
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# schema: {GAP_SCHEMA}\n")
-        fh.write(f"# seed: {paired.meta['seed']}\n")
-        fh.write(f"# config: {json.dumps(paired.meta['config'], sort_keys=True)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["n", "gap", "projected"])
-        for n in range(N + 1):
-            writer.writerow([n, _fmt(paired.gap[n]), int(event_at[n])])
+    event_at = np.zeros(len(paired.gap), dtype=bool)
+    event_at[[t for t in paired.projection_ticks if t >= 0]] = True
+    write_table(
+        path, GAP_SCHEMA,
+        [("seed", paired.meta["seed"]), ("config", paired.meta["config"])],
+        ["n", "gap", "projected"],
+        [np.arange(len(paired.gap)), paired.gap, event_at],
+    )

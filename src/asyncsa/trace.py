@@ -1,4 +1,4 @@
-"""Run traces and their on-disk forms.
+"""Run traces, their on-disk forms, and the CSV table codec.
 
 One row per tick n = 0..N.  Row n pairs the iterate x_n with the update
 event applied at tick n (active flags, per-agent step sizes, error norm,
@@ -6,23 +6,101 @@ projection flag); the final row has no event, so its event fields are
 zero.  The CSV and JSON-lines forms carry identical data and both embed
 the resolved config and seed, making every output self-describing.
 
-Float cells are written with repr so parsing them back is exact, and a
-fixed column order plus canonical JSON keys make equal runs produce
-byte-identical files.
+Every CSV the package writes goes through ``write_table`` and is read
+back through ``read_table``.  Float cells are written with repr so
+parsing them back is exact, and a fixed column order plus canonical JSON
+keys make equal runs produce byte-identical files.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
+from .errors import ConfigError
+
 SCHEMA = "trace-v1"
 
+# trace-v1 rows end in "\n"; every other table keeps csv.writer's "\r\n"
+_ROW_END = {SCHEMA: "\n"}
+# rows converted to Python cells at a time, which bounds a writer's memory
+_BLOCK_ROWS = 1024
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+
+def _cells(column) -> list:
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind == "f":
+            return column.tolist()
+        return column.astype(np.int64).tolist()
+    return column
+
+
+def write_table(path, schema: str, meta, header, columns) -> None:
+    """Write one CSV table: comment lines, the header, then the rows.
+
+    The comment lines are ``# schema: <schema>`` and then one
+    ``# key: value`` line per ``(key, value)`` pair of ``meta``, in order,
+    with ``config`` as sorted-key JSON.  ``columns`` holds one column per
+    header name.  A numpy column is written by its dtype: floats with
+    repr, anything else (bool flags, counts) as ints.  A list column is
+    written as it is: floats with repr, None as an empty cell, anything
+    else with str.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# schema: {schema}\n")
+        for key, value in meta:
+            if key == "config":
+                value = json.dumps(value, sort_keys=True)
+            fh.write(f"# {key}: {value}\n")
+        writer = csv.writer(fh, lineterminator=_ROW_END.get(schema, "\r\n"))
+        writer.writerow(header)
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            writer.writerows(zip(*(_cells(column[block]) for column in columns)))
+
+
+def read_table(path, headers: dict) -> tuple[dict, list[str], list[list[str]]]:
+    """Read a table written by ``write_table``: its comment meta (with
+    ``config`` parsed as JSON, every other value a string), its header and
+    its rows of string cells.
+
+    ``headers`` maps each schema the caller accepts to the header it
+    expects: a sequence of column names, or a function of the header read
+    that returns them, for tables whose width varies.  A file whose schema
+    line or header differs raises ``ConfigError``.
+    """
+    meta: dict = {}
+    with open(path, newline="") as fh:
+        line = fh.readline()
+        while line.startswith("# "):
+            key, _, value = line[2:].rstrip("\r\n").partition(": ")
+            meta[key] = json.loads(value) if key == "config" else value
+            line = fh.readline()
+        schema = meta.get("schema")
+        if schema not in headers:
+            raise ConfigError(
+                f"{path}: schema {schema!r} is not one of {sorted(headers)}")
+        reader = csv.reader(chain([line], fh))
+        header = next(reader, [])
+        expected = headers[schema]
+        expected = list(expected(header) if callable(expected) else expected)
+        if header != expected:
+            raise ConfigError(f"{path}: {schema} header {header} is not {expected}")
+        return meta, header, list(reader)
+
+
+def _trace_header(d: int) -> list[str]:
+    return (
+        ["n"]
+        + [f"y{i + 1}" for i in range(d)]
+        + [f"x{i + 1}" for i in range(d)]
+        + [f"a{i + 1}" for i in range(d)]
+        + ["eps_norm", "residual", "projected"]
+    )
 
 
 @dataclass(eq=False)
@@ -48,95 +126,63 @@ class RunTrace:
     def final_x(self) -> np.ndarray:
         return self.x[-1]
 
-    def header_lines(self) -> list[str]:
-        return [
-            f"# schema: {SCHEMA}",
-            f"# seed: {self.meta.get('seed')}",
-            f"# config: {json.dumps(self.meta.get('config', {}), sort_keys=True)}",
-        ]
-
-    def column_names(self) -> list[str]:
-        d = self.d
-        return (
-            ["n"]
-            + [f"y{i + 1}" for i in range(d)]
-            + [f"x{i + 1}" for i in range(d)]
-            + [f"a{i + 1}" for i in range(d)]
-            + ["eps_norm", "residual", "projected"]
+    def write_csv(self, path) -> None:
+        write_table(
+            path, SCHEMA,
+            [("seed", self.meta.get("seed")), ("config", self.meta.get("config", {}))],
+            _trace_header(self.d),
+            [np.arange(len(self.x)), *self.active.T, *self.x.T, *self.step.T,
+             self.eps_norm, self.residual, self.projected],
         )
 
-    def write_csv(self, path) -> None:
-        d = self.d
-        with open(path, "w") as fh:
-            for line in self.header_lines():
-                fh.write(line + "\n")
-            fh.write(",".join(self.column_names()) + "\n")
-            for n in range(len(self.x)):
-                cells = [str(n)]
-                cells += [str(int(v)) for v in self.active[n]]
-                cells += [_fmt(v) for v in self.x[n]]
-                cells += [_fmt(v) for v in self.step[n]]
-                cells += [_fmt(self.eps_norm[n]), _fmt(self.residual[n])]
-                cells += [str(int(self.projected[n]))]
-                fh.write(",".join(cells) + "\n")
-
     def write_jsonl(self, path) -> None:
+        head = {
+            "schema": SCHEMA,
+            "seed": self.meta.get("seed"),
+            "config": self.meta.get("config", {}),
+        }
         with open(path, "w") as fh:
-            head = {
-                "schema": SCHEMA,
-                "seed": self.meta.get("seed"),
-                "config": self.meta.get("config", {}),
-            }
             fh.write(json.dumps(head, sort_keys=True) + "\n")
-            for n in range(len(self.x)):
-                row = {
-                    "n": n,
-                    "active": [int(v) for v in self.active[n]],
-                    "x": [float(v) for v in self.x[n]],
-                    "step": [float(v) for v in self.step[n]],
-                    "eps_norm": float(self.eps_norm[n]),
-                    "residual": float(self.residual[n]),
-                    "projected": int(self.projected[n]),
-                }
-                fh.write(json.dumps(row) + "\n")
+            for start in range(0, len(self.x), _BLOCK_ROWS):
+                block = slice(start, start + _BLOCK_ROWS)
+                fh.writelines(
+                    json.dumps({"n": n, "active": a, "x": x, "step": st,
+                                "eps_norm": e, "residual": r, "projected": p}) + "\n"
+                    for n, a, x, st, e, r, p in zip(
+                        range(start, len(self.x)),
+                        self.active[block].astype(np.int64).tolist(),
+                        self.x[block].tolist(), self.step[block].tolist(),
+                        self.eps_norm[block].tolist(), self.residual[block].tolist(),
+                        self.projected[block].astype(np.int64).tolist())
+                )
 
 
 def read_trace_csv(path) -> dict:
     """Parse a trace CSV back into meta plus float arrays (exact values)."""
-    meta: dict = {}
-    rows: list[list[str]] = []
-    header: list[str] | None = None
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if line.startswith("# "):
-                key, _, value = line[2:].partition(": ")
-                meta[key] = json.loads(value) if key == "config" else value
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            rows.append(line.split(","))
-    if header is None:
-        raise ValueError(f"{path}: no header row")
-    d = sum(1 for c in header if c.startswith("x"))
-    data = np.array([[float(v) for v in row] for row in rows])
-    cols = {name: i for i, name in enumerate(header)}
+    meta, header, rows = read_table(
+        path, {SCHEMA: lambda header: _trace_header(max(len(header) - 4, 0) // 3)})
+    d = (len(header) - 4) // 3
+    data = np.array([[float(v) for v in row] for row in rows]).reshape(len(rows), len(header))
     return {
         "meta": meta,
-        "n": data[:, cols["n"]].astype(int),
-        "active": data[:, [cols[f"y{i + 1}"] for i in range(d)]].astype(int),
-        "x": data[:, [cols[f"x{i + 1}"] for i in range(d)]],
-        "step": data[:, [cols[f"a{i + 1}"] for i in range(d)]],
-        "eps_norm": data[:, cols["eps_norm"]],
-        "residual": data[:, cols["residual"]],
-        "projected": data[:, cols["projected"]].astype(int),
+        "n": data[:, 0].astype(int),
+        "active": data[:, 1:1 + d].astype(int),
+        "x": data[:, 1 + d:1 + 2 * d],
+        "step": data[:, 1 + 2 * d:1 + 3 * d],
+        "eps_norm": data[:, -3],
+        "residual": data[:, -2],
+        "projected": data[:, -1].astype(int),
     }
 
 
 def read_trace_jsonl(path) -> dict:
     with open(path) as fh:
-        head = json.loads(fh.readline())
+        try:
+            head = json.loads(fh.readline())
+        except ValueError:
+            head = None
+        if not isinstance(head, dict) or head.get("schema") != SCHEMA:
+            raise ConfigError(f"{path}: not a {SCHEMA} JSON-lines trace")
         rows = [json.loads(line) for line in fh if line.strip()]
     return {
         "meta": head,

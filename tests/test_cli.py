@@ -158,6 +158,18 @@ def test_check_command(run_yaml, capsys):
     assert report["activation"]["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("p, verdict", [(0.4, "fail"), (0.6, "inconclusive")])
+def test_check_command_takes_the_worst_report_verdict(run_yaml, capsys, p, verdict):
+    run_yaml.write_text(RUN_YAML.replace("{kind: harmonic, c: 10.0}",
+                                         f"{{kind: power, p: {p}, c: 10.0}}"))
+    code = main(["check", "--config", str(run_yaml), "--horizon", "10000"])
+    assert code == 0
+    report = _json_out(capsys)
+    assert report["step_size"]["verdict"] == verdict
+    assert report["activation"]["verdict"] == "pass"
+    assert report["verdict"] == verdict
+
+
 def test_a2vi_command(fixtures_dir, tmp_path, capsys):
     out = tmp_path / "vi.csv"
     code = main(["a2vi", "--fixture", str(fixtures_dir / "mdp_5s2a.txt"),

@@ -111,6 +111,7 @@ def test_aggregate_csv_round_trip(tmp_path):
     assert lines[2].split(",")[0] == "run_id"
     meta, rows = read_aggregate_csv(path)
     assert meta["schema"] == "aggregate-v1"
+    assert meta["config"]["seeds"] == list(result.seeds)
     assert rows == result.rows  # repr formatting keeps floats exact
 
 
