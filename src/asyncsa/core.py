@@ -6,11 +6,11 @@ One tick of the recursion updates only the active coordinates:
 
 where nu(n, i) counts how often agent i was active on ticks m < n, and the
 drive for agent i is evaluated on that agent's own (possibly stale) view of
-the iterate.  Only the drive depends on the iterate: :func:`draw_tick`
-draws everything else (active set, step sizes, delays, errors, noise) and
-advances the activation counters, and :func:`apply_tick` only moves the
-iterate.  Every run mode iterates :func:`tick_loop`, so traced runs, light
-runs, and paired runs cannot drift apart numerically.
+the iterate.  Only the drive depends on the iterate: :func:`draw_block`
+draws everything else (active set, step sizes, delays, errors, noise) a
+block of ticks at a time, :func:`draw_tick` serves that block one row per
+tick, and :func:`apply_tick` only moves the iterate.  Every run mode
+iterates :func:`tick_loop`, so traced, light and paired runs cannot drift apart.
 
 An optional projection region turns the plain step into the projective
 variant: whenever the tentative iterate leaves the open outer ball, it is
@@ -62,10 +62,12 @@ __all__ = [
     "ProjectionRegion",
     "StochasticModels",
     "TickSample",
+    "TickBlock",
     "RunResult",
     "RuntimeBundle",
     "build_field",
     "build_runtime",
+    "draw_block",
     "draw_tick",
     "apply_tick",
     "tick_loop",
@@ -210,8 +212,8 @@ class StochasticModels:
 class TickSample:
     """Every input of one tick that does not depend on the iterate.
 
-    ``step`` holds every agent's step size a(nu(n, i)), read from the
-    activation counters before they are advanced past tick n.
+    ``step`` holds every agent's step size a(nu(n, i)), read from its
+    count of activations before tick n.
     ``all_active`` is set when the activation policy activates every agent
     on every tick; the update then skips the mask.
     """
@@ -224,36 +226,55 @@ class TickSample:
     all_active: bool = False
 
 
+@dataclass(eq=False, slots=True)
+class TickBlock:
+    """The drawn inputs of ticks ``start``, ``start + 1``, ..., one row per
+    tick, as in :class:`TickSample`; ``tau`` is None under zero delays."""
+
+    start: int
+    active: np.ndarray
+    step: np.ndarray
+    tau: np.ndarray | None
+    eps: np.ndarray
+    noise: np.ndarray
+
+
 # (tick, agent) cells per block of drawn ticks: hundreds of ticks at small d,
 # and small next to a CHUNK-row block of an error or noise stream at any d
 BLOCK_CELLS = 1024
 
 
-def draw_tick(n: int, bundle: RuntimeBundle) -> TickSample:
-    """Tick ``n``'s inputs; sets the activation counters past tick n.
+def draw_block(n: int, size: int, bundle: RuntimeBundle) -> TickBlock:
+    """The inputs of ticks ``n .. n + size - 1``, the next rows of every
+    stream; the activation counters move once, past the last of them."""
+    models = bundle.models
+    active, step = bundle.schedule.take(size)
+    tau = None if models.delays.always_zero else models.delays.take(size)
+    return TickBlock(n, active, step, tau, models.errors.take(size),
+                     models.noise.take(size))
 
-    Ticks are drawn in order, about ``BLOCK_CELLS`` (tick, agent) cells of
-    every input at a time, cut at the horizon.  A block's last row is
-    served as copies, so a caller holding only the latest sample keeps no
-    spent block alive.  An agent's first activation uses a(0).
+
+def draw_tick(n: int, bundle: RuntimeBundle) -> TickSample:
+    """Tick ``n``'s inputs, one row of ``bundle.block``.
+
+    Ticks are drawn in order by :func:`draw_block`, about ``BLOCK_CELLS``
+    (tick, agent) cells at a time, cut at the horizon.  A block's last row
+    is served as copies, so a caller holding only the latest sample keeps
+    no spent block alive.
     """
-    schedule, block = bundle.schedule, bundle.block
-    k = n - block[0]
-    if not 0 <= k < len(block[1]):
+    block = bundle.block
+    if block is None or not 0 <= (k := n - block.start) < len(block.active):
         block = bundle.block = None  # release the spent block before the fills
-        models = bundle.models
         size = max(1, min(BLOCK_CELLS // bundle.d, bundle.horizon - n))
-        tau = None if models.delays.always_zero else models.delays.take(size)
-        block = bundle.block = (n, *schedule.take(size), tau,
-                                models.errors.take(size), models.noise.take(size))
+        block = bundle.block = draw_block(n, size, bundle)
         k = 0
-    if k + 1 == len(block[1]):  # the last row: copies, so no sample holds the block
-        block = bundle.block = (n, *(a if a is None else a[k:].copy() for a in block[1:]))
+    if k + 1 == len(block.active):  # the last row: copies, so no sample holds the block
+        block = bundle.block = TickBlock(n, *(None if a is None else a[k:].copy() for a in (
+            block.active, block.step, block.tau, block.eps, block.noise)))
         k = 0
-    _, active, step, after, tau, eps, noise = block
-    schedule.counters = after[k]
-    return TickSample(active[k], step[k], None if tau is None else tau[k], eps[k],
-                      noise[k], schedule.all_active)
+    tau = block.tau
+    return TickSample(block.active[k], block.step[k], None if tau is None else tau[k],
+                      block.eps[k], block.noise[k], bundle.schedule.all_active)
 
 
 def apply_tick(history: IterateHistory, field: Field, sample: TickSample,
@@ -308,14 +329,12 @@ class RuntimeBundle:
 
     d: int
     horizon: int
-    seed: int
     field: Field
     schedule: AgentSchedule
     models: StochasticModels
     region: ProjectionRegion | None
     x0: np.ndarray
-    # draw_tick's block: (first tick, active, step, after, ages, errors, noise)
-    block: tuple = (0, ())
+    block: TickBlock | None = None  # the block draw_tick serves rows from
 
 
 def build_field(cfg: RunConfig) -> Field:
@@ -371,7 +390,6 @@ def build_runtime(cfg: RunConfig) -> RuntimeBundle:
     return RuntimeBundle(
         d=d,
         horizon=cfg.horizon,
-        seed=cfg.seed,
         field=field,
         schedule=schedule,
         models=models,
@@ -389,6 +407,12 @@ def _start(bundle: RuntimeBundle) -> tuple[np.ndarray, bool]:
     if bundle.region is None:
         return bundle.x0, False
     return bundle.region.project(bundle.x0)
+
+
+def _meta(cfg: RunConfig, bundle: RuntimeBundle, projected0: bool) -> dict:
+    """The meta a traced or paired run writes ahead of its rows."""
+    return {"seed": int(cfg.seed), "config": run_config_to_dict(cfg, x0=bundle.x0),
+            "initial_projection": projected0}
 
 
 def run(cfg: RunConfig) -> RunTrace:
@@ -410,11 +434,6 @@ def run(cfg: RunConfig) -> RunTrace:
     res_tr = np.zeros(N + 1)
     proj_tr = np.zeros(N + 1, dtype=bool)
 
-    meta = {
-        "seed": bundle.seed,
-        "config": run_config_to_dict(cfg, x0=bundle.x0),
-        "initial_projection": projected0,
-    }
     field = bundle.field
     zero_delay = bundle.models.delays.always_zero
 
@@ -425,7 +444,7 @@ def run(cfg: RunConfig) -> RunTrace:
         counters = np.zeros((upto + 1, d), dtype=np.int64)
         np.cumsum(active_tr[:upto], axis=0, dtype=np.int64, out=counters[1:])
         return RunTrace(
-            meta=meta,
+            meta=_meta(cfg, bundle, projected0),
             x=history.snapshot(upto),
             active=active_tr[: upto + 1],
             step=step_tr[: upto + 1],

@@ -17,7 +17,7 @@ import numpy as np
 from ._rng import CHUNK, DOMAIN_CHECK, stream
 from .errors import ConfigError
 from .mdp import FiniteMDP, bellman_apply
-from .norms import Norm, unit_max_norm, weighted_norm
+from .norms import unit_max_norm, weighted_norm
 from .schedules import ActivationPolicy, StepSizePolicy, make_activation_sampler
 from .stability import non_expansiveness_check
 
@@ -89,13 +89,12 @@ class CheckReport:
 # step-size checks
 
 
-def check_step_size(policy: StepSizePolicy, horizon: int = 100_000,
-                    eta: float = 0.6) -> CheckReport:
+def check_step_size(policy: StepSizePolicy, horizon: int = 100_000) -> CheckReport:
     """Window-based verdicts on the standard step-size conditions.
 
     Items: every step at most one; eventually non-increasing; divergent
     partial sums; square-summable tail; and compatibility with read
-    delays growing like n**eta.
+    delays growing like n**0.6.
     """
     H = int(horizon)
     if H < 100:
@@ -159,7 +158,7 @@ def check_step_size(policy: StepSizePolicy, horizon: int = 100_000,
         details={"block_1": b1, "block_2": b2},
     ))
 
-    scaled = a * n.astype(float) ** eta
+    scaled = a * n.astype(float) ** 0.6
     head = float(scaled[H // 10: H // 5].max())
     tail_max = float(scaled[H // 2:].max())
     ratio = tail_max / head if head > 0 else float("inf")
@@ -173,8 +172,8 @@ def check_step_size(policy: StepSizePolicy, horizon: int = 100_000,
         name="delay-compatible",
         verdict=verdict,
         statistic=ratio,
-        threshold=f"tail/head max of a(n)*n^{eta} <= 1.02 pass, >= 1.2 fail",
-        details={"eta": eta, "head_max": head, "tail_max": tail_max},
+        threshold="tail/head max of a(n)*n^0.6 <= 1.02 pass, >= 1.2 fail",
+        details={"eta": 0.6, "head_max": head, "tail_max": tail_max},
     ))
 
     return CheckReport(name="step-size", horizon=H, items=items)
@@ -195,10 +194,10 @@ def activation_rates(policy: ActivationPolicy, d: int, horizon: int = 10_000,
     return counts / float(horizon)
 
 
-def check_activation(policy: ActivationPolicy, d: int, horizon: int = 10_000,
-                     seed: int = 0, min_rate: float | None = None) -> CheckReport:
-    """Verdict on whether every agent keeps getting selected."""
-    H = int(horizon)
+def check_activation(policy: ActivationPolicy, d: int, seed: int = 0,
+                     min_rate: float | None = None) -> CheckReport:
+    """Verdict on whether every agent keeps getting selected over 10 000 ticks."""
+    H = 10_000
     rates = activation_rates(policy, d, H, seed)
     floor = min_rate if min_rate is not None else 1.0 / (20.0 * d)
     lowest = float(rates.min())
@@ -223,16 +222,15 @@ def check_activation(policy: ActivationPolicy, d: int, horizon: int = 10_000,
 
 
 def a2vi_residual_report(mdp: FiniteMDP, values: np.ndarray, eps_bound: float,
-                         norm: Norm | None = None, slack: float = 0.0,
-                         exact: np.ndarray | None = None) -> dict:
-    """Residual of a value vector against the error-floor bound.
+                         slack: float = 0.0, exact: np.ndarray | None = None) -> dict:
+    """Residual of a value vector in the max norm against the error-floor bound.
 
     The asymptotic guarantee for value iteration run with persistent
     errors of size eps is a residual of at most (dimension * eps); the
     caller can add slack for the finite-horizon remainder.
     """
     values = np.asarray(values, dtype=float)
-    norm = norm if norm is not None else unit_max_norm(mdp.states)
+    norm = unit_max_norm(mdp.states)
     residual = float(weighted_norm(bellman_apply(mdp, values) - values, norm))
     bound = mdp.states * float(eps_bound) + float(slack)
     out = {
@@ -266,23 +264,18 @@ def a2pg_stationarity_report(surface, theta: np.ndarray, eps_bound: float,
     }
 
 
-def contraction_estimate(mdp: FiniteMDP, norm: Norm | None = None,
-                         samples: int = 200, seed: int = 0,
-                         scale: float = 1.0) -> float:
-    """Largest observed one-step contraction ratio of the update operator."""
+def contraction_estimate(mdp: FiniteMDP, samples: int = 200, seed: int = 0) -> float:
+    """Largest observed one-step max-norm contraction ratio of the update operator."""
     return non_expansiveness_check(
-        lambda v: bellman_apply(mdp, v), mdp.states, norm or unit_max_norm(mdp.states),
-        int(samples), seed, scale)["max_ratio"]
+        lambda v: bellman_apply(mdp, v), mdp.states, unit_max_norm(mdp.states),
+        int(samples), seed)["max_ratio"]
 
 
-def gradient_fidelity(surface, points: np.ndarray | None = None,
-                      samples: int = 20, seed: int = 0, scale: float = 2.0,
-                      h: float = 1e-5) -> float:
-    """Largest relative gap between the gradient and central differences."""
-    if points is None:
-        rng = stream(seed, DOMAIN_CHECK)
-        points = scale * rng.standard_normal((int(samples), surface.d))
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+def gradient_fidelity(surface) -> float:
+    """Largest relative gap between the gradient and central differences
+    of step 1e-5, over 20 points drawn from 2 N(0, I)."""
+    points = 2.0 * stream(0, DOMAIN_CHECK).standard_normal((20, surface.d))
+    h = 1e-5
     worst = 0.0
     for x in points:
         g = np.asarray(surface.grad(x), dtype=float)

@@ -103,19 +103,27 @@ def _map(fn, work: list, jobs: int) -> list:
     return [fn(w) for w in work]
 
 
+def _run_cell(cfg: RunConfig, aggregate: str) -> tuple[float, str]:
+    """A study or sweep cell's ``(value, status)``: the named aggregate of
+    its light run's endpoint, or nan and ``divergent``."""
+    try:
+        final = run_light(cfg).final_x
+    except DivergenceError:
+        return float("nan"), "divergent"
+    if aggregate == "final-norm":
+        return float(np.linalg.norm(final)), "ok"
+    if aggregate == "log-final-norm":
+        return math.log(max(float(np.linalg.norm(final)), 1e-300)), "ok"
+    return float(np.linalg.norm(build_field(cfg).vector(final))), "ok"
+
+
 def _rows_for_seed(args) -> list[dict]:
     run_seed, p_c, eps_grid = args
     instance = sample_instance(run_seed)
     rows = []
     for idx, eps in enumerate(eps_grid):
-        cfg = cell_config(instance, eps, p_c, seed=run_seed ^ idx)
-        try:
-            result = run_light(cfg)
-            value = math.log(max(float(np.linalg.norm(result.final_x)), 1e-300))
-            status = "ok"
-        except DivergenceError:
-            value = float("nan")
-            status = "divergent"
+        value, status = _run_cell(
+            cell_config(instance, eps, p_c, seed=run_seed ^ idx), "log-final-norm")
         rows.append({
             "run_id": f"s{run_seed}-e{idx:02d}",
             "epsilon": float(eps),
@@ -246,27 +254,15 @@ def read_plot_data(path) -> dict:
 
 def _sweep_cell(args) -> dict:
     spec, cell = args
-    aggregate = spec.aggregate
-    cfg = parse_run_config(spec.cell_config(cell))
-    row = {
+    value, status = _run_cell(parse_run_config(spec.cell_config(cell)), spec.aggregate)
+    return {
         "index": cell["index"],
         **cell["overrides"],
         "replicate": cell["replicate"],
         "seed": cell["seed"],
+        "value": value,
+        "status": status,
     }
-    try:
-        result = run_light(cfg)
-        final = result.final_x
-        if aggregate == "final-norm":
-            value = float(np.linalg.norm(final))
-        elif aggregate == "log-final-norm":
-            value = math.log(max(float(np.linalg.norm(final)), 1e-300))
-        else:
-            value = float(np.linalg.norm(build_field(cfg).vector(final)))
-        row.update(value=value, status="ok")
-    except DivergenceError:
-        row.update(value=float("nan"), status="divergent")
-    return row
 
 
 def sweep_run(spec: SweepSpec, jobs: int = 1) -> list[dict]:

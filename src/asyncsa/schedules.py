@@ -185,8 +185,9 @@ class AgentSchedule:
     """Activation masks, per-agent update counters and step sizes for one
     run.
 
-    ``sampler`` is the stream of active masks; ``all_active`` is true when
-    the policy activates every agent on every tick.
+    ``sampler`` is the stream of active masks; ``counters`` holds each
+    agent's activations over the ticks taken so far; ``all_active`` is true
+    when the policy activates every agent on every tick.
     """
 
     policy: ActivationPolicy
@@ -210,15 +211,14 @@ class AgentSchedule:
         )
 
     def take(self, size: int):
-        """The next ``size`` ticks' ``(active, step, after)``: active masks,
-        step sizes read from the counts before each tick, and the counts
-        after each tick.  ``counters`` moves past the last of them."""
+        """The next ``size`` ticks' ``(active, step)``: active masks and step
+        sizes read from the counts before each tick.  ``counters`` moves
+        once, past the last of them."""
         active = self.sampler.take(size)
-        after = np.cumsum(active, axis=0, dtype=np.int64)
-        after += self.counters
-        step = self.steps.a_of(after - active)
-        self.counters = after[-1].copy()
-        return active, step, after
+        before = np.cumsum(active, axis=0, dtype=np.int64)
+        before += self.counters - active
+        self.counters = before[-1] + active[-1]
+        return active, self.steps.a_of(before)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +236,7 @@ def timeline(policy: StepSizePolicy, schedule: AgentSchedule, ticks: int) -> np.
     sched = AgentSchedule(schedule.policy, schedule.d, schedule.seed, ticks, policy)
     t = np.zeros(ticks + 1)
     for start in range(0, ticks, CHUNK):
-        active, step, _ = sched.take(min(CHUNK, ticks - start))
+        active, step = sched.take(min(CHUNK, ticks - start))
         t[start + 1: start + 1 + len(active)] = np.where(active, step, 0.0).max(axis=1)
     np.cumsum(t, out=t)
     return t

@@ -16,10 +16,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._rng import DOMAIN_CHECK, DOMAIN_ERROR_ALT, stream
-from .config import RunConfig, run_config_to_dict
-from .core import IterateHistory, apply_tick, build_runtime, tick_loop
+from .config import RunConfig
+from .core import IterateHistory, _meta, _start, apply_tick, build_runtime, tick_loop
 from .errors import ConfigError
-from .norms import Norm, weighted_norm
+from .norms import EuclideanNorm, Norm, weighted_norm
 from .stochastics import make_error_sampler
 from .trace import write_table
 
@@ -39,7 +39,7 @@ class PairedRun:
     """Gap series between a plain chain and its pulled-back twin.
 
     ``gap[m]`` is the distance between the two chains' m-th iterates in
-    the comparison norm; ``step_bound[n]`` is the largest step size among
+    the region's norm; ``step_bound[n]`` is the largest step size among
     the agents active on tick n; ``error_gap[n]`` is the distance between
     the two error draws fed to the chains on tick n (zero when coupled).
     Projection tick -1 stands for the initial pull-back of the start
@@ -56,8 +56,7 @@ class PairedRun:
     meta: dict
 
 
-def run_paired(cfg: RunConfig, coupled_errors: bool = True,
-               gap_norm: Norm | None = None) -> PairedRun:
+def run_paired(cfg: RunConfig, coupled_errors: bool = True) -> PairedRun:
     """Run the plain and pulled-back chains under shared randomness.
 
     With ``coupled_errors=False`` the pulled-back chain draws its errors
@@ -67,15 +66,13 @@ def run_paired(cfg: RunConfig, coupled_errors: bool = True,
     if cfg.projection is None:
         raise ConfigError("paired runs need a projection region in the config")
     bundle = build_runtime(cfg)
-    region = bundle.region
-    norm = gap_norm if gap_norm is not None else region.norm
-    N, d = bundle.horizon, bundle.d
+    region, N, d = bundle.region, bundle.horizon, bundle.d
+    norm = region.norm
 
-    x0_raw = bundle.x0
-    x0_proj, projected0 = region.project(x0_raw)
+    x0_proj, projected0 = _start(bundle)
     projection_ticks: list[int] = [-1] if projected0 else []
 
-    hist_raw = IterateHistory(x0_raw, window=N)
+    hist_raw = IterateHistory(bundle.x0, window=N)
     hist_proj = IterateHistory(x0_proj, window=N)
     alt_errors = None if coupled_errors else make_error_sampler(
         cfg.errors, d, cfg.seed, N, domain=DOMAIN_ERROR_ALT)
@@ -83,7 +80,7 @@ def run_paired(cfg: RunConfig, coupled_errors: bool = True,
     gap = np.zeros(N + 1)
     step_bound = np.zeros(N)
     error_gap = np.zeros(N)
-    gap[0] = weighted_norm(x0_raw - x0_proj, norm)
+    gap[0] = weighted_norm(bundle.x0 - x0_proj, norm)
 
     # both chains consume the one drawn sample of each tick
     with np.errstate(over="ignore", invalid="ignore"):
@@ -108,21 +105,18 @@ def run_paired(cfg: RunConfig, coupled_errors: bool = True,
         raw_final=hist_raw.latest.copy(),
         proj_final=hist_proj.latest.copy(),
         coupled_errors=coupled_errors,
-        meta={
-            "seed": int(cfg.seed),
-            "config": run_config_to_dict(cfg, x0=bundle.x0),
-            "initial_projection": projected0,
-        },
+        meta=_meta(cfg, bundle, projected0),
     )
 
 
-def gap_report(paired: PairedRun, tol: float = 1e-9) -> dict:
+def gap_report(paired: PairedRun) -> dict:
     """Verdict on the post-event behaviour of the paired gap.
 
-    The monotonicity claim is checked from the first tick after the last
+    The gap may not grow, up to 1e-9, from the first tick after the last
     pull-back event; with decoupled errors the claim weakens to a growth
     bound of step times error mismatch per tick.
     """
+    tol = 1e-9
     N = len(paired.step_bound)
     events = paired.projection_ticks
     last_event = max(events) if events else None
@@ -155,8 +149,6 @@ def non_expansiveness_check(op, d: int, norm: Norm | None = None,
                             samples: int = 100, seed: int = 0,
                             scale: float = 1.0) -> dict:
     """Empirical Lipschitz probe of a vector map on random point pairs."""
-    from .norms import EuclideanNorm
-
     norm = norm if norm is not None else EuclideanNorm()
     rng = stream(seed, DOMAIN_CHECK)
     ratios = []

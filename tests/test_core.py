@@ -43,6 +43,7 @@ from asyncsa import (
     run_paired,
 )
 from asyncsa._rng import CHUNK
+from asyncsa.core import draw_block
 from asyncsa.fields import QuadraticBowl, QuadraticField, ScaledIdentityField
 from asyncsa.schedules import make_activation_sampler
 
@@ -150,6 +151,17 @@ def test_equal_configs_write_identical_traces(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_numpy_integer_seed_writes_the_same_trace_bytes(tmp_path):
+    # the trace meta holds the seed as a plain int, whatever its type in the config
+    cfg = _cfg(horizon=20, errors=ComponentUniformErrors(bound=0.2))
+    wide = _cfg(horizon=20, errors=ComponentUniformErrors(bound=0.2), seed=np.int64(5))
+    for suffix in ("csv", "jsonl"):
+        a, b = tmp_path / f"a.{suffix}", tmp_path / f"b.{suffix}"
+        getattr(run(cfg), f"write_{suffix}")(a)
+        getattr(run(wide), f"write_{suffix}")(b)
+        assert a.read_bytes() == b.read_bytes()
+
+
 def test_manual_stepping_matches_run():
     cfg = _cfg(horizon=3, errors=ComponentUniformErrors(bound=0.2))
     bundle = build_runtime(cfg)
@@ -196,12 +208,16 @@ _DRAWN_KINDS = (
 )
 
 
-def _drawn_ticks(kinds, horizon: int, ticks: int) -> list:
+def _drawn_bundle(kinds, horizon: int):
     delays, errors, noise, activation = kinds
-    bundle = build_runtime(RunConfig(
+    return build_runtime(RunConfig(
         dimension=3, horizon=horizon, seed=6, objective=ScaledIdentityObjective(gain=-1.0),
         steps=PowerSteps(p=0.7), activation=activation, delays=delays, errors=errors,
         noise=noise))
+
+
+def _drawn_ticks(kinds, horizon: int, ticks: int) -> list:
+    bundle = _drawn_bundle(kinds, horizon)
     return [draw_tick(n, bundle) for n in range(ticks)]
 
 
@@ -210,13 +226,24 @@ def _bits(value):
 
 
 def _check_horizon_cuts(kinds, horizons) -> None:
-    """A run of each horizon draws the first ticks of a longer run."""
+    """A run of each horizon draws the first ticks of a longer run, and so
+    does one drawn block of the longest of them."""
     long = _drawn_ticks(kinds, 2 * CHUNK + 5, max(horizons))
     for horizon in horizons:
         short = _drawn_ticks(kinds, horizon, horizon)
         for n, (a, b) in enumerate(zip(short, long)):
             for name in ("active", "step", "tau", "eps", "noise", "all_active"):
                 assert _bits(getattr(a, name)) == _bits(getattr(b, name)), (kinds, n, name)
+    bundle = _drawn_bundle(kinds, max(horizons))
+    block = draw_block(0, max(horizons), bundle)
+    assert block.start == 0 and len(block.active) == len(long)
+    for name in ("active", "step", "tau", "eps", "noise"):
+        rows = getattr(block, name)
+        for n, sample in enumerate(long):
+            row = None if rows is None else rows[n]
+            assert _bits(row) == _bits(getattr(sample, name)), (kinds, n, name, "block")
+    counts = block.active.sum(axis=0, dtype=np.int64)
+    assert _bits(bundle.schedule.counters) == _bits(counts)
 
 
 def test_drawn_ticks_do_not_depend_on_the_horizon():
@@ -250,7 +277,7 @@ def test_block_drawn_activation_matches_tick_by_tick(activation, steps):
         assert sample.all_active == isinstance(activation, AllActive)
         assert np.array_equal(sample.step, steps.a_of(counters))
         counters += active
-        assert np.array_equal(bundle.schedule.counters, counters)
+    assert np.array_equal(bundle.schedule.counters, counters)
 
 
 _ORACLE_ACTIVATIONS = {
@@ -282,7 +309,7 @@ def test_drawn_activation_matches_the_reference_schedule(d, ticks, activation, s
         active, step = oracle.tick(n)
         assert _bits(sample.active) == _bits(active)
         assert _bits(sample.step) == _bits(step)
-        assert _bits(bundle.schedule.counters) == _bits(oracle.counters)
+    assert _bits(bundle.schedule.counters) == _bits(oracle.counters)
 
 
 def test_paired_run_reads_step_sizes_once_per_tick(monkeypatch):

@@ -65,7 +65,7 @@ def test_all_active_counters_track_tick():
     sched = AgentSchedule(AllActive(), 3, seed=0, horizon=5, steps=HarmonicSteps())
     assert sched.all_active
     for n in range(5):
-        (mask,), _, _ = sched.take(1)
+        (mask,), _ = sched.take(1)
         assert mask.all()
     assert sched.counters.tolist() == [5, 5, 5]
 
@@ -74,7 +74,7 @@ def test_round_robin_cycles_in_index_order():
     sched = AgentSchedule(RoundRobin(k=2), 3, seed=0, horizon=3, steps=HarmonicSteps())
     masks = []
     for n in range(3):
-        (mask,), _, _ = sched.take(1)
+        (mask,), _ = sched.take(1)
         masks.append(np.flatnonzero(mask).tolist())
     assert masks == [[0, 1], [0, 2], [1, 2]]
     assert sched.counters.tolist() == [2, 2, 2]
@@ -84,7 +84,7 @@ def test_bernoulli_respects_per_agent_rates():
     sched = AgentSchedule(BernoulliActivation(q=[0.5, 1.0]), 2, seed=0,
                           horizon=10_000, steps=HarmonicSteps())
     for n in range(10_000):
-        (mask,), _, _ = sched.take(1)
+        (mask,), _ = sched.take(1)
         assert mask.any()
     rates = sched.counters / 10_000
     assert rates[1] == 1.0
@@ -120,8 +120,8 @@ def test_timeline_round_robin_uses_active_agent_counter():
 def _counters_trace(policy, d, ticks, seed=0):
     # row n: the counts before tick n
     sched = AgentSchedule(policy, d, seed, horizon=ticks, steps=HarmonicSteps())
-    active, _, after = sched.take(ticks)
-    return after - active
+    active, _ = sched.take(ticks)
+    return np.cumsum(active, axis=0, dtype=np.int64) - active
 
 
 def test_balance_ratio_self_is_exactly_one():
