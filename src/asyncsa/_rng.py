@@ -7,8 +7,9 @@ of another, and identical (config, seed) pairs replay bit-for-bit.
 
 Every per-tick input of a run that does not depend on the iterate
 (activation masks, delays, errors, noise) is read through ``Rows``, the
-one stream cursor: rows are drawn in blocks of at most ``CHUNK``, cut at
-the run's horizon, and read a run of rows at a time with ``take``.  How a
+one stream cursor: rows are drawn in blocks of at most ``CHUNK`` (fewer
+for wide delay matrices, see ``DELAY_BLOCK_BYTES``), cut at the run's
+horizon, and read a run of rows at a time with ``take``.  How a
 stream is read never changes its draws.  A ``constant`` fill serves one
 value and draws nothing.
 """
@@ -24,6 +25,10 @@ _MASK64 = (1 << 64) - 1
 # normals before its radii: they always draw CHUNK rows of each and keep the
 # first ones, so their bits depend on this value.
 CHUNK = 4096
+
+# Most bytes per drawn block of delay ages, so that a block of (d, d) age
+# matrices stays small at large d; smaller delay blocks draw the same ages.
+DELAY_BLOCK_BYTES = 64 * 2**20
 
 # Purpose tags; values are part of the reproducibility contract, do not reorder.
 DOMAIN_INIT = 0
@@ -53,14 +58,15 @@ class Rows:
 
     ``fill(start, size)`` returns rows ``start .. start + size - 1``.  A
     block is drawn only when the current one is used up, with ``size`` the
-    smaller of ``CHUNK`` and the rows left before ``rows`` (the run's
+    smaller of ``most`` and the rows left before ``rows`` (the run's
     horizon), and at least one: a caller may read past ``rows``, one row
     per block.  The spent block is released before ``fill`` runs.
     """
 
-    def __init__(self, fill, rows: int):
+    def __init__(self, fill, rows: int, most: int = CHUNK):
         self._fill = fill
         self._rows = rows
+        self._most = most
         self._start = 0  # first row of the next block
         self._block = ()
         self._pos = 0  # first row of the block not read yet
@@ -80,7 +86,7 @@ class Rows:
                 size = end - len(block)
             block = self._block = ()  # release the spent block before fill allocates
             start = self._start
-            rows = max(1, min(CHUNK, self._rows - start))
+            rows = max(1, min(self._most, self._rows - start))
             self._block = self._fill(start, rows)
             self._start = start + rows
             self._pos = 0

@@ -6,10 +6,11 @@ One tick of the recursion updates only the active coordinates:
 
 where nu(n, i) counts how often agent i was active on ticks m < n, and the
 drive for agent i is evaluated on that agent's own (possibly stale) view of
-the iterate.  Only the drive depends on the iterate: :func:`draw_block`
-draws everything else (active set, step sizes, delays, errors, noise) a
-block of ticks at a time, :func:`draw_tick` serves that block one row per
-tick, and :func:`apply_tick` only moves the iterate.  Every run mode
+the iterate; an inactive agent's view is not gathered.  Only the drive
+depends on the iterate: :func:`draw_block` draws everything else (active
+set, step sizes, delays, errors, noise) a block of ticks at a time,
+:func:`draw_tick` serves that block one row per tick, and
+:func:`apply_tick` only moves the iterate.  Every run mode
 iterates :func:`tick_loop`, so traced, light and paired runs cannot drift apart.
 
 An optional projection region turns the plain step into the projective
@@ -128,7 +129,8 @@ class IterateHistory:
     def gather(self, n: int, tau: np.ndarray) -> np.ndarray:
         """View matrix V with V[j, i] = x_{n - tau[j, i]}[j].
 
-        Column i is agent i's delayed view of the full iterate.
+        Column i is a delayed view of the full iterate; ``tau`` has one
+        row per component and any number of columns.
         """
         window = self._window
         if n <= self.n <= window:  # nothing evicted yet
@@ -137,7 +139,7 @@ class IterateHistory:
             except IndexError:
                 raise IndexError("delay reaches before tick 0") from None
         rows = n - tau
-        oldest = rows.min()
+        oldest = rows.min(initial=n)
         if oldest < 0:
             raise IndexError("delay reaches before tick 0")
         if oldest < self.n - window:
@@ -283,17 +285,26 @@ def apply_tick(history: IterateHistory, field: Field, sample: TickSample,
 
     Returns the drive (the field on each agent's view; with zero delays
     every view is the pre-tick iterate, so it is ``field(x_n)``) and
-    whether the region pulled the new iterate back.  Runs under the
-    caller's numpy error state; the run drivers silence overflow and
-    invalid-value warnings around their tick loop, since a non-finite
-    iterate raises :class:`DivergenceError` anyway.
+    whether the region pulled the new iterate back.  When some agent is
+    inactive, only the active agents' delayed views are gathered: an
+    inactive agent's drive component is evaluated at the fresh view
+    ``x_n`` and never used.  Runs under the caller's numpy error state;
+    the run drivers silence overflow and invalid-value warnings around
+    their tick loop, since a non-finite iterate raises
+    :class:`DivergenceError` anyway.
     """
     n = history.n
     x = history.latest
-    if sample.tau is None:
+    tau = sample.tau
+    if tau is None:
         drive = field.vector(x)
+    elif sample.all_active:
+        drive = field.vector_views(history.gather(n, tau))
     else:
-        drive = field.vector_views(history.gather(n, sample.tau))
+        views = np.repeat(x[:, None], len(x), axis=1)
+        act = np.flatnonzero(sample.active)
+        views[:, act] = history.gather(n, tau[:, act])
+        drive = field.vector_views(views)
     delta = sample.step * (drive + sample.eps + sample.noise)
     x_new = x + delta if sample.all_active else np.where(sample.active, x + delta, x)
     # x @ 0 is NaN exactly when some component of x is not finite

@@ -76,6 +76,7 @@ def run_paired(cfg: RunConfig, coupled_errors: bool = True) -> PairedRun:
     hist_proj = IterateHistory(x0_proj, window=N)
     alt_errors = None if coupled_errors else make_error_sampler(
         cfg.errors, d, cfg.seed, N, domain=DOMAIN_ERROR_ALT)
+    alt_eps, alt_start = (), 0  # the second errors of the chain's drawn block
 
     gap = np.zeros(N + 1)
     step_bound = np.zeros(N)
@@ -88,7 +89,12 @@ def run_paired(cfg: RunConfig, coupled_errors: bool = True) -> PairedRun:
             if alt_errors is None:
                 sample_proj = sample
             else:
-                eps2 = alt_errors.sample(n)
+                if n - alt_start == len(alt_eps):  # tick n starts a drawn block
+                    alt_eps = ()  # hold no spent rows while take draws
+                    block = bundle.block
+                    alt_start, alt_eps = n, alt_errors.take(
+                        block.start + len(block.active) - n)
+                eps2 = alt_eps[n - alt_start]
                 sample_proj = replace(sample, eps=eps2)
                 error_gap[n] = weighted_norm(sample.eps - eps2, norm)
             _, projected = apply_tick(hist_proj, bundle.field, sample_proj, region)

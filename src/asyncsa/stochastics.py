@@ -11,9 +11,14 @@ models draw nothing.  A model whose shape does not fit the dimension is a
 
 Delay samplers serve a full (d, d) matrix per tick with entry [j, i] the
 age of agent i's view of component j; the diagonal is always 0 and no
-age reaches before tick 0.  Rows come in tick order.  Stale-refresh ages
-follow a recursion, but only through each view's last refresh, so a whole
-block of coins becomes a block of age matrices at once.
+age reaches before tick 0.  Rows come in tick order.  A delay block holds
+at most ``_rng.DELAY_BLOCK_BYTES``.  I.i.d. ages are ``int32`` (``int64``
+past a horizon of 2**31 ticks), filled one source component j at a time;
+stale-refresh and zero ages are ``int64``.  Stale-refresh ages follow a
+recursion, but only through each view's last refresh, so a whole block of
+coins becomes a block of age matrices at once.  The engine gathers the
+views of the active agents only, so an inactive agent's ages are drawn
+but never read.
 
 Error samplers enforce their declared bound on every sample: each block
 is checked before any of its rows is served.  Componentwise-uniform and
@@ -28,7 +33,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import CHUNK, DOMAIN_DELAY, DOMAIN_ERROR, DOMAIN_NOISE, Rows, constant, stream
+from ._rng import (
+    CHUNK,
+    DELAY_BLOCK_BYTES,
+    DOMAIN_DELAY,
+    DOMAIN_ERROR,
+    DOMAIN_NOISE,
+    Rows,
+    constant,
+    stream,
+)
 from .errors import ConfigError
 from .norms import EuclideanNorm, Norm, WeightedMaxNorm
 
@@ -127,8 +141,9 @@ DelayModel = ZeroDelays | UniformDelays | GeometricDelays | StaleRefreshDelays
 
 
 class _DelaySampler(Rows):
-    """Per-tick age matrices, read in tick order with ``take``;
-    ``matrix(n)`` reads one, tick n's when the ticks before it were read.
+    """Per-tick (d, d) age matrices of ``dtype``, read in tick order with
+    ``take``; ``matrix(n)`` reads one, tick n's when the ticks before it
+    were read.  A block holds at most ``DELAY_BLOCK_BYTES``.
 
     The diagonal is always zero: delays model communication between
     distinct agents, and an agent reads its own component directly.
@@ -137,6 +152,10 @@ class _DelaySampler(Rows):
     matrix = Rows.next
     always_zero = False
 
+    def __init__(self, fill, horizon: int, d: int, dtype):
+        rows = DELAY_BLOCK_BYTES // (d * d * np.dtype(dtype).itemsize)
+        super().__init__(fill, horizon, max(1, min(CHUNK, rows)))
+
 
 def _pair_matrix_param(value, d: int) -> np.ndarray:
     """A per-pair parameter as a (d, d) matrix; a scalar is broadcast."""
@@ -144,21 +163,33 @@ def _pair_matrix_param(value, d: int) -> np.ndarray:
     return np.full((d, d), float(arr)) if arr.ndim == 0 else arr
 
 
-def _iid_delays(d: int, seed: int, horizon: int, draw) -> _DelaySampler:
+def _iid_delays(d: int, seed: int, horizon: int, draw, shift: int = 0) -> _DelaySampler:
     """Per-pair i.i.d. ages; ``draw(rng, j, i, size)`` gives the next
-    ``size`` ages of pair (j, i) from that pair's stream."""
-    pairs = [(j, i) for j in range(d) for i in range(d) if j != i]
-    rngs = [stream(seed, DOMAIN_DELAY, j, i) for j, i in pairs]
+    ``size`` draws of pair (j, i) from that pair's stream, and an age is a
+    draw minus ``shift``.  Every age is clamped below the horizon, so ages
+    are ``int32`` unless the horizon passes 2**31."""
+    dtype = np.int32 if horizon <= 2**31 else np.int64
+    rngs = [[(i, stream(seed, DOMAIN_DELAY, j, i)) for i in range(d) if i != j]
+            for j in range(d)]
 
     def fill(start, size):
-        block = np.zeros((size, d, d), dtype=np.int64)
-        for (j, i), rng in zip(pairs, rngs):
-            block[:, j, i] = draw(rng, j, i, size)
-        # row t is tick start + t, and no view reaches before tick 0
-        ticks = np.arange(start, start + size).reshape(size, 1, 1)
-        return np.minimum(block, ticks, out=block)
+        """One source component j at a time: the ages of pairs (j, i) go to
+        row i of a contiguous scratch, then to column j of every matrix."""
+        block = np.empty((size, d, d), dtype=dtype)
+        scratch = np.empty((d, size), dtype=np.int64)
+        # column t is tick start + t, and no view reaches before tick 0
+        ticks = np.arange(start, start + size)
+        for j, row in enumerate(rngs):
+            for i, rng in row:
+                scratch[i] = draw(rng, j, i, size)
+            if shift:
+                scratch -= shift
+            scratch[j] = 0  # the scratch is reused: clear the self-view row
+            np.minimum(scratch, ticks, out=scratch)
+            block[:, j, :] = scratch.T
+        return block
 
-    return _DelaySampler(fill, horizon)
+    return _DelaySampler(fill, horizon, d, dtype)
 
 
 def _stale_refresh_delays(model: StaleRefreshDelays, d: int, seed: int,
@@ -195,14 +226,15 @@ def _stale_refresh_delays(model: StaleRefreshDelays, d: int, seed: int,
             ages[k] = last[-1]
         return block
 
-    return _DelaySampler(fill, horizon)
+    return _DelaySampler(fill, horizon, d, np.int64)
 
 
 def make_delay_sampler(model: DelayModel, d: int, seed: int, horizon: int):
     """Age matrices of ticks 0, 1, ... in blocks cut at ``horizon``."""
     check_model_shape(model, d)
     if isinstance(model, ZeroDelays):
-        sampler = _DelaySampler(constant(np.zeros((d, d), dtype=np.int64)), horizon)
+        sampler = _DelaySampler(constant(np.zeros((d, d), dtype=np.int64)), horizon,
+                                d, np.int64)
         sampler.always_zero = True
         return sampler
     if isinstance(model, UniformDelays):
@@ -212,7 +244,8 @@ def make_delay_sampler(model: DelayModel, d: int, seed: int, horizon: int):
     if isinstance(model, GeometricDelays):
         p = 1.0 / (1.0 + _pair_matrix_param(model.mean, d))
         return _iid_delays(
-            d, seed, horizon, lambda rng, j, i, size: rng.geometric(p[j, i], size=size) - 1)
+            d, seed, horizon, lambda rng, j, i, size: rng.geometric(p[j, i], size=size),
+            shift=1)
     if isinstance(model, StaleRefreshDelays):
         return _stale_refresh_delays(model, d, seed, horizon)
     raise ConfigError(f"unknown delay model {model!r}")

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from asyncsa import (
     ComponentUniformErrors,
     ConfigError,
     HarmonicSteps,
+    NormBallErrors,
     ProjectionSpec,
     RunConfig,
     WeightedMaxNorm,
@@ -16,6 +19,7 @@ from asyncsa import (
     run_paired,
     write_gap_csv,
 )
+from asyncsa._rng import CHUNK
 
 
 def _paired_cfg(**kw) -> RunConfig:
@@ -74,6 +78,20 @@ def test_decoupled_errors_respect_growth_bound():
     assert report["growth_bound_ok"] is True
     # with independent draws the chains genuinely differ
     assert not np.array_equal(paired.raw_final, paired.proj_final)
+
+
+@pytest.mark.parametrize("kw, digest", [
+    (dict(seed=3), "7f1a59215d61a76bf688d2fae0f3f50f6ff476a81e727ec5675a5b17a30999eb"),
+    # past CHUNK ticks, so the second error stream is refilled once
+    (dict(seed=3, horizon=CHUNK + 100, errors=NormBallErrors(bound=0.3)),
+     "ed948b8dd0e71ea1c4158aa194d3f24bd5a50071d47434df8ee7642b4c714b5c"),
+], ids=["uniform", "euclidean-ball-refill"])
+def test_decoupled_paired_run_bytes_are_frozen(kw, digest):
+    paired = run_paired(_paired_cfg(**kw), coupled_errors=False)
+    h = hashlib.sha256()
+    for a in (paired.gap, paired.error_gap, paired.raw_final, paired.proj_final):
+        h.update(a.tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_paired_run_requires_projection():

@@ -25,7 +25,7 @@ from asyncsa import (
     ZeroErrors,
     ZeroNoise,
 )
-from asyncsa._rng import CHUNK, DOMAIN_DELAY, DOMAIN_ERROR_ALT, stream
+from asyncsa._rng import CHUNK, DELAY_BLOCK_BYTES, DOMAIN_DELAY, DOMAIN_ERROR_ALT, stream
 from asyncsa.config import spec_from_config, spec_to_config
 from asyncsa.schedules import make_activation_sampler
 from asyncsa.stochastics import (
@@ -83,7 +83,7 @@ def test_geometric_delays_per_pair_matrix():
 
 def test_iid_delay_refill_frees_the_spent_block_first():
     d = 24
-    block = CHUNK * d * d * 8
+    block = CHUNK * d * d * 4  # int32 ages; the byte cap leaves CHUNK rows at d = 24
     tracemalloc.start()
     try:
         sampler = make_delay_sampler(UniformDelays(tau_max=3), d, seed=0,
@@ -102,7 +102,7 @@ def test_iid_delay_refill_frees_the_spent_block_first():
 def test_short_run_draws_a_short_delay_block():
     # a block is cut at the horizon: one tick draws one row, not CHUNK
     d = 24
-    block = CHUNK * d * d * 8
+    block = CHUNK * d * d * 4
     tracemalloc.start()
     try:
         sampler = make_delay_sampler(UniformDelays(tau_max=3), d, seed=0, horizon=1)
@@ -113,6 +113,55 @@ def test_short_run_draws_a_short_delay_block():
     finally:
         tracemalloc.stop()
     assert peak < 0.01 * block
+
+
+def test_wide_delay_block_is_capped_by_bytes():
+    # at d = 200 a CHUNK-row block of int64 ages would take 1.25 GiB
+    d = 200
+    sampler = make_delay_sampler(GeometricDelays(mean=3.0), d, seed=0, horizon=10 * CHUNK)
+    tracemalloc.start()  # after the pair streams are built
+    try:
+        tau = sampler.take(1)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tau.dtype == np.int32 and tau.shape == (d, d)
+    assert peak <= 1.25 * DELAY_BLOCK_BYTES
+
+
+_DELAY_KINDS = {
+    "zero": ZeroDelays(),
+    "uniform": UniformDelays(tau_max=40),
+    "geometric": GeometricDelays(mean=30.0),
+    "stale-symmetric": StaleRefreshDelays(p_c=0.05),
+    "stale-asymmetric": StaleRefreshDelays(p_c=0.05, symmetric=False),
+}
+_AGE_DTYPES = {"zero": np.int64, "uniform": np.int32, "geometric": np.int32,
+               "stale-symmetric": np.int64, "stale-asymmetric": np.int64}
+
+
+@pytest.mark.parametrize("kind", _DELAY_KINDS)
+def test_capped_delay_blocks_keep_their_invariants(kind):
+    # d is the smallest at which the byte cap cuts a block of this kind's
+    # dtype below CHUNK rows; read two capped blocks and five rows, in runs
+    # that cross both block boundaries
+    dtype = np.dtype(_AGE_DTYPES[kind])
+    d = next(d for d in range(2, 100) if DELAY_BLOCK_BYTES // (d * d * dtype.itemsize) < CHUNK)
+    cap = DELAY_BLOCK_BYTES // (d * d * dtype.itemsize)
+    ticks = 2 * cap + 5
+    sampler = make_delay_sampler(_DELAY_KINDS[kind], d, seed=3, horizon=ticks)
+    n = 0
+    for size in (1, cap - 2, 3, cap - 3, 6):
+        tau = sampler.take(size)
+        assert tau.dtype == dtype
+        assert tau.shape == (size, d, d)
+        assert not np.diagonal(tau, axis1=1, axis2=2).any()
+        assert tau.min() >= 0
+        assert np.all(tau <= np.arange(n, n + size)[:, None, None])
+        n += size
+    assert n == ticks
+    if kind != "zero":
+        assert tau.max() > 0
 
 
 def test_stale_refresh_starts_fresh_and_tracks_ages():
@@ -337,9 +386,13 @@ _ACTIVATION_VARIANTS = {
 
 
 def _digest(draw) -> str:
+    # integer rows are hashed as int64 values, whatever their stored width
     h = hashlib.sha256()
     for n in range(_DRAWS):
-        h.update(np.ascontiguousarray(draw(n)).tobytes())
+        row = np.asarray(draw(n))
+        if row.dtype.kind == "i":
+            row = row.astype(np.int64)
+        h.update(np.ascontiguousarray(row).tobytes())
     return h.hexdigest()
 
 
@@ -392,6 +445,21 @@ _STREAM_DIGESTS = {
 
 def test_sampler_streams_are_frozen():
     assert _stream_digests() == _STREAM_DIGESTS
+
+
+@pytest.mark.parametrize("name", _DELAY_VARIANTS)
+def test_delay_samplers_store_their_documented_age_dtype(name):
+    # i.i.d. ages are int32 up to a horizon of 2**31 and int64 past it;
+    # stale-refresh ages (read by every tick of an all-active chain) and
+    # zero ages are int64
+    model = _DELAY_VARIANTS[name]
+    iid = name in ("uniform", "geometric", "geometric-matrix")
+    sampler = make_delay_sampler(model, D, seed=7, horizon=_DRAWS)
+    assert sampler.take(CHUNK + 1).dtype == (np.int32 if iid else np.int64)
+    for horizon in (2**31, 2**31 + 1):
+        sampler = make_delay_sampler(model, D, seed=7, horizon=horizon)
+        wide = not iid or horizon > 2**31
+        assert sampler.take(1).dtype == (np.int64 if wide else np.int32)
 
 
 def _in_runs(sampler):
