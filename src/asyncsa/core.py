@@ -6,12 +6,13 @@ One tick of the recursion updates only the active coordinates:
 
 where nu(n, i) counts how often agent i was active on ticks m < n, and the
 drive for agent i is evaluated on that agent's own (possibly stale) view of
-the iterate; an inactive agent's view is not gathered.  Only the drive
-depends on the iterate: :func:`draw_block` draws everything else (active
-set, step sizes, delays, errors, noise) a block of ticks at a time,
-:func:`draw_tick` serves that block one row per tick, and
-:func:`apply_tick` only moves the iterate.  Every run mode
-iterates :func:`tick_loop`, so traced, light and paired runs cannot drift apart.
+the iterate; in a wide chain with few agents active, an inactive agent's
+view is not gathered.  Only the drive depends on the iterate:
+:func:`draw_block` draws everything else (active set, step sizes, delays,
+errors, noise) a block of ticks at a time, :func:`draw_tick` serves that
+block one row per tick, and :func:`apply_tick` only moves the iterate.
+Every run mode iterates :func:`tick_loop`, so traced, light and paired
+runs cannot drift apart.
 
 An optional projection region turns the plain step into the projective
 variant: whenever the tentative iterate leaves the open outer ball, it is
@@ -279,32 +280,50 @@ def draw_tick(n: int, bundle: RuntimeBundle) -> TickSample:
                       block.eps[k], block.noise[k], bundle.schedule.all_active)
 
 
+# Least d * d at which a partly active tick may gather only the active
+# agents' columns.  That path costs about 6 us more in numpy calls, so it
+# pays only where the skipped cells outweigh it: with one agent active it
+# is slower at d = 32 and faster from d = 48, and at d = 100 it loses once
+# half the agents are active.
+COLUMN_GATHER_CELLS = 2048
+
+
+def _partial_views(history: IterateHistory, tau: np.ndarray,
+                   active: np.ndarray) -> np.ndarray:
+    """The views of a partly active tick at d * d >= COLUMN_GATHER_CELLS:
+    with at most a quarter of the agents active, the inactive agents' views
+    are the fresh iterate and only the active columns are gathered."""
+    d = len(tau)
+    act = np.flatnonzero(active)
+    if 4 * len(act) > d:
+        return history.gather(history.n, tau)
+    views = np.repeat(history.latest[:, None], d, axis=1)
+    views[:, act] = history.gather(history.n, tau[:, act])
+    return views
+
+
 def apply_tick(history: IterateHistory, field: Field, sample: TickSample,
                region: ProjectionRegion | None = None) -> tuple[np.ndarray, bool]:
     """Move the iterate by one drawn tick.  The single update code path.
 
     Returns the drive (the field on each agent's view; with zero delays
     every view is the pre-tick iterate, so it is ``field(x_n)``) and
-    whether the region pulled the new iterate back.  When some agent is
-    inactive, only the active agents' delayed views are gathered: an
-    inactive agent's drive component is evaluated at the fresh view
-    ``x_n`` and never used.  Runs under the caller's numpy error state;
-    the run drivers silence overflow and invalid-value warnings around
-    their tick loop, since a non-finite iterate raises
-    :class:`DivergenceError` anyway.
+    whether the region pulled the new iterate back.  On a tick where few
+    agents of a wide chain are active (see :func:`_partial_views`), only
+    their delayed views are gathered: an inactive agent's drive component
+    is then evaluated at the fresh view ``x_n`` and never used.  Runs under
+    the caller's numpy error state; the run drivers silence overflow and
+    invalid-value warnings around their tick loop, since a non-finite
+    iterate raises :class:`DivergenceError` anyway.
     """
     n = history.n
     x = history.latest
-    tau = sample.tau
-    if tau is None:
+    if sample.tau is None:
         drive = field.vector(x)
-    elif sample.all_active:
-        drive = field.vector_views(history.gather(n, tau))
+    elif sample.all_active or len(x) * len(x) < COLUMN_GATHER_CELLS:
+        drive = field.vector_views(history.gather(n, sample.tau))
     else:
-        views = np.repeat(x[:, None], len(x), axis=1)
-        act = np.flatnonzero(sample.active)
-        views[:, act] = history.gather(n, tau[:, act])
-        drive = field.vector_views(views)
+        drive = field.vector_views(_partial_views(history, sample.tau, sample.active))
     delta = sample.step * (drive + sample.eps + sample.noise)
     x_new = x + delta if sample.all_active else np.where(sample.active, x + delta, x)
     # x @ 0 is NaN exactly when some component of x is not finite

@@ -12,13 +12,12 @@ models draw nothing.  A model whose shape does not fit the dimension is a
 Delay samplers serve a full (d, d) matrix per tick with entry [j, i] the
 age of agent i's view of component j; the diagonal is always 0 and no
 age reaches before tick 0.  Rows come in tick order.  A delay block holds
-at most ``_rng.DELAY_BLOCK_BYTES``.  I.i.d. ages are ``int32`` (``int64``
-past a horizon of 2**31 ticks), filled one source component j at a time;
-stale-refresh and zero ages are ``int64``.  Stale-refresh ages follow a
-recursion, but only through each view's last refresh, so a whole block of
-coins becomes a block of age matrices at once.  The engine gathers the
-views of the active agents only, so an inactive agent's ages are drawn
-but never read.
+at most ``_rng.DELAY_BLOCK_BYTES``.  Ages are ``int64``, except i.i.d.
+ages at a d where a CHUNK-row ``int64`` block would pass that cap
+(d > 45): those are ``int32`` (``int64`` past a horizon of 2**31 ticks).
+I.i.d. ages are filled one source component j at a time.  Stale-refresh
+ages follow a recursion, but only through each view's last refresh, so a
+whole block of coins becomes a block of age matrices at once.
 
 Error samplers enforce their declared bound on every sample: each block
 is checked before any of its rows is served.  Componentwise-uniform and
@@ -163,12 +162,17 @@ def _pair_matrix_param(value, d: int) -> np.ndarray:
     return np.full((d, d), float(arr)) if arr.ndim == 0 else arr
 
 
-def _iid_delays(d: int, seed: int, horizon: int, draw, shift: int = 0) -> _DelaySampler:
+def _iid_delays(d: int, seed: int, horizon: int, draw) -> _DelaySampler:
     """Per-pair i.i.d. ages; ``draw(rng, j, i, size)`` gives the next
-    ``size`` draws of pair (j, i) from that pair's stream, and an age is a
-    draw minus ``shift``.  Every age is clamped below the horizon, so ages
-    are ``int32`` unless the horizon passes 2**31."""
-    dtype = np.int32 if horizon <= 2**31 else np.int64
+    ``size`` ages of pair (j, i) from that pair's stream.
+
+    Every age is clamped below the horizon, so ``int32`` holds it up to a
+    horizon of 2**31.  It is used only where the byte cap would cut an
+    ``int64`` block, doubling the rows per block: at small d ``int64``
+    ages are gathered faster (a d = 5 gather: 1.6 against 2.3 us).
+    """
+    wide = CHUNK * d * d * 8 > DELAY_BLOCK_BYTES  # a CHUNK-row int64 block
+    dtype = np.int32 if wide and horizon <= 2**31 else np.int64
     rngs = [[(i, stream(seed, DOMAIN_DELAY, j, i)) for i in range(d) if i != j]
             for j in range(d)]
 
@@ -182,8 +186,6 @@ def _iid_delays(d: int, seed: int, horizon: int, draw, shift: int = 0) -> _Delay
         for j, row in enumerate(rngs):
             for i, rng in row:
                 scratch[i] = draw(rng, j, i, size)
-            if shift:
-                scratch -= shift
             scratch[j] = 0  # the scratch is reused: clear the self-view row
             np.minimum(scratch, ticks, out=scratch)
             block[:, j, :] = scratch.T
@@ -244,8 +246,7 @@ def make_delay_sampler(model: DelayModel, d: int, seed: int, horizon: int):
     if isinstance(model, GeometricDelays):
         p = 1.0 / (1.0 + _pair_matrix_param(model.mean, d))
         return _iid_delays(
-            d, seed, horizon, lambda rng, j, i, size: rng.geometric(p[j, i], size=size),
-            shift=1)
+            d, seed, horizon, lambda rng, j, i, size: rng.geometric(p[j, i], size=size) - 1)
     if isinstance(model, StaleRefreshDelays):
         return _stale_refresh_delays(model, d, seed, horizon)
     raise ConfigError(f"unknown delay model {model!r}")

@@ -326,10 +326,12 @@ _COLUMN_OBJECTIVES = {
                                     StaleRefreshDelays(p_c=0.3)], ids=lambda m: m.kind)
 @pytest.mark.parametrize("activation", [BernoulliActivation(q=0.3), RoundRobin(k=1)],
                          ids=lambda a: a.kind)
-@pytest.mark.parametrize("d", [3, 24])
+@pytest.mark.parametrize("d", [3, 48])
 def test_active_column_update_matches_the_full_gather(d, activation, delays, objective):
-    # a partly active tick gathers only the active agents' views; every new
-    # iterate must equal, bit for bit, the update from every agent's view
+    # at d = 48 a partly active tick with at most 12 agents active gathers
+    # only their views (every round-robin tick, about a quarter of the
+    # Bernoulli ones); every new iterate must equal, bit for bit, the
+    # update from every agent's view
     ticks = 300
     bundle = build_runtime(RunConfig(
         dimension=d, horizon=ticks, seed=8, objective=_COLUMN_OBJECTIVES[objective](d),
@@ -387,12 +389,10 @@ def test_light_run_holds_no_spent_error_or_noise_block():
 def test_light_run_holds_no_spent_delay_block():
     # at d = 24 a drawn block holds 42 ticks, which does not divide CHUNK,
     # so one block's ages span two delay blocks: the spent block's tail is
-    # copied and the block itself released before the next fill.  The ages
-    # are int32 and the byte cap leaves CHUNK rows at d = 24; the ring of
-    # every iterate (0.17 block) and the fill's int64 scratch rows of one
-    # source component (0.08 block) come on top of the one block
+    # copied and the block itself released before the next fill.  At d = 24
+    # the byte cap leaves CHUNK rows of int64 ages
     d = 24
-    block = CHUNK * d * d * 4
+    block = CHUNK * d * d * 8
     cfg = RunConfig(dimension=d, horizon=2 * CHUNK, seed=0,
                     objective=ScaledIdentityObjective(gain=-1.0),
                     delays=GeometricDelays(mean=3.0))
@@ -402,7 +402,7 @@ def test_light_run_holds_no_spent_delay_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.4 * block
+    assert peak <= 1.25 * block
 
 
 def test_zero_delay_run_evaluates_the_field_once_per_tick(monkeypatch):

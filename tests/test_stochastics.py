@@ -83,7 +83,7 @@ def test_geometric_delays_per_pair_matrix():
 
 def test_iid_delay_refill_frees_the_spent_block_first():
     d = 24
-    block = CHUNK * d * d * 4  # int32 ages; the byte cap leaves CHUNK rows at d = 24
+    block = CHUNK * d * d * 8  # int64 ages; the byte cap leaves CHUNK rows at d = 24
     tracemalloc.start()
     try:
         sampler = make_delay_sampler(UniformDelays(tau_max=3), d, seed=0,
@@ -102,7 +102,7 @@ def test_iid_delay_refill_frees_the_spent_block_first():
 def test_short_run_draws_a_short_delay_block():
     # a block is cut at the horizon: one tick draws one row, not CHUNK
     d = 24
-    block = CHUNK * d * d * 4
+    block = CHUNK * d * d * 8
     tracemalloc.start()
     try:
         sampler = make_delay_sampler(UniformDelays(tau_max=3), d, seed=0, horizon=1)
@@ -136,6 +136,7 @@ _DELAY_KINDS = {
     "stale-symmetric": StaleRefreshDelays(p_c=0.05),
     "stale-asymmetric": StaleRefreshDelays(p_c=0.05, symmetric=False),
 }
+# the age dtype of each kind at a d where the byte cap cuts its blocks
 _AGE_DTYPES = {"zero": np.int64, "uniform": np.int32, "geometric": np.int32,
                "stale-symmetric": np.int64, "stale-asymmetric": np.int64}
 
@@ -449,17 +450,26 @@ def test_sampler_streams_are_frozen():
 
 @pytest.mark.parametrize("name", _DELAY_VARIANTS)
 def test_delay_samplers_store_their_documented_age_dtype(name):
-    # i.i.d. ages are int32 up to a horizon of 2**31 and int64 past it;
-    # stale-refresh ages (read by every tick of an all-active chain) and
-    # zero ages are int64
+    # at small d every kind stores int64 ages, across a refill
     model = _DELAY_VARIANTS[name]
-    iid = name in ("uniform", "geometric", "geometric-matrix")
     sampler = make_delay_sampler(model, D, seed=7, horizon=_DRAWS)
-    assert sampler.take(CHUNK + 1).dtype == (np.int32 if iid else np.int64)
-    for horizon in (2**31, 2**31 + 1):
-        sampler = make_delay_sampler(model, D, seed=7, horizon=horizon)
-        wide = not iid or horizon > 2**31
-        assert sampler.take(1).dtype == (np.int64 if wide else np.int32)
+    assert sampler.take(CHUNK + 1).dtype == np.int64
+
+
+@pytest.mark.parametrize("model", [ZeroDelays(), UniformDelays(tau_max=3),
+                                   GeometricDelays(mean=2.0), StaleRefreshDelays(p_c=0.4)],
+                         ids=lambda m: m.kind)
+def test_wide_iid_delay_samplers_store_int32_ages(model):
+    # i.i.d. ages are int32 from the least d at which a CHUNK-row int64
+    # block would pass the byte cap, up to a horizon of 2**31; every other
+    # kind, d and horizon keeps int64
+    wide = next(d for d in range(2, 100) if CHUNK * d * d * 8 > DELAY_BLOCK_BYTES)
+    iid = model.kind in ("bounded-uniform", "geometric")
+    for d, horizon, dtype in ((wide - 1, 2**31, np.int64),
+                              (wide, 2**31, np.int32 if iid else np.int64),
+                              (wide, 2**31 + 1, np.int64)):
+        sampler = make_delay_sampler(model, d, seed=7, horizon=horizon)
+        assert sampler.take(1).dtype == dtype, (d, horizon)
 
 
 def _in_runs(sampler):
