@@ -15,9 +15,12 @@ age reaches before tick 0.  Rows come in tick order.  A delay block holds
 at most ``_rng.DELAY_BLOCK_BYTES``.  Ages are ``int64``, except i.i.d.
 ages at a d where a CHUNK-row ``int64`` block would pass that cap
 (d > 45): those are ``int32`` (``int64`` past a horizon of 2**31 ticks).
-I.i.d. ages are filled one source component j at a time.  Stale-refresh
-ages follow a recursion, but only through each view's last refresh, so a
-whole block of coins becomes a block of age matrices at once.
+I.i.d. ages are filled one source component j at a time.  Geometric ages
+are the bits of numpy's ``geometric``; below its branch threshold (a mean
+above 2) numpy inverts one standard exponential per draw, so those pairs
+draw the exponentials in bulk and the inversion runs once per j.
+Stale-refresh ages follow a recursion, but only through each view's last
+refresh, so a whole block of coins becomes a block of age matrices at once.
 
 Error samplers enforce their declared bound on every sample: each block
 is checked before any of its rows is served.  Componentwise-uniform and
@@ -28,6 +31,7 @@ mean conditional on the past and components bounded by their level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,8 +101,8 @@ class GeometricDelays:
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
-        if not np.all(mean > 0):
-            raise ConfigError("geometric delays need mean > 0")
+        if not np.all(np.isfinite(mean) & (mean > 0)):
+            raise ConfigError("geometric delays need a finite mean > 0")
         object.__setattr__(self, "mean", mean if mean.ndim else float(mean))
 
 
@@ -162,9 +166,14 @@ def _pair_matrix_param(value, d: int) -> np.ndarray:
     return np.full((d, d), float(arr)) if arr.ndim == 0 else arr
 
 
-def _iid_delays(d: int, seed: int, horizon: int, draw) -> _DelaySampler:
-    """Per-pair i.i.d. ages; ``draw(rng, j, i, size)`` gives the next
-    ``size`` ages of pair (j, i) from that pair's stream.
+def _iid_delays(d: int, seed: int, horizon: int, draw, scale=None) -> _DelaySampler:
+    """Per-pair i.i.d. ages; ``draw(rng, j, i, out)`` writes the next
+    ``len(out)`` draws of pair (j, i), from that pair's stream, to the
+    float64 row ``out``.  A draw is the age itself, or, with a (d, d, 1)
+    ``scale``, the age is ``ceil(draw / scale[j, i]) - 1``, computed once
+    per source component j over all of its pairs.  Ages are clamped to
+    their tick in float64, where every age up to the tick is exact, and
+    only then cast to ``dtype``, so no larger draw reaches the cast.
 
     Every age is clamped below the horizon, so ``int32`` holds it up to a
     horizon of 2**31.  It is used only where the byte cap would cut an
@@ -180,12 +189,17 @@ def _iid_delays(d: int, seed: int, horizon: int, draw) -> _DelaySampler:
         """One source component j at a time: the ages of pairs (j, i) go to
         row i of a contiguous scratch, then to column j of every matrix."""
         block = np.empty((size, d, d), dtype=dtype)
-        scratch = np.empty((d, size), dtype=np.int64)
+        scratch = np.zeros((d, size))  # row 0 is transformed before it is cleared
         # column t is tick start + t, and no view reaches before tick 0
-        ticks = np.arange(start, start + size)
+        ticks = np.arange(start, start + size, dtype=float)
         for j, row in enumerate(rngs):
             for i, rng in row:
-                scratch[i] = draw(rng, j, i, size)
+                draw(rng, j, i, scratch[i])
+            if scale is not None:
+                with np.errstate(over="ignore"):  # an infinite age clamps to its tick
+                    np.divide(scratch, scale[j], out=scratch)
+                np.ceil(scratch, out=scratch)
+                scratch -= 1
             scratch[j] = 0  # the scratch is reused: clear the self-view row
             np.minimum(scratch, ticks, out=scratch)
             block[:, j, :] = scratch.T
@@ -241,12 +255,23 @@ def make_delay_sampler(model: DelayModel, d: int, seed: int, horizon: int):
         return sampler
     if isinstance(model, UniformDelays):
         high = model.tau_max + 1
-        return _iid_delays(
-            d, seed, horizon, lambda rng, j, i, size: rng.integers(0, high, size=size))
+        return _iid_delays(d, seed, horizon, lambda rng, j, i, out: np.copyto(
+            out, rng.integers(0, high, size=out.size)))
     if isinstance(model, GeometricDelays):
+        # below its threshold numpy's geometric(p) is ceil(E / s), E a standard
+        # exponential and s = -log1p(-p) by the C log1p that math.log1p calls
         p = 1.0 / (1.0 + _pair_matrix_param(model.mean, d))
-        return _iid_delays(
-            d, seed, horizon, lambda rng, j, i, size: rng.geometric(p[j, i], size=size) - 1)
+        search = p >= 0.333333333333333333333333
+        scale = np.array([1.0 if hit else -math.log1p(-q)
+                          for q, hit in zip(p.flat, search.flat)]).reshape(d, d, 1)
+
+        def draw(rng, j, i, out):
+            if search[j, i]:  # a count in {1, 2, ...}, with scale 1
+                np.copyto(out, rng.geometric(p[j, i], size=out.size))
+            else:
+                rng.standard_exponential(out=out)
+
+        return _iid_delays(d, seed, horizon, draw, scale)
     if isinstance(model, StaleRefreshDelays):
         return _stale_refresh_delays(model, d, seed, horizon)
     raise ConfigError(f"unknown delay model {model!r}")

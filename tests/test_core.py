@@ -1,6 +1,10 @@
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -403,6 +407,39 @@ def test_light_run_holds_no_spent_delay_block():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * block
+
+
+# Measures each child's peak RSS in a fresh parent, so that no earlier child
+# of the test process counts: RUSAGE_CHILDREN after a child is the largest
+# peak of the children so far, and the run's child imports the same modules.
+_PEAK_RSS_KIB = """
+import resource, subprocess, sys
+def peak(code):
+    subprocess.run([sys.executable, "-c", code], check=True)
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+print(peak("import asyncsa"), peak(sys.argv[1]))
+"""
+
+
+def test_wide_geometric_light_run_peak_rss_is_its_pair_streams():
+    # A d = 300 run of two ticks holds its d (d - 1) per-pair delay streams,
+    # about 1.04 KiB each, and one two-row block of int32 ages; a block of
+    # the byte cap's rows (64 MiB) would pass the budget.  d = 300, not the
+    # 500 that wide runs reach, keeps the test near 6 s of the suite: d = 500
+    # spends about 8 s building its 249 500 streams.
+    d, horizon = 300, 2
+    run = ("from asyncsa import GeometricDelays, RunConfig, ScaledIdentityObjective, run_light\n"
+           f"run_light(RunConfig(dimension={d}, horizon={horizon}, seed=0, "
+           "objective=ScaledIdentityObjective(gain=-1.0), delays=GeometricDelays(mean=3.0)))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_KIB, run], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    baseline, peak = (int(kib) for kib in proc.stdout.split())
+    block_kib = horizon * d * d * 4 / 1024
+    budget = baseline + 1.25 * d * (d - 1) + 1.25 * block_kib
+    assert peak <= budget, (peak, baseline, budget)
 
 
 def test_zero_delay_run_evaluates_the_field_once_per_tick(monkeypatch):

@@ -26,7 +26,7 @@ from asyncsa import (
     ZeroNoise,
 )
 from asyncsa._rng import CHUNK, DELAY_BLOCK_BYTES, DOMAIN_DELAY, DOMAIN_ERROR_ALT, stream
-from asyncsa.config import spec_from_config, spec_to_config
+from asyncsa.config import parse_run_config, spec_from_config, spec_to_config
 from asyncsa.schedules import make_activation_sampler
 from asyncsa.stochastics import (
     make_delay_sampler,
@@ -79,6 +79,70 @@ def test_geometric_delays_per_pair_matrix():
     draws = np.array([sampler.matrix(n) for n in range(3200)])[200:]
     assert draws[:, 0, 1].mean() == pytest.approx(8.0, abs=0.8)
     assert draws[:, 1, 0].mean() == pytest.approx(2.0, abs=0.3)
+
+
+# the least d at which the byte cap cuts an int32 block below CHUNK rows
+_CAPPED_D = next(d for d in range(2, 100) if DELAY_BLOCK_BYTES // (d * d * 4) < CHUNK)
+
+
+def _mixed_means(d):
+    # means 1.5 and 2.0 take numpy's search branch, 2.5 and 3.0 its inversion
+    return 1.5 + 0.5 * (np.add.outer(np.arange(d), 2 * np.arange(d)) % 4)
+
+
+@pytest.mark.parametrize("mean, d", [
+    *((mean, D) for mean in (2.0, 2.0000001, 3.0, 1e6, "mixed")),
+    # int32 ages: both branches, and ages clamped to their tick
+    ("mixed", _CAPPED_D), (1e6, _CAPPED_D),
+])
+def test_geometric_ages_are_each_pair_streams_geometric_draws(mean, d):
+    # the stream contract: age [j, i] at tick n is min(geometric(p) - 1, n)
+    # on pair (j, i)'s own stream, p = 1 / (1 + mean), read across the first
+    # refill.  The sampler computes the inversion branch itself from the
+    # pair's standard exponentials, so a numpy release that changes its
+    # geometric algorithm fails here first.
+    means = _mixed_means(d) if mean == "mixed" else np.full((d, d), mean)
+    sampler = make_delay_sampler(
+        GeometricDelays(mean=means if mean == "mixed" else mean), d, seed=5,
+        horizon=10 * CHUNK)
+    dtype = np.dtype(np.int32 if d == _CAPPED_D else np.int64)
+    first = min(CHUNK, DELAY_BLOCK_BYTES // (d * d * dtype.itemsize))  # the first block's rows
+    got = [sampler.take(first - 2), sampler.take(5)]  # the second spans the refill
+    assert got[0].dtype == dtype
+    ticks = np.arange(first + 3)
+    for j, i in itertools.permutations(range(d), 2):
+        p = 1.0 / (1.0 + means[j, i])
+        want = np.minimum(stream(5, DOMAIN_DELAY, j, i).geometric(p, len(ticks)) - 1, ticks)
+        ages = np.concatenate([rows[:, j, i] for rows in got])
+        assert np.array_equal(ages, want), (
+            f"pair ({j}, {i}), mean {means[j, i]}: the ages no longer match numpy's "
+            "geometric on the pair stream; has numpy changed its geometric algorithm?")
+    assert not np.diagonal(got[1], axis1=1, axis2=2).any()
+
+
+@pytest.mark.parametrize("d", [D, _CAPPED_D], ids=["int64", "int32-capped"])
+@pytest.mark.parametrize("mean", [1e25, 1e308])
+def test_huge_geometric_means_reach_back_to_tick_zero(mean, d):
+    # every draw overflows the age type, and 1e308 even the float scratch:
+    # each view is clamped to its tick, never cast to a negative age
+    ticks = 6
+    tau = make_delay_sampler(GeometricDelays(mean=mean), d, seed=1, horizon=ticks).take(ticks)
+    off = ~np.eye(d, dtype=bool)
+    assert np.array_equal(tau[:, off], np.broadcast_to(np.arange(ticks)[:, None],
+                                                       (ticks, d * (d - 1))))
+    assert not np.diagonal(tau, axis1=1, axis2=2).any()
+
+
+@pytest.mark.parametrize("mean", [np.inf, -np.inf, np.nan, "matrix"])
+def test_geometric_mean_must_be_finite(mean):
+    mean = [[1.0, np.inf], [2.0, 1.0]] if mean == "matrix" else mean
+    with pytest.raises(ConfigError, match="finite mean > 0"):
+        spec_from_config("delays", {"kind": "geometric", "mean": mean}, 2)
+    doc = {"dimension": 2, "horizon": 5, "seed": 0,
+           "objective": {"kind": "scaled-identity", "gain": -1.0},
+           "delays": {"kind": "geometric", "mean": mean}}
+    with pytest.raises(ConfigError, match="finite mean > 0"):
+        parse_run_config(doc)
 
 
 def test_iid_delay_refill_frees_the_spent_block_first():
