@@ -6,8 +6,9 @@ One tick of the recursion updates only the active coordinates:
 
 where nu(n, i) counts how often agent i was active on ticks m < n, and the
 drive for agent i is evaluated on that agent's own (possibly stale) view of
-the iterate; in a wide chain with few agents active, an inactive agent's
-view is not gathered.  Only the drive depends on the iterate:
+the iterate.  On a tick of a wide chain with few agents active, only the
+active agents' ages are transformed, their views gathered and their drive
+components evaluated.  Only the drive depends on the iterate:
 :func:`draw_block` draws everything else (active set, step sizes, delays,
 errors, noise) a block of ticks at a time, :func:`draw_tick` serves that
 block one row per tick, and :func:`apply_tick` only moves the iterate.
@@ -247,12 +248,26 @@ class TickBlock:
 BLOCK_CELLS = 1024
 
 
+# Least d * d at which a tick with at most a quarter of its agents active
+# reads only their columns: their ages, views and drive components.  Its
+# extra numpy calls pay only where enough cells are skipped (round-robin
+# geometric run_light, best of 7 runs of 4000 ticks): with one agent active
+# it is 13% slower at d = 24 and 9%, 16%, 25% faster at d = 32, 40, 48; with
+# a quarter active it is 5% and 7% slower at d = 32, 40 and 4% faster at 48.
+COLUMN_GATHER_CELLS = 2048
+
+
 def draw_block(n: int, size: int, bundle: RuntimeBundle) -> TickBlock:
     """The inputs of ticks ``n .. n + size - 1``, the next rows of every
-    stream; the activation counters move once, past the last of them."""
-    models = bundle.models
+    stream; the activation counters move once, past the last of them.
+    A tick that reads only its active agents' columns (see
+    ``COLUMN_GATHER_CELLS``) gets ages for those columns only."""
+    models, d = bundle.models, bundle.d
     active, step = bundle.schedule.take(size)
-    tau = None if models.delays.always_zero else models.delays.take(size)
+    columns = None  # the agents whose ages each tick reads, if not all
+    if not bundle.schedule.all_active and d * d >= COLUMN_GATHER_CELLS:
+        columns = active | (4 * np.count_nonzero(active, axis=1) > d)[:, None]
+    tau = None if models.delays.always_zero else models.delays.take(size, columns)
     return TickBlock(n, active, step, tau, models.errors.take(size),
                      models.noise.take(size))
 
@@ -280,52 +295,39 @@ def draw_tick(n: int, bundle: RuntimeBundle) -> TickSample:
                       block.eps[k], block.noise[k], bundle.schedule.all_active)
 
 
-# Least d * d at which a partly active tick may gather only the active
-# agents' columns.  That path costs about 6 us more in numpy calls, so it
-# pays only where the skipped cells outweigh it: with one agent active it
-# is slower at d = 32 and faster from d = 48, and at d = 100 it loses once
-# half the agents are active.
-COLUMN_GATHER_CELLS = 2048
-
-
-def _partial_views(history: IterateHistory, tau: np.ndarray,
-                   active: np.ndarray) -> np.ndarray:
-    """The views of a partly active tick at d * d >= COLUMN_GATHER_CELLS:
-    with at most a quarter of the agents active, the inactive agents' views
-    are the fresh iterate and only the active columns are gathered."""
-    d = len(tau)
-    act = np.flatnonzero(active)
-    if 4 * len(act) > d:
-        return history.gather(history.n, tau)
-    views = np.repeat(history.latest[:, None], d, axis=1)
-    views[:, act] = history.gather(history.n, tau[:, act])
-    return views
-
-
 def apply_tick(history: IterateHistory, field: Field, sample: TickSample,
                region: ProjectionRegion | None = None) -> tuple[np.ndarray, bool]:
     """Move the iterate by one drawn tick.  The single update code path.
 
     Returns the drive (the field on each agent's view; with zero delays
     every view is the pre-tick iterate, so it is ``field(x_n)``) and
-    whether the region pulled the new iterate back.  On a tick where few
-    agents of a wide chain are active (see :func:`_partial_views`), only
-    their delayed views are gathered: an inactive agent's drive component
-    is then evaluated at the fresh view ``x_n`` and never used.  Runs under
-    the caller's numpy error state; the run drivers silence overflow and
-    invalid-value warnings around their tick loop, since a non-finite
-    iterate raises :class:`DivergenceError` anyway.
+    whether the region pulled the new iterate back.  On a tick where at
+    most a quarter of a wide chain's agents are active (see
+    ``COLUMN_GATHER_CELLS``), only their views are gathered, and the drive
+    holds only their components, in agent order.  Runs under the caller's
+    numpy error state; the run drivers silence overflow and invalid-value
+    warnings around their tick loop, since a non-finite iterate raises
+    :class:`DivergenceError` anyway.
     """
     n = history.n
     x = history.latest
+    agents = None
     if sample.tau is None:
         drive = field.vector(x)
-    elif sample.all_active or len(x) * len(x) < COLUMN_GATHER_CELLS:
-        drive = field.vector_views(history.gather(n, sample.tau))
     else:
-        drive = field.vector_views(_partial_views(history, sample.tau, sample.active))
-    delta = sample.step * (drive + sample.eps + sample.noise)
-    x_new = x + delta if sample.all_active else np.where(sample.active, x + delta, x)
+        tau = sample.tau
+        if not sample.all_active and len(x) * len(x) >= COLUMN_GATHER_CELLS:
+            act = np.flatnonzero(sample.active)
+            if 4 * len(act) <= len(x):  # the rule draw_block serves ages by
+                agents, tau = act, tau[:, act]
+        drive = field.vector_views(history.gather(n, tau), agents)
+    if agents is None:
+        delta = sample.step * (drive + sample.eps + sample.noise)
+        x_new = x + delta if sample.all_active else np.where(sample.active, x + delta, x)
+    else:
+        x_new = x.copy()
+        x_new[agents] += sample.step[agents] * (drive + sample.eps[agents]
+                                                + sample.noise[agents])
     # x @ 0 is NaN exactly when some component of x is not finite
     if not math.isfinite(x_new @ np.zeros(len(x_new))):
         bad = int(np.flatnonzero(~np.isfinite(x_new))[0])

@@ -19,7 +19,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from ._rng import DOMAIN_INSTANCE, stream
 from .config import (
@@ -162,6 +161,8 @@ def reproduce_experiment(p_c: float, seeds, eps_grid=EPS_GRID,
 
 def summarize(result: AggregateResult) -> dict:
     """Scaling summary: rank correlation and tail medians of the rows."""
+    from scipy import stats  # about 70 MiB and 1 s to import: only here
+
     ok = [r for r in result.rows if r["status"] == "ok"]
     eps = np.array([r["epsilon"] for r in ok])
     vals = np.array([r["log_final_norm"] for r in ok])

@@ -2,10 +2,11 @@
 
 A field answers two evaluations:
 
-* ``vector(x)``        -- f at a single point, all components;
-* ``vector_views(V)``  -- component i of f at column i of V, for every i at
-  once, where column i of the (d, d) matrix V is agent i's (possibly
-  stale) view of the iterate.
+* ``vector(x)``                -- f at a single point, all components;
+* ``vector_views(V, agents)``  -- component ``agents[c]`` of f at column c
+  of V, where column c of the (d, k) matrix V is that agent's (possibly
+  stale) view of the iterate, with the bits of a call for all d agents;
+  ``agents`` None stands for every agent, in order.
 """
 
 from __future__ import annotations
@@ -33,12 +34,25 @@ __all__ = [
 ]
 
 
+def column_views(views: np.ndarray) -> np.ndarray:
+    """(d, k) views as the first k columns of a C-ordered (d, d) buffer:
+    einsum's last bits depend on the stride of its summed axis."""
+    buf = np.empty((len(views), len(views)))
+    buf[:, :views.shape[1]] = views
+    return buf[:, :views.shape[1]]
+
+
+def own_views(views: np.ndarray, agents: np.ndarray | None) -> np.ndarray:
+    """Each agent's view of its own component."""
+    return np.diagonal(views) if agents is None else views[agents, np.arange(len(agents))]
+
+
 class Field(Protocol):
     d: int
 
     def vector(self, x: np.ndarray) -> np.ndarray: ...
 
-    def vector_views(self, views: np.ndarray) -> np.ndarray: ...
+    def vector_views(self, views: np.ndarray, agents=None) -> np.ndarray: ...
 
 
 class QuadraticField:
@@ -70,8 +84,10 @@ class QuadraticField:
     def vector(self, x):
         return -(self.rows @ x)
 
-    def vector_views(self, views):
-        return -_einsum("ij,ji->i", self.rows, views)
+    def vector_views(self, views, agents=None):
+        if agents is None:
+            return -_einsum("ij,ji->i", self.rows, views)
+        return -_einsum("ij,ji->i", self.rows[agents], column_views(views))
 
 
 class ScaledIdentityField:
@@ -84,8 +100,8 @@ class ScaledIdentityField:
     def vector(self, x):
         return self.gain * x
 
-    def vector_views(self, views):
-        return self.gain * np.diagonal(views).copy()
+    def vector_views(self, views, agents=None):
+        return self.gain * own_views(views, agents)
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +172,15 @@ class GradientDescentField:
     def vector(self, x):
         return -self.surface.grad(x)
 
-    def vector_views(self, views):
-        # grad of a (d, d) stack of view columns; agent i keeps entry i of column i
-        return -np.diagonal(self.surface.grad(views))
+    def vector_views(self, views, agents=None):
+        # grad of a (d, d) stack of view columns; agent i keeps entry i of column
+        # i.  The bowl's M @ V of chosen columns alone has other bits than the
+        # full product, so they go back to their own columns of a full stack
+        if agents is None:
+            return -np.diagonal(self.surface.grad(views))
+        full = np.zeros((self.d, self.d))
+        full[:, agents] = views
+        return -self.surface.grad(full)[agents, agents]
 
 
 def random_pd_matrix(

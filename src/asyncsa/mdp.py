@@ -25,6 +25,7 @@ import numpy as np
 
 from ._rng import DOMAIN_MDP, stream
 from .errors import ConfigError, FixedPointError
+from .fields import column_views, own_views
 from .norms import Norm, unit_max_norm
 
 __all__ = [
@@ -152,13 +153,18 @@ class BellmanResidualField:
     def vector(self, values):
         return bellman_apply(self.mdp, values) - values
 
-    def vector_views(self, views):
-        q = self.mdp.costs + self.mdp.discount * np.einsum(
-            "saj,js->sa", self.mdp.transitions, views
-        )
-        out = q.min(axis=1) - np.diagonal(views)
-        if self.mdp.terminal is not None:
-            out[self.mdp.terminal] = -views[self.mdp.terminal, self.mdp.terminal]
+    def vector_views(self, views, agents=None):
+        mdp = self.mdp
+        own = own_views(views, agents)
+        transitions, costs, terminal = mdp.transitions, mdp.costs, mdp.terminal
+        if agents is not None:
+            transitions, costs = transitions[agents], costs[agents]
+            views = column_views(views)
+            terminal = agents == terminal  # where the terminal agent sits, if chosen
+        q = costs + mdp.discount * np.einsum("saj,js->sa", transitions, views)
+        out = q.min(axis=1) - own
+        if mdp.terminal is not None:
+            out[terminal] = -own[terminal]
         return out
 
 

@@ -9,18 +9,20 @@ its ``make_*`` factory, which takes the horizon, and zero or constant
 models draw nothing.  A model whose shape does not fit the dimension is a
 ``ConfigError`` (``check_model_shape``).
 
-Delay samplers serve a full (d, d) matrix per tick with entry [j, i] the
-age of agent i's view of component j; the diagonal is always 0 and no
-age reaches before tick 0.  Rows come in tick order.  A delay block holds
-at most ``_rng.DELAY_BLOCK_BYTES``.  Ages are ``int64``, except i.i.d.
-ages at a d where a CHUNK-row ``int64`` block would pass that cap
+Delay samplers serve a (d, d) matrix per tick with entry [j, i] the age
+of agent i's view of component j; the diagonal is always 0 and no age
+reaches before tick 0.  Rows come in tick order.  A drawn delay block
+holds at most ``_rng.DELAY_BLOCK_BYTES``.  Ages are ``int64``, except
+i.i.d. ages at a d where a CHUNK-row ``int64`` block would pass that cap
 (d > 45): those are ``int32`` (``int64`` past a horizon of 2**31 ticks).
-I.i.d. ages are filled one source component j at a time.  Geometric ages
-are the bits of numpy's ``geometric``; below its branch threshold (a mean
-above 2) numpy inverts one standard exponential per draw, so those pairs
-draw the exponentials in bulk and the inversion runs once per j.
-Stale-refresh ages follow a recursion, but only through each view's last
-refresh, so a whole block of coins becomes a block of age matrices at once.
+I.i.d. pairs draw raw values into one reused float64 block, each pair's
+draws contiguous, and ages are computed when they are read, for the
+columns the reader asks for.  Geometric ages are the bits of numpy's
+``geometric``; below its branch threshold (a mean above 2) numpy inverts
+one standard exponential per draw, so those pairs draw the exponentials
+in bulk and the inversion runs on the ages read.  Stale-refresh ages
+follow a recursion, but only through each view's last refresh, so a
+whole block of coins becomes a block of age matrices at once.
 
 Error samplers enforce their declared bound on every sample: each block
 is checked before any of its rows is served.  Componentwise-uniform and
@@ -144,9 +146,10 @@ DelayModel = ZeroDelays | UniformDelays | GeometricDelays | StaleRefreshDelays
 
 
 class _DelaySampler(Rows):
-    """Per-tick (d, d) age matrices of ``dtype``, read in tick order with
-    ``take``; ``matrix(n)`` reads one, tick n's when the ticks before it
-    were read.  A block holds at most ``DELAY_BLOCK_BYTES``.
+    """Per-tick (d, d) age matrices, read in tick order with ``take``;
+    ``matrix(n)`` reads one, tick n's when the ticks before it were read.
+    A drawn block of 8-byte cells (``int64`` ages, or the float64 raw
+    draws of i.i.d. ages) holds at most ``DELAY_BLOCK_BYTES``.
 
     The diagonal is always zero: delays model communication between
     distinct agents, and an agent reads its own component directly.
@@ -155,9 +158,14 @@ class _DelaySampler(Rows):
     matrix = Rows.next
     always_zero = False
 
-    def __init__(self, fill, horizon: int, d: int, dtype):
-        rows = DELAY_BLOCK_BYTES // (d * d * np.dtype(dtype).itemsize)
+    def __init__(self, fill, horizon: int, d: int):
+        rows = DELAY_BLOCK_BYTES // (d * d * 8)
         super().__init__(fill, horizon, max(1, min(CHUNK, rows)))
+
+    def take(self, size: int, columns: np.ndarray | None = None) -> np.ndarray:
+        """The next ``size`` age matrices, all of their columns; see
+        ``_IidDelays.take`` for ``columns``."""
+        return super().take(size)
 
 
 def _pair_matrix_param(value, d: int) -> np.ndarray:
@@ -166,46 +174,73 @@ def _pair_matrix_param(value, d: int) -> np.ndarray:
     return np.full((d, d), float(arr)) if arr.ndim == 0 else arr
 
 
-def _iid_delays(d: int, seed: int, horizon: int, draw, scale=None) -> _DelaySampler:
-    """Per-pair i.i.d. ages; ``draw(rng, j, i, out)`` writes the next
-    ``len(out)`` draws of pair (j, i), from that pair's stream, to the
-    float64 row ``out``.  A draw is the age itself, or, with a (d, d, 1)
-    ``scale``, the age is ``ceil(draw / scale[j, i]) - 1``, computed once
-    per source component j over all of its pairs.  Ages are clamped to
-    their tick in float64, where every age up to the tick is exact, and
-    only then cast to ``dtype``, so no larger draw reaches the cast.
+def _iid_ages(raw, ticks, scale):
+    """Float ages of raw i.i.d. draws clamped to their ``ticks``, without
+    writing to ``raw``; ``ticks`` and ``scale`` broadcast against it."""
+    if scale is None:
+        return np.minimum(raw, ticks)
+    with np.errstate(over="ignore"):  # an infinite age clamps to its tick
+        ages = np.divide(raw, scale)
+    np.ceil(ages, out=ages)
+    ages -= 1
+    return np.minimum(ages, ticks, out=ages)
 
-    Every age is clamped below the horizon, so ``int32`` holds it up to a
-    horizon of 2**31.  It is used only where the byte cap would cut an
-    ``int64`` block, doubling the rows per block: at small d ``int64``
-    ages are gathered faster (a d = 5 gather: 1.6 against 2.3 us).
+
+class _IidDelays(_DelaySampler):
+    """Per-pair i.i.d. ages, computed from raw draws as they are read.
+
+    ``draw(rng, j, i, out)`` writes the next ``len(out)`` raw draws of pair
+    (j, i), from that pair's stream, to the float64 row ``out`` of one
+    buffer laid out ``[j, i, t]``, which every refill overwrites in place:
+    ``take`` only serves transformed copies.  The age is the draw itself,
+    or ``ceil(draw / scale[j, i]) - 1`` with a (d, d) ``scale``.  Ages are
+    clamped to their tick in float64, where every age up to the tick is
+    exact, and only then cast to ``dtype``, so no larger draw reaches it.
+
+    ``int32`` holds every age up to a horizon of 2**31.  It is used only
+    where the byte cap would cut a CHUNK-row ``int64`` block: at small d
+    ``int64`` ages are gathered faster (a d = 5 gather: 1.6 against 2.3 us).
     """
-    wide = CHUNK * d * d * 8 > DELAY_BLOCK_BYTES  # a CHUNK-row int64 block
-    dtype = np.int32 if wide and horizon <= 2**31 else np.int64
-    rngs = [[(i, stream(seed, DOMAIN_DELAY, j, i)) for i in range(d) if i != j]
-            for j in range(d)]
 
-    def fill(start, size):
-        """One source component j at a time: the ages of pairs (j, i) go to
-        row i of a contiguous scratch, then to column j of every matrix."""
-        block = np.empty((size, d, d), dtype=dtype)
-        scratch = np.zeros((d, size))  # row 0 is transformed before it is cleared
-        # column t is tick start + t, and no view reaches before tick 0
-        ticks = np.arange(start, start + size, dtype=float)
-        for j, row in enumerate(rngs):
-            for i, rng in row:
-                draw(rng, j, i, scratch[i])
-            if scale is not None:
-                with np.errstate(over="ignore"):  # an infinite age clamps to its tick
-                    np.divide(scratch, scale[j], out=scratch)
-                np.ceil(scratch, out=scratch)
-                scratch -= 1
-            scratch[j] = 0  # the scratch is reused: clear the self-view row
-            np.minimum(scratch, ticks, out=scratch)
-            block[:, j, :] = scratch.T
-        return block
+    def __init__(self, d: int, seed: int, horizon: int, draw, scale=None):
+        wide = CHUNK * d * d * 8 > DELAY_BLOCK_BYTES  # a CHUNK-row int64 block
+        self.dtype = np.dtype(np.int32 if wide and horizon <= 2**31 else np.int64)
+        self._d, self._scale, self._tick = d, scale, 0  # tick: the next row served
+        pairs = [(j, i, stream(seed, DOMAIN_DELAY, j, i))
+                 for j in range(d) for i in range(d) if i != j]
+        raw = np.zeros((d, d, 0))
 
-    return _DelaySampler(fill, horizon, d, dtype)
+        def fill(start, size):
+            nonlocal raw
+            if raw.shape[2] < size:  # the first fill is the largest
+                raw = np.zeros((d, d, size))
+            for j, i, rng in pairs:
+                draw(rng, j, i, raw[j, i, :size])
+            return raw[:, :, :size].transpose(2, 0, 1)
+
+        super().__init__(fill, horizon, d)
+
+    def take(self, size: int, columns: np.ndarray | None = None) -> np.ndarray:
+        """The next ``size`` age matrices.  A row of the (size, d) mask
+        ``columns`` with some agent unmarked gets ages in its marked columns
+        only, and 0 in the others; every other row is transformed in bulk."""
+        raw = super().take(size)  # [t, j, i]: each pair's draws are contiguous
+        d, scale = self._d, self._scale
+        ticks = np.arange(self._tick, self._tick + size, dtype=float)
+        self._tick += size
+        full = None if columns is None else columns.all(axis=1)
+        if full is None or full.all():
+            ages = np.empty((size, d, d), self.dtype)
+            np.copyto(ages, _iid_ages(raw, ticks[:, None, None], scale), casting="unsafe")
+        else:
+            ages = np.zeros((size, d, d), self.dtype)
+            if full.any():
+                ages[full] = _iid_ages(raw[full], ticks[full, None, None], scale)
+            t, i = np.nonzero(columns & ~full[:, None])
+            ages[t, :, i] = _iid_ages(raw[t, :, i], ticks[t, None],
+                                      None if scale is None else scale.T[i])
+        ages.reshape(size, d * d)[:, :: d + 1] = 0  # no pair stream draws a self-view
+        return ages
 
 
 def _stale_refresh_delays(model: StaleRefreshDelays, d: int, seed: int,
@@ -242,20 +277,19 @@ def _stale_refresh_delays(model: StaleRefreshDelays, d: int, seed: int,
             ages[k] = last[-1]
         return block
 
-    return _DelaySampler(fill, horizon, d, np.int64)
+    return _DelaySampler(fill, horizon, d)
 
 
 def make_delay_sampler(model: DelayModel, d: int, seed: int, horizon: int):
     """Age matrices of ticks 0, 1, ... in blocks cut at ``horizon``."""
     check_model_shape(model, d)
     if isinstance(model, ZeroDelays):
-        sampler = _DelaySampler(constant(np.zeros((d, d), dtype=np.int64)), horizon,
-                                d, np.int64)
+        sampler = _DelaySampler(constant(np.zeros((d, d), dtype=np.int64)), horizon, d)
         sampler.always_zero = True
         return sampler
     if isinstance(model, UniformDelays):
         high = model.tau_max + 1
-        return _iid_delays(d, seed, horizon, lambda rng, j, i, out: np.copyto(
+        return _IidDelays(d, seed, horizon, lambda rng, j, i, out: np.copyto(
             out, rng.integers(0, high, size=out.size)))
     if isinstance(model, GeometricDelays):
         # below its threshold numpy's geometric(p) is ceil(E / s), E a standard
@@ -263,7 +297,7 @@ def make_delay_sampler(model: DelayModel, d: int, seed: int, horizon: int):
         p = 1.0 / (1.0 + _pair_matrix_param(model.mean, d))
         search = p >= 0.333333333333333333333333
         scale = np.array([1.0 if hit else -math.log1p(-q)
-                          for q, hit in zip(p.flat, search.flat)]).reshape(d, d, 1)
+                          for q, hit in zip(p.flat, search.flat)]).reshape(d, d)
 
         def draw(rng, j, i, out):
             if search[j, i]:  # a count in {1, 2, ...}, with scale 1
@@ -271,7 +305,7 @@ def make_delay_sampler(model: DelayModel, d: int, seed: int, horizon: int):
             else:
                 rng.standard_exponential(out=out)
 
-        return _iid_delays(d, seed, horizon, draw, scale)
+        return _IidDelays(d, seed, horizon, draw, scale)
     if isinstance(model, StaleRefreshDelays):
         return _stale_refresh_delays(model, d, seed, horizon)
     raise ConfigError(f"unknown delay model {model!r}")

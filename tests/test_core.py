@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import subprocess
@@ -47,10 +48,11 @@ from asyncsa import (
     run_light,
     run_paired,
 )
-from asyncsa._rng import CHUNK
-from asyncsa.core import draw_block
+from asyncsa._rng import CHUNK, DELAY_BLOCK_BYTES
+from asyncsa.core import COLUMN_GATHER_CELLS, draw_block
 from asyncsa.fields import QuadraticBowl, QuadraticField, ScaledIdentityField, random_pd_matrix
 from asyncsa.schedules import make_activation_sampler
+from asyncsa.stochastics import make_delay_sampler
 
 import reference
 
@@ -330,12 +332,13 @@ _COLUMN_OBJECTIVES = {
                                     StaleRefreshDelays(p_c=0.3)], ids=lambda m: m.kind)
 @pytest.mark.parametrize("activation", [BernoulliActivation(q=0.3), RoundRobin(k=1)],
                          ids=lambda a: a.kind)
-@pytest.mark.parametrize("d", [3, 48])
+@pytest.mark.parametrize("d", [3, 48, 100])
 def test_active_column_update_matches_the_full_gather(d, activation, delays, objective):
     # at d = 48 a partly active tick with at most 12 agents active gathers
-    # only their views (every round-robin tick, about a quarter of the
-    # Bernoulli ones); every new iterate must equal, bit for bit, the
-    # update from every agent's view
+    # only their views and evaluates only their drive components (every
+    # round-robin tick, about a quarter of the Bernoulli ones; at d = 100
+    # about a sixth); every new iterate must equal, bit for bit, the update
+    # from every agent's view
     ticks = 300
     bundle = build_runtime(RunConfig(
         dimension=d, horizon=ticks, seed=8, objective=_COLUMN_OBJECTIVES[objective](d),
@@ -353,6 +356,95 @@ def test_active_column_update_matches_the_full_gather(d, activation, delays, obj
                         x)
         apply_tick(history, field, sample)
         assert _bits(history.latest) == _bits(want), n
+
+
+def _mixed_means(d):
+    # means 1.5 and 2.0 take numpy's search branch, 2.5 and 3.0 its inversion
+    return 1.5 + 0.5 * (np.add.outer(np.arange(d), 2 * np.arange(d)) % 4)
+
+
+_READ_DELAYS = {
+    "uniform": lambda d: UniformDelays(tau_max=5),
+    "geometric": lambda d: GeometricDelays(mean=3.0),
+    "geometric-matrix": lambda d: GeometricDelays(mean=_mixed_means(d)),
+}
+
+
+@pytest.mark.parametrize("delays", _READ_DELAYS)
+@pytest.mark.parametrize("d, activation", [
+    (3, RoundRobin(k=1)),                  # small d: every tick reads full matrices
+    (48, BernoulliActivation(q=0.25)),     # blocks mixing full and column ticks
+    (100, RoundRobin(k=1)),                # every tick reads one column
+], ids=["d3", "d48", "d100"])
+def test_drawn_ages_of_read_columns_match_the_full_matrices(d, activation, delays):
+    # A tick with at most a quarter of a wide chain's agents active gets
+    # ages only for its active columns, and 0 in the others; every other
+    # tick gets full matrices.  Either way each served age equals that of a
+    # twin sampler read with plain take.  The ticks run past the first
+    # float64 raw block (4096 rows at d = 3, 3640 at d = 48, 838 at d = 100),
+    # so one drawn block of ticks spans the refill.
+    raw_rows = min(CHUNK, DELAY_BLOCK_BYTES // (d * d * 8))
+    ticks = raw_rows + 50
+    model = _READ_DELAYS[delays](d)
+    bundle = build_runtime(RunConfig(
+        dimension=d, horizon=ticks, seed=9, objective=ScaledIdentityObjective(gain=-1.0),
+        activation=activation, delays=model))
+    twin = make_delay_sampler(model, d, seed=9, horizon=ticks)
+    columns_read = 0
+    for n in range(ticks):
+        sample = draw_tick(n, bundle)
+        full = twin.take(1)[0]
+        assert sample.tau.dtype == full.dtype
+        assert 0 <= sample.tau.min() and sample.tau.max() <= n
+        act = np.flatnonzero(sample.active)
+        if d * d >= COLUMN_GATHER_CELLS and 4 * len(act) <= d:
+            columns_read += 1
+            assert np.array_equal(sample.tau[:, act], full[:, act]), n
+            assert not np.delete(sample.tau, act, axis=1).any(), n
+        else:
+            assert np.array_equal(sample.tau, full), n
+    assert columns_read == {3: 0, 100: ticks}.get(d, columns_read)
+    assert d != 48 or 0 < columns_read < ticks
+
+
+@pytest.mark.parametrize("d", [48, 100])
+def test_huge_geometric_means_reach_back_to_tick_zero_in_read_columns(d):
+    # every draw overflows the float64 age: the read columns clamp to their
+    # tick, and the others stay 0
+    ticks = 12
+    bundle = build_runtime(RunConfig(
+        dimension=d, horizon=ticks, seed=1, objective=ScaledIdentityObjective(gain=-1.0),
+        activation=RoundRobin(k=2), delays=GeometricDelays(mean=1e308)))
+    for n in range(ticks):
+        sample = draw_tick(n, bundle)
+        act = np.flatnonzero(sample.active)
+        want = np.zeros((d, d), dtype=np.int64)
+        want[:, act] = n
+        want[act, act] = 0
+        assert np.array_equal(sample.tau, want), n
+
+
+# SHA-256 of final_x and counters of d = 100 run_light runs, recorded before
+# the active-column ticks skipped the inactive agents' ages and drives
+_WIDE_PINS = {
+    (1, "geometric"): "795bf053b9b1e4ca4f73475d7090d894edb5bc59285186440ec68d3e413fbcba",
+    (1, "bounded-uniform"): "f0e793227dcf96738d8976b12ee2bc97d302cd24fd3620981330068028acddc5",
+    (3, "geometric"): "57beb2ec91eb2581dbccabf02f42dcbd6c8175ef86c37c1e27766f0d3b9784db",
+    (3, "bounded-uniform"): "abaefd8f9c03ff832235b13d82e498f8a310403ba20cd245aa1e8f7cde04cf2e",
+}
+
+
+@pytest.mark.parametrize("k, kind", _WIDE_PINS, ids=lambda v: str(v))
+def test_wide_light_run_bytes_are_frozen(k, kind):
+    delays = GeometricDelays(mean=3.0) if kind == "geometric" else UniformDelays(tau_max=5)
+    result = run_light(RunConfig(
+        dimension=100, horizon=1000, seed=11, objective=QuadraticObjective(matrices="random"),
+        steps=HarmonicSteps(c=10.0), activation=RoundRobin(k=k), delays=delays,
+        errors=ComponentUniformErrors(bound=0.1), noise=UniformNoise(level=0.1)))
+    h = hashlib.sha256()
+    h.update(result.final_x.tobytes())
+    h.update(result.counters.tobytes())
+    assert h.hexdigest() == _WIDE_PINS[k, kind]
 
 
 def test_paired_run_reads_step_sizes_once_per_tick(monkeypatch):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +77,18 @@ def test_reproduce_is_deterministic_and_order_free():
     b = reproduce_experiment(0.4, (1, 3), eps_grid=(1.5, 0.5))
     key = lambda r: r["run_id"]
     assert sorted(a.rows, key=key) == sorted(b.rows, key=key)
+
+
+def test_importing_the_package_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about 70 MiB of resident memory and a second of
+    # start-up, and only summarize needs it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, asyncsa; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    assert proc.stdout.split() == ["False"]
 
 
 def test_summarize_on_monotone_rows():

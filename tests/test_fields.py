@@ -163,3 +163,26 @@ def test_vector_views_match_per_agent_reference(kind, d):
         views = rng.standard_normal((d, d))  # stale: every column differs
         np.testing.assert_allclose(field.vector_views(views), drive(views),
                                    rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind, d", [
+    *((kind, d)
+      for kind in ("quadratic-shared", "quadratic-per-agent", "scaled-identity",
+                   "bellman-random", "bowl")
+      for d in (5, 48, 100)),
+    ("bellman-mdp_5s2a", 5),
+    ("bellman-ssp_chain", 4),
+    ("rosenbrock", 2),
+])
+def test_chosen_agents_drive_has_the_bits_of_the_full_call(kind, d):
+    # the drive of chosen agents, from their views alone, equals entry for
+    # entry the all-agents call on a C-ordered (d, d) view matrix; the ssp
+    # chain's last state is its terminal
+    rng = np.random.default_rng(d + 1)
+    field, _ = _field_and_reference(kind, d, rng)
+    for agents in ([0], [d - 1], [1, d - 1], list(range(0, d, 3)), list(range(d)), []):
+        agents = np.array(agents, dtype=np.intp)
+        views = rng.standard_normal((d, d))
+        full = field.vector_views(views)
+        chosen = field.vector_views(views[:, agents], agents)
+        assert chosen.tobytes() == full[agents].tobytes(), agents

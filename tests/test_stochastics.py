@@ -81,8 +81,9 @@ def test_geometric_delays_per_pair_matrix():
     assert draws[:, 1, 0].mean() == pytest.approx(2.0, abs=0.3)
 
 
-# the least d at which the byte cap cuts an int32 block below CHUNK rows
-_CAPPED_D = next(d for d in range(2, 100) if DELAY_BLOCK_BYTES // (d * d * 4) < CHUNK)
+# the least d at which the byte cap cuts a block of float64 raw draws below
+# CHUNK rows; i.i.d. ages are int32 from this d on
+_CAPPED_D = next(d for d in range(2, 100) if DELAY_BLOCK_BYTES // (d * d * 8) < CHUNK)
 
 
 def _mixed_means(d):
@@ -106,7 +107,7 @@ def test_geometric_ages_are_each_pair_streams_geometric_draws(mean, d):
         GeometricDelays(mean=means if mean == "mixed" else mean), d, seed=5,
         horizon=10 * CHUNK)
     dtype = np.dtype(np.int32 if d == _CAPPED_D else np.int64)
-    first = min(CHUNK, DELAY_BLOCK_BYTES // (d * d * dtype.itemsize))  # the first block's rows
+    first = min(CHUNK, DELAY_BLOCK_BYTES // (d * d * 8))  # the first raw block's rows
     got = [sampler.take(first - 2), sampler.take(5)]  # the second spans the refill
     assert got[0].dtype == dtype
     ticks = np.arange(first + 3)
@@ -180,7 +181,7 @@ def test_short_run_draws_a_short_delay_block():
 
 
 def test_wide_delay_block_is_capped_by_bytes():
-    # at d = 200 a CHUNK-row block of int64 ages would take 1.25 GiB
+    # at d = 200 a CHUNK-row block of float64 raw draws would take 1.25 GiB
     d = 200
     sampler = make_delay_sampler(GeometricDelays(mean=3.0), d, seed=0, horizon=10 * CHUNK)
     tracemalloc.start()  # after the pair streams are built
@@ -207,12 +208,13 @@ _AGE_DTYPES = {"zero": np.int64, "uniform": np.int32, "geometric": np.int32,
 
 @pytest.mark.parametrize("kind", _DELAY_KINDS)
 def test_capped_delay_blocks_keep_their_invariants(kind):
-    # d is the smallest at which the byte cap cuts a block of this kind's
-    # dtype below CHUNK rows; read two capped blocks and five rows, in runs
-    # that cross both block boundaries
+    # d is the smallest at which the byte cap cuts a drawn block below CHUNK
+    # rows (8-byte cells: int64 ages, or the float64 raw draws of i.i.d.
+    # ages); read two capped blocks and five rows, in runs that cross both
+    # block boundaries
     dtype = np.dtype(_AGE_DTYPES[kind])
-    d = next(d for d in range(2, 100) if DELAY_BLOCK_BYTES // (d * d * dtype.itemsize) < CHUNK)
-    cap = DELAY_BLOCK_BYTES // (d * d * dtype.itemsize)
+    d = _CAPPED_D
+    cap = DELAY_BLOCK_BYTES // (d * d * 8)
     ticks = 2 * cap + 5
     sampler = make_delay_sampler(_DELAY_KINDS[kind], d, seed=3, horizon=ticks)
     n = 0
