@@ -81,9 +81,8 @@ def test_geometric_delays_per_pair_matrix():
     assert draws[:, 1, 0].mean() == pytest.approx(2.0, abs=0.3)
 
 
-# the least d at which the byte cap cuts a block of float64 raw draws below
-# CHUNK rows; i.i.d. ages are int32 from this d on
-_CAPPED_D = next(d for d in range(2, 100) if DELAY_BLOCK_BYTES // (d * d * 8) < CHUNK)
+# the least d at which the byte cap cuts an int32 block below CHUNK rows
+_CAPPED_D = next(d for d in range(2, 100) if DELAY_BLOCK_BYTES // (d * d * 4) < CHUNK)
 
 
 def _mixed_means(d):
@@ -213,7 +212,7 @@ def test_capped_delay_blocks_keep_their_invariants(kind):
     # ages); read two capped blocks and five rows, in runs that cross both
     # block boundaries
     dtype = np.dtype(_AGE_DTYPES[kind])
-    d = _CAPPED_D
+    d = next(d for d in range(2, 100) if DELAY_BLOCK_BYTES // (d * d * 8) < CHUNK)
     cap = DELAY_BLOCK_BYTES // (d * d * 8)
     ticks = 2 * cap + 5
     sampler = make_delay_sampler(_DELAY_KINDS[kind], d, seed=3, horizon=ticks)
