@@ -4,6 +4,8 @@ Each stochastic ingredient of a run draws from its own generator, keyed by
 the run seed plus a purpose tag (and, for delays, the ordered agent pair).
 Changing one model in a config therefore never shifts the sample sequence
 of another, and identical (config, seed) pairs replay bit-for-bit.
+``streams`` builds the generators of many keys at once, bit for bit those
+``stream`` builds one at a time.
 
 Every per-tick input of a run that does not depend on the iterate
 (activation masks, delays, errors, noise) is read through ``Rows``, the
@@ -17,7 +19,9 @@ value and draws nothing.
 from __future__ import annotations
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
+_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 
 # Most rows per drawn block.  Numpy gives the same draws however a stream is
@@ -46,6 +50,90 @@ def stream(seed: int, domain: int, *key: int) -> np.random.Generator:
     """Independent generator for (seed, domain, key...)."""
     entropy = (int(seed) & _MASK64, int(domain)) + tuple(int(k) for k in key)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+
+
+# Fewer keys than this are seeded one ``stream`` at a time.  On a 2-core x86
+# host (numpy 2.4.6) a bulk seeding took 131 us for one key and 1.6 us more a
+# key, a ``stream`` 16 us: 150 against 162 us at 10 keys.
+BULK_KEYS = 10
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def streams(seed: int, domain: int, keys) -> list[np.random.Generator]:
+    """``[stream(seed, domain, *key) for key in keys]``, seeded in bulk.
+
+    Every key has the same number (one or more) of ints, each in ``0 ..
+    2**32 - 1`` (``SeedSequence`` would read a larger one as two words).
+    From ``BULK_KEYS`` keys on, the state words that ``SeedSequence`` gives
+    ``PCG64`` are hashed for all keys at once, and numpy seeds each
+    ``PCG64`` from them: the generators are bit for bit those of ``stream``.
+    """
+    if not len(keys):
+        return []
+    keys = np.asarray(keys, dtype=np.int64).reshape(len(keys), -1)
+    if not 0 <= keys.min() <= keys.max() <= _MASK32:
+        raise ValueError("stream keys must lie in 0 .. 2**32 - 1")
+    if len(keys) < BULK_KEYS:
+        return [stream(seed, domain, *key) for key in keys]
+    seed = int(seed) & _MASK64
+    entropy = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
+    entropy += [int(domain), *keys.T.astype(np.uint64)]
+    words = _state_words(entropy)
+    return [np.random.Generator(np.random.PCG64(_StateWords(w))) for w in words]
+
+
+def _state_words(entropy) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(4, np.uint64)`` for each key,
+    as a (keys, 4) array.  An entropy word is an int, the same for every
+    key, or a ``uint64`` array with one 32-bit word per key; the hash is
+    numpy's, every product cut to 32 bits."""
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (_MIX_L * x - _MIX_R * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[k] if k < len(entropy) else 0) for k in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const, state = _INIT_B, []
+    for k in range(8):  # 32-bit state words, two to each little-endian uint64
+        value = pool[k % 4] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const & _MASK32
+        state.append(value ^ value >> 16)
+    pairs = [state[k] | state[k + 1] << 32 for k in range(0, 8, 2)]
+    return np.stack(pairs, axis=1)
+
+
+class _StateWords(ISeedSequence):
+    """The state words of one key, handed to ``PCG64`` as its seed."""
+
+    __slots__ = ("_words",)
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:  # what PCG64 asks for
+            raise ValueError("hashed state words serve PCG64 only")
+        return self._words
 
 
 def constant(value: np.ndarray):

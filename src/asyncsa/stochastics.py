@@ -47,6 +47,7 @@ from ._rng import (
     Rows,
     constant,
     stream,
+    streams,
 )
 from .errors import ConfigError
 from .norms import EuclideanNorm, Norm, WeightedMaxNorm
@@ -206,15 +207,15 @@ class _IidDelays(_DelaySampler):
         wide = CHUNK * d * d * 8 > DELAY_BLOCK_BYTES  # a CHUNK-row int64 block
         self.dtype = np.dtype(np.int32 if wide and horizon <= 2**31 else np.int64)
         self._d, self._scale, self._tick = d, scale, 0  # tick: the next row served
-        pairs = [(j, i, stream(seed, DOMAIN_DELAY, j, i))
-                 for j in range(d) for i in range(d) if i != j]
+        pairs = [(j, i) for j in range(d) for i in range(d) if i != j]
+        pairs = list(zip(pairs, streams(seed, DOMAIN_DELAY, pairs)))
         raw = np.zeros((d, d, 0))
 
         def fill(start, size):
             nonlocal raw
             if raw.shape[2] < size:  # the first fill is the largest
                 raw = np.zeros((d, d, size))
-            for j, i, rng in pairs:
+            for (j, i), rng in pairs:
                 draw(rng, j, i, raw[j, i, :size])
             return raw[:, :, :size].transpose(2, 0, 1)
 
@@ -251,7 +252,7 @@ def _stale_refresh_delays(model: StaleRefreshDelays, d: int, seed: int,
     else:
         pairs = [(j, i) for j in range(d) for i in range(d) if j != i]
     p = [p[j, i] for j, i in pairs]
-    rngs = [stream(seed, DOMAIN_DELAY, j, i) for j, i in pairs]
+    rngs = streams(seed, DOMAIN_DELAY, pairs)
     ages = np.zeros(len(pairs), dtype=np.int64)  # at the last row filled
 
     def fill(start, size):

@@ -517,8 +517,9 @@ def test_wide_geometric_light_run_peak_rss_is_its_pair_streams():
     # A d = 300 run of two ticks holds its d (d - 1) per-pair delay streams,
     # about 1.04 KiB each, and one two-row block of int32 ages; a block of
     # the byte cap's rows (64 MiB) would pass the budget.  d = 300, not the
-    # 500 that wide runs reach, keeps the test near 6 s of the suite: d = 500
-    # spends about 8 s building its 249 500 streams.
+    # 500 that wide runs reach, keeps the test short: on a 2-core x86 host the
+    # d = 300 run took 0.8-0.9 s and a d = 500 run 1.9-2.7 s (2.1-2.3 s and
+    # 7.0-7.1 s with one SeedSequence per stream).
     d, horizon = 300, 2
     run = ("from asyncsa import GeometricDelays, RunConfig, ScaledIdentityObjective, run_light\n"
            f"run_light(RunConfig(dimension={d}, horizon={horizon}, seed=0, "

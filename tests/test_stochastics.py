@@ -25,7 +25,14 @@ from asyncsa import (
     ZeroErrors,
     ZeroNoise,
 )
-from asyncsa._rng import CHUNK, DELAY_BLOCK_BYTES, DOMAIN_DELAY, DOMAIN_ERROR_ALT, stream
+from asyncsa._rng import (
+    BULK_KEYS,
+    CHUNK,
+    DELAY_BLOCK_BYTES,
+    DOMAIN_DELAY,
+    DOMAIN_ERROR_ALT,
+    stream,
+)
 from asyncsa.config import parse_run_config, spec_from_config, spec_to_config
 from asyncsa.schedules import make_activation_sampler
 from asyncsa.stochastics import (
@@ -60,6 +67,21 @@ def test_uniform_delays_bounded_and_clamped():
         assert tau.max() <= 4
         seen = max(seen, int(tau.max()))
     assert seen == 4
+
+
+@pytest.mark.parametrize("d", [D, 5], ids=["streams", "bulk-streams"])
+def test_uniform_ages_are_each_pair_streams_integers(d):
+    # age [j, i] at tick n is min(integers(0, tau_max + 1), n) on pair
+    # (j, i)'s own stream, read across the first refill; d = 5 has 20 pairs,
+    # whose streams are seeded in bulk
+    assert d == D or d * (d - 1) >= BULK_KEYS
+    sampler = make_delay_sampler(UniformDelays(tau_max=6), d, seed=8, horizon=2 * CHUNK)
+    got = np.concatenate([sampler.take(CHUNK - 2), sampler.take(5)])
+    ticks = np.arange(CHUNK + 3)
+    for j, i in itertools.permutations(range(d), 2):
+        want = np.minimum(stream(8, DOMAIN_DELAY, j, i).integers(0, 7, len(ticks)), ticks)
+        assert np.array_equal(got[:, j, i], want), (j, i)
+    assert not np.diagonal(got, axis1=1, axis2=2).any()
 
 
 def test_geometric_delays_match_mean_off_diagonal():
@@ -243,20 +265,24 @@ def test_stale_refresh_starts_fresh_and_tracks_ages():
         prev = tau
 
 
-@pytest.mark.parametrize("model", [
-    StaleRefreshDelays(p_c=0.4),
-    StaleRefreshDelays(p_c=[[1.0, 0.3, 0.5], [0.2, 1.0, 0.6], [0.7, 0.8, 1.0]]),
-], ids=["symmetric", "per-pair"])
-def test_stale_refresh_ages_follow_the_coin_recursion(model):
+@pytest.mark.parametrize("model, d", [
+    (StaleRefreshDelays(p_c=0.4), D),
+    (StaleRefreshDelays(p_c=[[1.0, 0.3, 0.5], [0.2, 1.0, 0.6], [0.7, 0.8, 1.0]]), D),
+    # 15 and 30 pairs: streams seeded in bulk
+    (StaleRefreshDelays(p_c=0.4), 6),
+    (StaleRefreshDelays(p_c=0.2 + 0.1 * (np.arange(36).reshape(6, 6) % 7)), 6),
+], ids=["symmetric", "per-pair", "symmetric-d6", "per-pair-d6"])
+def test_stale_refresh_ages_follow_the_coin_recursion(model, d):
     # the plain per-tick recursion on each pair's own coin stream, across
     # two block boundaries: tick n >= 1 reads coin n - 1 and resets the
     # age when it falls below p_c, else adds one
+    assert d == D or d * (d - 1) // 2 >= BULK_KEYS
     ticks = 2 * CHUNK + 10
-    sampler = make_delay_sampler(model, D, seed=4, horizon=ticks)
+    sampler = make_delay_sampler(model, d, seed=4, horizon=ticks)
     got = np.array([sampler.matrix(n) for n in range(ticks)])
-    p = np.broadcast_to(model.p_c, (D, D))
-    for j in range(D):
-        for i in range(D):
+    p = np.broadcast_to(model.p_c, (d, d))
+    for j in range(d):
+        for i in range(d):
             if j == i or (model.symmetric and j > i):
                 continue
             coins = stream(4, DOMAIN_DELAY, j, i).random(ticks - 1)
