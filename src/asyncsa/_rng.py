@@ -72,16 +72,13 @@ def streams(seed: int, domain: int, keys) -> list[np.random.Generator]:
     ``PCG64`` are hashed for all keys at once, and numpy seeds each
     ``PCG64`` from them: the generators are bit for bit those of ``stream``.
     """
-    if not len(keys):
-        return []
-    keys = np.asarray(keys, dtype=np.int64).reshape(len(keys), -1)
-    if not 0 <= keys.min() <= keys.max() <= _MASK32:
+    if not all(0 <= k <= _MASK32 for key in keys for k in key):
         raise ValueError("stream keys must lie in 0 .. 2**32 - 1")
     if len(keys) < BULK_KEYS:
         return [stream(seed, domain, *key) for key in keys]
     seed = int(seed) & _MASK64
     entropy = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
-    entropy += [int(domain), *keys.T.astype(np.uint64)]
+    entropy += [int(domain), *np.array(keys, dtype=np.uint64).T]
     words = _state_words(entropy)
     return [np.random.Generator(np.random.PCG64(_StateWords(w))) for w in words]
 
