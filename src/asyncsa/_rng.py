@@ -19,7 +19,6 @@ value and draws nothing.
 from __future__ import annotations
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
@@ -53,8 +52,8 @@ def stream(seed: int, domain: int, *key: int) -> np.random.Generator:
 
 
 # Fewer keys than this are seeded one ``stream`` at a time.  On a 2-core x86
-# host (numpy 2.4.6) a bulk seeding took 131 us for one key and 1.6 us more a
-# key, a ``stream`` 16 us: 150 against 162 us at 10 keys.
+# host (numpy 2.4.6) a bulk seeding took 130 us for one key and about 2 us
+# more a key, a ``stream`` 16 us: 152 against 158 us at 10 keys.
 BULK_KEYS = 10
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
@@ -80,6 +79,8 @@ def streams(seed: int, domain: int, keys) -> list[np.random.Generator]:
     entropy = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
     entropy += [int(domain), *np.array(keys, dtype=np.uint64).T]
     words = _state_words(entropy)
+    # registered here, so that importing asyncsa does not load numpy.random
+    np.random.bit_generator.ISeedSequence.register(_StateWords)
     return [np.random.Generator(np.random.PCG64(_StateWords(w))) for w in words]
 
 
@@ -119,8 +120,9 @@ def _state_words(entropy) -> np.ndarray:
     return np.stack(pairs, axis=1)
 
 
-class _StateWords(ISeedSequence):
-    """The state words of one key, handed to ``PCG64`` as its seed."""
+class _StateWords:
+    """The state words of one key, handed to ``PCG64`` as its seed (an
+    ``ISeedSequence``)."""
 
     __slots__ = ("_words",)
 
