@@ -1,6 +1,21 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from asyncsa import (
+    ComponentUniformErrors,
+    ConstantSteps,
+    DivergenceError,
+    GeometricDelays,
+    HarmonicSteps,
+    QuadraticObjective,
+    RoundRobin,
+    RunConfig,
+    ScaledIdentityObjective,
+    UniformNoise,
+    run,
+)
 from asyncsa.trace import RunTrace, read_trace_csv, read_trace_jsonl
 
 
@@ -91,3 +106,48 @@ def test_equal_traces_write_identical_bytes(tmp_path):
     _toy_trace().write_csv(a)
     _toy_trace().write_csv(b)
     assert a.read_bytes() == b.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# byte pins of traces longer than one write block
+
+_MULTI_BLOCK_PINS = {
+    "run.csv":
+        "d1331777c802ecfc0584a46b92f0e86e6dd9510d1ea52653b7893db43399ab31",
+    "run.jsonl":
+        "5f99b3848973a89a0f4386e3153557a509b6adf19c86da5e9ac3a9999f206562",
+    "divergent.csv":
+        "f30ee2bb2e47e4b9970d6b789d1157db65b237d83be602516caccac1c5d70dba",
+    "divergent.jsonl":
+        "0d8b945ee06fa9775de09c3f0a3b5474ee01b0a1bf951d71f1198726093d3ac9",
+}
+
+
+def _multi_block_trace(kind: str) -> RunTrace:
+    """A d = 5 round-robin run of 2100 ticks, or the truncated trace of a
+    d = 3 chain that diverges at tick 1938 with infinite residuals."""
+    if kind == "run":
+        return run(RunConfig(
+            dimension=5, horizon=2100, seed=7, objective=QuadraticObjective(matrices="random"),
+            steps=HarmonicSteps(c=10.0), activation=RoundRobin(k=1),
+            delays=GeometricDelays(mean=2.0), errors=ComponentUniformErrors(bound=0.2),
+            noise=UniformNoise(level=0.1)))
+    with pytest.raises(DivergenceError) as info:
+        run(RunConfig(
+            dimension=3, horizon=4000, seed=4, objective=ScaledIdentityObjective(gain=2.0),
+            steps=ConstantSteps(a0=1.0), activation=RoundRobin(k=1),
+            errors=ComponentUniformErrors(bound=0.1), x0=[1.0, -0.5, 0.25]))
+    trace = info.value.trace
+    assert trace.ticks == 1938 and np.isinf(trace.residual[-1])
+    return trace
+
+
+@pytest.mark.parametrize("kind", ["run", "divergent"])
+def test_multi_block_trace_bytes_are_frozen(kind, tmp_path):
+    trace = _multi_block_trace(kind)
+    assert len(trace.x) > 1025
+    for suffix, write in (("csv", trace.write_csv), ("jsonl", trace.write_jsonl)):
+        path = tmp_path / f"{kind}.{suffix}"
+        write(path)
+        name = f"{kind}.{suffix}"
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == _MULTI_BLOCK_PINS[name], name
