@@ -10,6 +10,10 @@ Every CSV the package writes goes through ``write_table`` and is read
 back through ``read_table``.  Float cells are written with repr so
 parsing them back is exact, and a fixed column order plus canonical JSON
 keys make equal runs produce byte-identical files.
+
+A tick moves only the active agents' components, so most cells of a
+trace repeat the cell above.  The number-only writers format a cell only
+where its bits change and build each line with ``str.join``.
 """
 
 from __future__ import annotations
@@ -39,6 +43,42 @@ def _cells(column) -> list:
     return column
 
 
+# JSON's spelling of the non-finite floats, keyed by their repr
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _texts(column: np.ndarray, nonfinite: dict | None = None) -> list:
+    """The text of every cell of a 1-D numpy column: floats by repr, with
+    non-finite ones respelled through ``nonfinite`` when given, anything
+    else (bool flags, counts) as ints.
+
+    Only the cells whose bits differ from the cell above are formatted;
+    the bits are compared as unsigned ints of the column's own width, so
+    ``-0.0`` and ``0.0``, and NaNs of different payloads, each keep their
+    own text.
+    """
+    if column.dtype.kind == "f":
+        bits = column.view(f"u{column.itemsize}")
+    else:
+        column = bits = column.astype(np.int64)
+    changed = np.empty(len(bits), dtype=bool)
+    changed[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=changed[1:])
+    values = column[changed]
+    texts = list(map(repr, values.tolist()))
+    if nonfinite:
+        for i in np.flatnonzero(~np.isfinite(values)).tolist():
+            texts[i] = nonfinite[texts[i]]
+    if len(texts) == len(bits):
+        return texts
+    return np.array(texts, dtype=object)[np.cumsum(changed) - 1].tolist()
+
+
+def _lines(columns, sep: str, nonfinite: dict | None = None):
+    """The texts of each row of ``columns``, joined by ``sep``."""
+    return map(sep.join, zip(*(_texts(column, nonfinite) for column in columns)))
+
+
 def write_table(path, schema: str, meta, header, columns) -> None:
     """Write one CSV table: comment lines, the header, then the rows.
 
@@ -48,19 +88,26 @@ def write_table(path, schema: str, meta, header, columns) -> None:
     header name.  A numpy column is written by its dtype: floats with
     repr, anything else (bool flags, counts) as ints.  A list column is
     written as it is: floats with repr, None as an empty cell, anything
-    else with str.
+    else with str.  A table of numpy columns only holds number texts,
+    which need no CSV quoting, so its rows are joined directly.
     """
+    line_end = _ROW_END.get(schema, "\r\n")
+    numbers = all(isinstance(column, np.ndarray) for column in columns)
     with open(path, "w", newline="") as fh:
         fh.write(f"# schema: {schema}\n")
         for key, value in meta:
             if key == "config":
                 value = json.dumps(value, sort_keys=True)
             fh.write(f"# {key}: {value}\n")
-        writer = csv.writer(fh, lineterminator=_ROW_END.get(schema, "\r\n"))
+        writer = csv.writer(fh, lineterminator=line_end)
         writer.writerow(header)
         for start in range(0, len(columns[0]), _BLOCK_ROWS):
             block = slice(start, start + _BLOCK_ROWS)
-            writer.writerows(zip(*(_cells(column[block]) for column in columns)))
+            if numbers:
+                lines = _lines((column[block] for column in columns), ",")
+                fh.write(line_end.join(lines) + line_end)
+            else:
+                writer.writerows(zip(*(_cells(column[block]) for column in columns)))
 
 
 def read_table(path, headers: dict) -> tuple[dict, list[str], list[list[str]]]:
@@ -141,20 +188,21 @@ class RunTrace:
             "seed": self.meta.get("seed"),
             "config": self.meta.get("config", {}),
         }
-        with open(path, "w") as fh:
+        with open(path, "w", newline="") as fh:
             fh.write(json.dumps(head, sort_keys=True) + "\n")
             for start in range(0, len(self.x), _BLOCK_ROWS):
                 block = slice(start, start + _BLOCK_ROWS)
-                fh.writelines(
-                    json.dumps({"n": n, "active": a, "x": x, "step": st,
-                                "eps_norm": e, "residual": r, "projected": p}) + "\n"
+                # json.dumps's key order and separators for the row's dict
+                fh.write("".join(
+                    f'{{"n": {n}, "active": [{a}], "x": [{x}], "step": [{st}], '
+                    f'"eps_norm": {e}, "residual": {r}, "projected": {p}}}\n'
                     for n, a, x, st, e, r, p in zip(
                         range(start, len(self.x)),
-                        self.active[block].astype(np.int64).tolist(),
-                        self.x[block].tolist(), self.step[block].tolist(),
-                        self.eps_norm[block].tolist(), self.residual[block].tolist(),
-                        self.projected[block].astype(np.int64).tolist())
-                )
+                        *(_lines(matrix[block].T, ", ", _JSON_NONFINITE)
+                          for matrix in (self.active, self.x, self.step)),
+                        *(_texts(column[block], _JSON_NONFINITE)
+                          for column in (self.eps_norm, self.residual, self.projected)))
+                ))
 
 
 def read_trace_csv(path) -> dict:

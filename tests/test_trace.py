@@ -1,4 +1,7 @@
+import csv
 import hashlib
+import io
+import json
 
 import numpy as np
 import pytest
@@ -16,7 +19,8 @@ from asyncsa import (
     UniformNoise,
     run,
 )
-from asyncsa.trace import RunTrace, read_trace_csv, read_trace_jsonl
+from asyncsa.stability import GAP_SCHEMA
+from asyncsa.trace import RunTrace, read_trace_csv, read_trace_jsonl, write_table
 
 
 def _toy_trace() -> RunTrace:
@@ -151,3 +155,104 @@ def test_multi_block_trace_bytes_are_frozen(kind, tmp_path):
         write(path)
         name = f"{kind}.{suffix}"
         assert hashlib.sha256(path.read_bytes()).hexdigest() == _MULTI_BLOCK_PINS[name], name
+
+
+# ---------------------------------------------------------------------------
+# the writers against csv.writer and json.dumps
+
+
+def _assert_same_lines(got: str, want: str) -> None:
+    """Equal texts, reported by their first differing line (a diff of the
+    whole texts would take minutes)."""
+    got, want = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    bad = next((n for n, (a, b) in enumerate(zip(got, want)) if a != b), None)
+    assert bad is None, (bad, got[bad], want[bad])
+    assert len(got) == len(want)
+
+
+def _oracle_csv_rows(columns, line_end: str) -> str:
+    """Rows as csv.writer writes Python cells: floats by repr, the rest as
+    ints."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator=line_end).writerows(zip(*(
+        c.tolist() if c.dtype.kind == "f" else c.astype(np.int64).tolist()
+        for c in columns)))
+    return out.getvalue()
+
+
+def _oracle_jsonl_rows(tr: RunTrace) -> str:
+    """One json.dumps per row."""
+    return "".join(
+        json.dumps({"n": n, "active": a, "x": x, "step": st,
+                    "eps_norm": e, "residual": r, "projected": p}) + "\n"
+        for n, (a, x, st, e, r, p) in enumerate(zip(
+            tr.active.astype(np.int64).tolist(), tr.x.tolist(), tr.step.tolist(),
+            tr.eps_norm.tolist(), tr.residual.tolist(),
+            tr.projected.astype(np.int64).tolist())))
+
+
+_NEGATIVE_NAN = float(np.copysign(np.nan, -1.0))
+_PAYLOAD_NAN = float(np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0])
+# signed zeros, NaNs, infinities, the least subnormal and the values at
+# which repr switches to and from exponent form
+_SPECIALS = [0.0, -0.0, np.nan, _NEGATIVE_NAN, _PAYLOAD_NAN, np.inf, -np.inf, 5e-324,
+             1e16, 9999999999999998.0, 1e-05, 0.0001, 1 / 3, -2.5]
+
+
+def _runs(rng, rows: int) -> np.ndarray:
+    """A column of special values in runs of 1 to 40 equal cells."""
+    values = rng.choice(np.array(_SPECIALS), size=rows)
+    return np.repeat(values, rng.integers(1, 41, size=rows))[:rows]
+
+
+def _edge_column(rng, rows: int) -> np.ndarray:
+    """Every cell differs from the one above, specials among random ones."""
+    column = rng.standard_normal(rows)
+    column[1:1 + len(_SPECIALS)] = _SPECIALS
+    column[1022:1028] = [0.0, -0.0, 0.0, -0.0, np.nan, _NEGATIVE_NAN]
+    return column
+
+
+def _hand_trace(d: int, rows: int = 2500) -> RunTrace:
+    rng = np.random.default_rng(d)
+    columns = [_edge_column(rng, rows), np.full(rows, -0.0)] + [
+        _runs(rng, rows) for _ in range(d - 2)]
+    x = np.column_stack(columns[:d])
+    step = np.column_stack([_runs(rng, rows) for _ in range(d)])
+    residual = _runs(rng, rows)
+    residual[1023:1026] = [np.inf, np.inf, np.nan]
+    return RunTrace(
+        meta={"seed": d, "config": {"dimension": d}}, x=x,
+        active=rng.random((rows, d)) < 0.3, step=step,
+        eps_norm=_edge_column(rng, rows), residual=residual,
+        projected=np.repeat(rng.random(rows // 50 + 1) < 0.5, 50)[:rows],
+        counters=np.zeros((rows, d), dtype=np.int64))
+
+
+def _trace_columns(tr: RunTrace) -> list:
+    return [np.arange(len(tr.x)), *tr.active.T, *tr.x.T, *tr.step.T,
+            tr.eps_norm, tr.residual, tr.projected]
+
+
+@pytest.mark.parametrize("d", [1, 7])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_trace_writers_match_csv_writer_and_json_dumps(d, dtype, tmp_path):
+    tr = _hand_trace(d)
+    tr.x, tr.step = tr.x.astype(dtype), tr.step.astype(dtype)
+    tr.write_csv(tmp_path / "t.csv")
+    tr.write_jsonl(tmp_path / "t.jsonl")
+    text = (tmp_path / "t.csv").read_bytes().decode()
+    _assert_same_lines(text.split("\n", 4)[4], _oracle_csv_rows(_trace_columns(tr), "\n"))
+    text = (tmp_path / "t.jsonl").read_bytes().decode()
+    _assert_same_lines(text.split("\n", 1)[1], _oracle_jsonl_rows(tr))
+
+
+def test_gap_table_matches_csv_writer(tmp_path):
+    rng = np.random.default_rng(0)
+    rows = 2500
+    columns = [np.arange(rows), _runs(rng, rows), rng.random(rows) < 0.1]
+    columns[1][1024] = -0.0
+    write_table(tmp_path / "gap.csv", GAP_SCHEMA, [("seed", 0), ("config", {})],
+                ["n", "gap", "projected"], columns)
+    text = (tmp_path / "gap.csv").read_bytes().decode()
+    _assert_same_lines(text.split("\n", 4)[4], _oracle_csv_rows(columns, "\r\n"))
