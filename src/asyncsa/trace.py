@@ -104,8 +104,8 @@ def write_table(path, schema: str, meta, header, columns) -> None:
         for start in range(0, len(columns[0]), _BLOCK_ROWS):
             block = slice(start, start + _BLOCK_ROWS)
             if numbers:
-                lines = _lines((column[block] for column in columns), ",")
-                fh.write(line_end.join(lines) + line_end)
+                fh.writelines(line + line_end for line in
+                              _lines((column[block] for column in columns), ","))
             else:
                 writer.writerows(zip(*(_cells(column[block]) for column in columns)))
 
@@ -193,7 +193,7 @@ class RunTrace:
             for start in range(0, len(self.x), _BLOCK_ROWS):
                 block = slice(start, start + _BLOCK_ROWS)
                 # json.dumps's key order and separators for the row's dict
-                fh.write("".join(
+                fh.writelines(
                     f'{{"n": {n}, "active": [{a}], "x": [{x}], "step": [{st}], '
                     f'"eps_norm": {e}, "residual": {r}, "projected": {p}}}\n'
                     for n, a, x, st, e, r, p in zip(
@@ -202,7 +202,7 @@ class RunTrace:
                           for matrix in (self.active, self.x, self.step)),
                         *(_texts(column[block], _JSON_NONFINITE)
                           for column in (self.eps_norm, self.residual, self.projected)))
-                ))
+                )
 
 
 def read_trace_csv(path) -> dict:
