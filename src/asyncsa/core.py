@@ -109,6 +109,7 @@ class IterateHistory:
         self._buf = np.zeros((window + 1, self.d))
         self._buf[window] = x0
         self._cols = np.arange(self.d)[:, None]
+        self._zeros = np.zeros(self.d)  # apply_tick's finiteness probe
 
     @property
     def latest(self) -> np.ndarray:
@@ -218,6 +219,8 @@ class TickSample:
 
     ``step`` holds every agent's step size a(nu(n, i)), read from its
     count of activations before tick n.
+    ``tau[j, c]`` is the age of component j in the c-th view the tick
+    reads: agent ``reads[c]``'s, or agent c's when ``reads`` is None.
     ``all_active`` is set when the activation policy activates every agent
     on every tick; the update then skips the mask.
     """
@@ -227,13 +230,16 @@ class TickSample:
     tau: np.ndarray | None
     eps: np.ndarray
     noise: np.ndarray
+    reads: np.ndarray | None = None
     all_active: bool = False
 
 
 @dataclass(eq=False, slots=True)
 class TickBlock:
     """The drawn inputs of ticks ``start``, ``start + 1``, ..., one row per
-    tick, as in :class:`TickSample`; ``tau`` is None under zero delays."""
+    tick, as in :class:`TickSample`; ``tau`` is None under zero delays.
+    With ``reads`` set, ``tau`` and ``reads`` hold one entry per tick: its
+    views of one block of the read views' ages and of their agents."""
 
     start: int
     active: np.ndarray
@@ -241,6 +247,7 @@ class TickBlock:
     tau: np.ndarray | None
     eps: np.ndarray
     noise: np.ndarray
+    reads: list | np.ndarray | None = None
 
 
 # (tick, agent) cells per block of drawn ticks: hundreds of ticks at small d,
@@ -257,6 +264,11 @@ BLOCK_CELLS = 1024
 COLUMN_GATHER_CELLS = 2048
 
 
+def _reads_columns(bundle: RuntimeBundle) -> bool:
+    """Whether some ticks of the chain may read only their active agents' views."""
+    return not bundle.schedule.all_active and bundle.d * bundle.d >= COLUMN_GATHER_CELLS
+
+
 def draw_block(n: int, size: int, bundle: RuntimeBundle) -> TickBlock:
     """The inputs of ticks ``n .. n + size - 1``, the next rows of every
     stream; the activation counters move once, past the last of them.
@@ -264,35 +276,46 @@ def draw_block(n: int, size: int, bundle: RuntimeBundle) -> TickBlock:
     ``COLUMN_GATHER_CELLS``) gets ages for those columns only."""
     models, d = bundle.models, bundle.d
     active, step = bundle.schedule.take(size)
-    columns = None  # the agents whose ages each tick reads, if not all
-    if not bundle.schedule.all_active and d * d >= COLUMN_GATHER_CELLS:
-        columns = active | (4 * np.count_nonzero(active, axis=1) > d)[:, None]
-    tau = None if models.delays.always_zero else models.delays.take(size, columns)
+    tau = reads = None
+    if not models.delays.always_zero:
+        columns = None  # the agents whose ages each tick reads, if not all
+        if _reads_columns(bundle):
+            columns = active | (4 * np.count_nonzero(active, axis=1) > d)[:, None]
+        tau = models.delays.take(size, columns)
+        if columns is not None:  # cut the (d, cells) block into ticks
+            ends = np.cumsum(np.count_nonzero(columns, axis=1)).tolist()
+            spans, agents = list(zip([0, *ends], ends)), np.nonzero(columns)[1]
+            reads = [agents[a:b] if b - a < d else None for a, b in spans]
+            tau = [tau[:, a:b] for a, b in spans]
     return TickBlock(n, active, step, tau, models.errors.take(size),
-                     models.noise.take(size))
+                     models.noise.take(size), reads)
 
 
 def draw_tick(n: int, bundle: RuntimeBundle) -> TickSample:
     """Tick ``n``'s inputs, one row of ``bundle.block``.
 
     Ticks are drawn in order by :func:`draw_block`, about ``BLOCK_CELLS``
-    (tick, agent) cells at a time, cut at the horizon.  A block's last row
-    is served as copies, so a caller holding only the latest sample keeps
-    no spent block alive.
+    (tick, agent) cells at a time, cut at the horizon; a chain that reads
+    by columns takes the ticks its delay sampler asks for (``tick_rows``).
+    A block's last row is served as copies, so a caller holding only the
+    latest sample keeps no spent block alive.
     """
     block = bundle.block
     if block is None or not 0 <= (k := n - block.start) < len(block.active):
         block = bundle.block = None  # release the spent block before the fills
-        size = max(1, min(BLOCK_CELLS // bundle.d, bundle.horizon - n))
-        block = bundle.block = draw_block(n, size, bundle)
+        rows = _reads_columns(bundle) and bundle.models.delays.tick_rows
+        rows = rows or BLOCK_CELLS // bundle.d
+        block = bundle.block = draw_block(n, max(1, min(rows, bundle.horizon - n)), bundle)
         k = 0
     if k + 1 == len(block.active):  # the last row: copies, so no sample holds the block
-        block = bundle.block = TickBlock(n, *(None if a is None else a[k:].copy() for a in (
-            block.active, block.step, block.tau, block.eps, block.noise)))
+        # (np.array copies an array's rows, and stacks a list's one entry)
+        block = bundle.block = TickBlock(n, *(None if a is None else np.array(a[k:]) for a in (
+            block.active, block.step, block.tau, block.eps, block.noise, block.reads)))
         k = 0
-    tau = block.tau
+    tau, reads = block.tau, block.reads
     return TickSample(block.active[k], block.step[k], None if tau is None else tau[k],
-                      block.eps[k], block.noise[k], bundle.schedule.all_active)
+                      block.eps[k], block.noise[k], None if reads is None else reads[k],
+                      bundle.schedule.all_active)
 
 
 def apply_tick(history: IterateHistory, field: Field, sample: TickSample,
@@ -301,26 +324,20 @@ def apply_tick(history: IterateHistory, field: Field, sample: TickSample,
 
     Returns the drive (the field on each agent's view; with zero delays
     every view is the pre-tick iterate, so it is ``field(x_n)``) and
-    whether the region pulled the new iterate back.  On a tick where at
-    most a quarter of a wide chain's agents are active (see
-    ``COLUMN_GATHER_CELLS``), only their views are gathered, and the drive
-    holds only their components, in agent order.  Runs under the caller's
-    numpy error state; the run drivers silence overflow and invalid-value
+    whether the region pulled the new iterate back.  On a tick that reads
+    only some agents' views (``sample.reads``), only those are gathered,
+    and the drive holds only their components, in agent order.  Runs under
+    the caller's numpy error state; the run drivers silence overflow and invalid-value
     warnings around their tick loop, since a non-finite iterate raises
     :class:`DivergenceError` anyway.
     """
     n = history.n
     x = history.latest
-    agents = None
+    agents = sample.reads
     if sample.tau is None:
         drive = field.vector(x)
     else:
-        tau = sample.tau
-        if not sample.all_active and len(x) * len(x) >= COLUMN_GATHER_CELLS:
-            act = np.flatnonzero(sample.active)
-            if 4 * len(act) <= len(x):  # the rule draw_block serves ages by
-                agents, tau = act, tau[:, act]
-        drive = field.vector_views(history.gather(n, tau), agents)
+        drive = field.vector_views(history.gather(n, sample.tau), agents)
     if agents is None:
         delta = sample.step * (drive + sample.eps + sample.noise)
         x_new = x + delta if sample.all_active else np.where(sample.active, x + delta, x)
@@ -329,7 +346,7 @@ def apply_tick(history: IterateHistory, field: Field, sample: TickSample,
         x_new[agents] += sample.step[agents] * (drive + sample.eps[agents]
                                                 + sample.noise[agents])
     # x @ 0 is NaN exactly when some component of x is not finite
-    if not math.isfinite(x_new @ np.zeros(len(x_new))):
+    if not math.isfinite(x_new @ history._zeros):
         bad = int(np.flatnonzero(~np.isfinite(x_new))[0])
         raise DivergenceError(n, bad)
     projected = False
@@ -466,7 +483,7 @@ def run(cfg: RunConfig) -> RunTrace:
     res_tr = np.zeros(N + 1)
     proj_tr = np.zeros(N + 1, dtype=bool)
 
-    field = bundle.field
+    field, euclidean = bundle.field, EuclideanNorm()
     zero_delay = bundle.models.delays.always_zero
 
     def trace(upto: int) -> RunTrace:
@@ -491,11 +508,11 @@ def run(cfg: RunConfig) -> RunTrace:
             for n, sample, drive, projected in tick_loop(history, bundle, bundle.region):
                 active_tr[n] = sample.active
                 step_tr[n] = sample.step
-                eps_tr[n] = float(np.linalg.norm(sample.eps))
+                eps_tr[n] = euclidean(sample.eps)
                 # without delays the tick's drive is already field(x_n)
                 if not zero_delay:
                     drive = field.vector(history.value(n))
-                res_tr[n] = float(np.linalg.norm(drive))
+                res_tr[n] = euclidean(drive)
                 proj_tr[n] = projected
     except DivergenceError as exc:
         exc.trace = trace(history.n)

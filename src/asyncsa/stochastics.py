@@ -15,14 +15,15 @@ reaches before tick 0.  Rows come in tick order.  A drawn delay block
 holds at most ``_rng.DELAY_BLOCK_BYTES``.  Ages are ``int64``, except
 i.i.d. ages at a d where a CHUNK-row ``int64`` block would pass that cap
 (d > 45): those are ``int32`` (``int64`` past a horizon of 2**31 ticks).
-I.i.d. pairs draw raw values into one reused float64 block, each pair's
-draws contiguous, and ages are computed when they are read, for the
-columns the reader asks for.  Geometric ages are the bits of numpy's
-``geometric``; below its branch threshold (a mean above 2) numpy inverts
-one standard exponential per draw, so those pairs draw the exponentials
-in bulk and the inversion runs on the ages read.  Stale-refresh ages
-follow a recursion, but only through each view's last refresh, so a
-whole block of coins becomes a block of age matrices at once.
+I.i.d. pairs are drawn a block of ticks at a time, one source component
+at a time into a small reused float64 scratch, and only the ages a
+reader asks for are kept: full matrices, or the columns a tick reads.
+Geometric ages are the bits of numpy's ``geometric``; below its branch
+threshold (a mean above 2) numpy inverts one standard exponential per
+draw, so those pairs draw the exponentials in bulk and the inversion
+runs on the ages kept.  Stale-refresh ages follow a recursion, but only
+through each view's last refresh, so a whole block of coins becomes a
+block of age matrices at once.
 
 Error samplers enforce their declared bound on every sample: each block
 is checked before any of its rows is served.  Componentwise-uniform and
@@ -149,8 +150,8 @@ DelayModel = ZeroDelays | UniformDelays | GeometricDelays | StaleRefreshDelays
 class _DelaySampler(Rows):
     """Per-tick (d, d) age matrices, read in tick order with ``take``;
     ``matrix(n)`` reads one, tick n's when the ticks before it were read.
-    A drawn block of 8-byte cells (``int64`` ages, or the float64 raw
-    draws of i.i.d. ages) holds at most ``DELAY_BLOCK_BYTES``.
+    A drawn block holds ``rows`` ticks, at most ``DELAY_BLOCK_BYTES`` of
+    8-byte cells.
 
     The diagonal is always zero: delays model communication between
     distinct agents, and an agent reads its own component directly.
@@ -158,15 +159,22 @@ class _DelaySampler(Rows):
 
     matrix = Rows.next
     always_zero = False
+    tick_rows = None  # ticks a run should take at a time, if the sampler asks
 
     def __init__(self, fill, horizon: int, d: int):
-        rows = DELAY_BLOCK_BYTES // (d * d * 8)
-        super().__init__(fill, horizon, max(1, min(CHUNK, rows)))
+        self.rows = max(1, min(CHUNK, DELAY_BLOCK_BYTES // (d * d * 8)))
+        super().__init__(fill, horizon, self.rows)
 
     def take(self, size: int, columns: np.ndarray | None = None) -> np.ndarray:
-        """The next ``size`` age matrices, all of their columns; see
-        ``_IidDelays.take`` for ``columns``."""
-        return super().take(size)
+        """The next ``size`` age matrices.  Given a (size, d) mask
+        ``columns``, only the marked (tick, agent) cells are kept, in
+        ``np.nonzero(columns)`` order: column c of the C-ordered (d, cells)
+        result holds the ages of cell c's agent's view at cell c's tick."""
+        ages = super().take(size)
+        if columns is None:
+            return ages
+        t, i = np.nonzero(columns)
+        return np.ascontiguousarray(ages[t, :, i].T)
 
 
 def _pair_matrix_param(value, d: int) -> np.ndarray:
@@ -188,15 +196,20 @@ def _iid_ages(raw, ticks, scale):
 
 
 class _IidDelays(_DelaySampler):
-    """Per-pair i.i.d. ages, computed from raw draws as they are read.
+    """Per-pair i.i.d. ages, drawn one source component at a time.
 
     ``draw(rng, j, i, out)`` writes the next ``len(out)`` raw draws of pair
-    (j, i), from that pair's stream, to the float64 row ``out`` of one
-    buffer laid out ``[j, i, t]``, which every refill overwrites in place:
-    ``take`` only serves transformed copies.  The age is the draw itself,
-    or ``ceil(draw / scale[j, i]) - 1`` with a (d, d) ``scale``.  Ages are
-    clamped to their tick in float64, where every age up to the tick is
-    exact, and only then cast to ``dtype``, so no larger draw reaches it.
+    (j, i), from that pair's stream, to the float64 row ``out`` of a reused
+    (d, ticks) scratch that holds the draws of source j's pairs; only the
+    ages read are kept.  The age is the draw itself, or ``ceil(draw /
+    scale[j, i]) - 1`` with a (d, d) ``scale``.  Ages are clamped to their
+    tick in float64, where every age up to the tick is exact, and only then
+    cast to ``dtype``, so no larger draw reaches it.
+
+    ``take(size)`` serves full matrices from drawn blocks; ``take(size,
+    columns)`` draws ``size`` ticks itself and keeps the marked cells, so a
+    run that reads by columns takes ``tick_rows`` ticks at a time, one call
+    per pair stream a block as in a full read.  Read one way, not both.
 
     ``int32`` holds every age up to a horizon of 2**31.  It is used only
     where the byte cap would cut a CHUNK-row ``int64`` block: at small d
@@ -205,43 +218,39 @@ class _IidDelays(_DelaySampler):
 
     def __init__(self, d: int, seed: int, horizon: int, draw, scale=None):
         wide = CHUNK * d * d * 8 > DELAY_BLOCK_BYTES  # a CHUNK-row int64 block
-        self.dtype = np.dtype(np.int32 if wide and horizon <= 2**31 else np.int64)
-        self._d, self._scale, self._tick = d, scale, 0  # tick: the next row served
+        self.dtype = dtype = np.dtype(np.int32 if wide and horizon <= 2**31 else np.int64)
         pairs = [(j, i) for j in range(d) for i in range(d) if i != j]
-        pairs = list(zip(pairs, streams(seed, DOMAIN_DELAY, pairs)))
-        raw = np.zeros((d, d, 0))
+        rngs = iter(streams(seed, DOMAIN_DELAY, pairs))
+        sources = [[(i, next(rngs)) for i in range(d) if i != j] for j in range(d)]
+        scratch, tick = np.zeros((d, 0)), 0  # tick: the first one of the next draw
 
-        def fill(start, size):
-            nonlocal raw
-            if raw.shape[2] < size:  # the first fill is the largest
-                raw = np.zeros((d, d, size))
-            for (j, i), rng in pairs:
-                draw(rng, j, i, raw[j, i, :size])
-            return raw[:, :, :size].transpose(2, 0, 1)
+        def ages(size, columns=None):
+            nonlocal scratch, tick
+            if scratch.shape[1] < size:  # the first draw is the largest
+                scratch = np.zeros((d, size))
+            raw, ticks = scratch[:, :size], np.arange(tick, tick + size, dtype=float)
+            tick += size
+            if columns is None:  # every cell: source j's ticks to out[:, j, :]
+                out, src, cells, ticks = np.empty((size, d, d), dtype), raw.T, ..., ticks[:, None]
+                dest, scales, selves = out.transpose(1, 0, 2), scale, (..., *np.diag_indices(d))
+            else:  # cell c to column c of a (d, cells) block
+                t, agent = np.nonzero(columns)
+                dest = out = np.empty((d, len(t)), dtype)
+                src, cells, ticks, selves = raw, (agent, t), ticks[t], (agent, np.arange(len(t)))
+                scales = scale if scale is None else scale[:, agent]
+            for j, own in enumerate(sources):
+                for i, rng in own:
+                    draw(rng, j, i, raw[i])
+                np.copyto(dest[j], _iid_ages(src[cells], ticks, None if scale is None
+                                             else scales[j]), casting="unsafe")
+            out[selves] = 0  # no pair stream draws a self-view
+            return out
 
-        super().__init__(fill, horizon, d)
+        super().__init__(lambda start, size: ages(size), horizon, d)
+        self._ages, self.tick_rows = ages, self.rows
 
     def take(self, size: int, columns: np.ndarray | None = None) -> np.ndarray:
-        """The next ``size`` age matrices.  A row of the (size, d) mask
-        ``columns`` with some agent unmarked gets ages in its marked columns
-        only, and 0 in the others; every other row is transformed in bulk."""
-        raw = super().take(size)  # [t, j, i]: each pair's draws are contiguous
-        d, scale = self._d, self._scale
-        ticks = np.arange(self._tick, self._tick + size, dtype=float)
-        self._tick += size
-        full = None if columns is None else columns.all(axis=1)
-        if full is None or full.all():
-            ages = np.empty((size, d, d), self.dtype)
-            np.copyto(ages, _iid_ages(raw, ticks[:, None, None], scale), casting="unsafe")
-        else:
-            ages = np.zeros((size, d, d), self.dtype)
-            if full.any():
-                ages[full] = _iid_ages(raw[full], ticks[full, None, None], scale)
-            t, i = np.nonzero(columns & ~full[:, None])
-            ages[t, :, i] = _iid_ages(raw[t, :, i], ticks[t, None],
-                                      None if scale is None else scale.T[i])
-        ages.reshape(size, d * d)[:, :: d + 1] = 0  # no pair stream draws a self-view
-        return ages
+        return super().take(size) if columns is None else self._ages(size, columns)
 
 
 def _stale_refresh_delays(model: StaleRefreshDelays, d: int, seed: int,

@@ -338,19 +338,20 @@ def test_active_column_update_matches_the_full_gather(d, activation, delays, obj
     # only their views and evaluates only their drive components (every
     # round-robin tick, about a quarter of the Bernoulli ones; at d = 100
     # about a sixth); every new iterate must equal, bit for bit, the update
-    # from every agent's view
+    # from every agent's view, with the full age matrices of a twin sampler
     ticks = 300
     bundle = build_runtime(RunConfig(
         dimension=d, horizon=ticks, seed=8, objective=_COLUMN_OBJECTIVES[objective](d),
         steps=HarmonicSteps(c=5.0), activation=activation, delays=delays,
         errors=ComponentUniformErrors(bound=0.2), noise=UniformNoise(level=0.1)))
+    twin = make_delay_sampler(delays, d, seed=8, horizon=ticks)
     history = IterateHistory(bundle.x0, window=ticks)
     field = bundle.field
     for n in range(ticks):
         sample = draw_tick(n, bundle)
         assert not sample.all_active
         x = history.latest.copy()
-        views = history.gather(n, sample.tau)
+        views = history.gather(n, twin.take(1)[0])
         want = np.where(sample.active,
                         x + sample.step * (field.vector_views(views) + sample.eps + sample.noise),
                         x)
@@ -370,6 +371,34 @@ _READ_DELAYS = {
 }
 
 
+def _check_served_ages(bundle, twin, ticks: int) -> int:
+    """Every tick's served ``(tau, reads)`` against the full matrices of
+    ``twin``, read a tick at a time; returns the ticks that read columns.
+
+    A tick with at most a quarter of a wide chain's agents active reads
+    exactly the active agents' views, in order, and every other tick all
+    of them.  Each served age equals the twin's, no age passes its tick,
+    and a self-view is 0."""
+    d, columns_read = bundle.d, 0
+    for n in range(ticks):
+        sample = draw_tick(n, bundle)
+        full = twin.take(1)[0]
+        act = np.flatnonzero(sample.active)
+        if d * d >= COLUMN_GATHER_CELLS and 4 * len(act) <= d:
+            columns_read += 1
+            assert np.array_equal(sample.reads, act), n
+            reads = act
+        else:
+            assert sample.reads is None, n
+            reads = np.arange(d)
+        tau = sample.tau
+        assert tau.dtype == full.dtype and tau.shape == (d, len(reads)), n
+        assert np.array_equal(tau, full[:, reads]), n
+        assert np.all(tau >= 0) and np.all(tau <= n), n
+        assert not tau[reads, np.arange(len(reads))].any(), n
+    return columns_read
+
+
 @pytest.mark.parametrize("delays", _READ_DELAYS)
 @pytest.mark.parametrize("d, activation", [
     (3, RoundRobin(k=1)),                  # small d: every tick reads full matrices
@@ -378,39 +407,57 @@ _READ_DELAYS = {
 ], ids=["d3", "d48", "d100"])
 def test_drawn_ages_of_read_columns_match_the_full_matrices(d, activation, delays):
     # A tick with at most a quarter of a wide chain's agents active gets
-    # ages only for its active columns, and 0 in the others; every other
-    # tick gets full matrices.  Either way each served age equals that of a
-    # twin sampler read with plain take.  The ticks run past the first
-    # float64 raw block (4096 rows at d = 3, 3640 at d = 48, 838 at d = 100),
-    # so one drawn block of ticks spans the refill.
-    raw_rows = min(CHUNK, DELAY_BLOCK_BYTES // (d * d * 8))
-    ticks = raw_rows + 50
+    # the ages of its active agents' views only, and every other tick full
+    # matrices.  Either way each served age equals that of a twin sampler
+    # read with plain take.  The ticks run past the first delay block (4096
+    # rows at d = 3, 3640 at d = 48, 838 at d = 100).
+    rows = min(CHUNK, DELAY_BLOCK_BYTES // (d * d * 8))
+    ticks = rows + 50
     model = _READ_DELAYS[delays](d)
     bundle = build_runtime(RunConfig(
         dimension=d, horizon=ticks, seed=9, objective=ScaledIdentityObjective(gain=-1.0),
         activation=activation, delays=model))
     twin = make_delay_sampler(model, d, seed=9, horizon=ticks)
-    columns_read = 0
-    for n in range(ticks):
-        sample = draw_tick(n, bundle)
-        full = twin.take(1)[0]
-        assert sample.tau.dtype == full.dtype
-        assert 0 <= sample.tau.min() and sample.tau.max() <= n
-        act = np.flatnonzero(sample.active)
-        if d * d >= COLUMN_GATHER_CELLS and 4 * len(act) <= d:
-            columns_read += 1
-            assert np.array_equal(sample.tau[:, act], full[:, act]), n
-            assert not np.delete(sample.tau, act, axis=1).any(), n
-        else:
-            assert np.array_equal(sample.tau, full), n
+    columns_read = _check_served_ages(bundle, twin, ticks)
     assert columns_read == {3: 0, 100: ticks}.get(d, columns_read)
     assert d != 48 or 0 < columns_read < ticks
+
+
+_BLOCK_DELAYS = {
+    "uniform": _READ_DELAYS["uniform"],
+    "geometric-matrix": _READ_DELAYS["geometric-matrix"],  # both numpy branches
+    "stale-refresh": lambda d: StaleRefreshDelays(p_c=0.3),
+}
+
+
+@pytest.mark.parametrize("delays", _BLOCK_DELAYS)
+@pytest.mark.parametrize("activation", [RoundRobin(k=1), BernoulliActivation(q=0.22)],
+                         ids=lambda a: a.kind)
+@pytest.mark.parametrize("d", [48, 100])
+def test_served_ages_match_the_full_matrices_across_delay_blocks(d, activation, delays):
+    # A wide chain's ticks read their ages from blocks of its delay rows
+    # (3640 at d = 48, 838 at d = 100): i.i.d. ages drawn for the read
+    # columns only, stale-refresh ages cut from full blocks.  The horizon
+    # crosses two delay blocks and cuts a third mid-block.  Round-robin
+    # ticks read one column each; Bernoulli blocks mix column and full ticks.
+    delays = _BLOCK_DELAYS[delays](d)
+    rows = min(CHUNK, DELAY_BLOCK_BYTES // (d * d * 8))
+    ticks = 2 * rows + rows // 2
+    bundle = build_runtime(RunConfig(
+        dimension=d, horizon=ticks, seed=12, objective=ScaledIdentityObjective(gain=-1.0),
+        activation=activation, delays=delays))
+    twin = make_delay_sampler(delays, d, seed=12, horizon=ticks)
+    columns_read = _check_served_ages(bundle, twin, ticks)
+    if isinstance(activation, RoundRobin):
+        assert columns_read == ticks
+    else:
+        assert 0 < columns_read < ticks
 
 
 @pytest.mark.parametrize("d", [48, 100])
 def test_huge_geometric_means_reach_back_to_tick_zero_in_read_columns(d):
     # every draw overflows the float64 age: the read columns clamp to their
-    # tick, and the others stay 0
+    # tick, and the self-views stay 0
     ticks = 12
     bundle = build_runtime(RunConfig(
         dimension=d, horizon=ticks, seed=1, objective=ScaledIdentityObjective(gain=-1.0),
@@ -418,10 +465,10 @@ def test_huge_geometric_means_reach_back_to_tick_zero_in_read_columns(d):
     for n in range(ticks):
         sample = draw_tick(n, bundle)
         act = np.flatnonzero(sample.active)
-        want = np.zeros((d, d), dtype=np.int64)
-        want[:, act] = n
-        want[act, act] = 0
-        assert np.array_equal(sample.tau, want), n
+        want = np.full((d, len(act)), n, dtype=np.int32)
+        want[act, np.arange(len(act))] = 0
+        assert np.array_equal(sample.reads, act), n
+        assert _bits(sample.tau) == _bits(want), n
 
 
 # SHA-256 of final_x and counters of d = 100 run_light runs, recorded before
@@ -513,6 +560,17 @@ print(peak("import asyncsa"), peak(sys.argv[1]))
 """
 
 
+def _child_peak_rss_kib(run: str) -> tuple[int, int]:
+    """Peak RSS of a child that imports asyncsa, and of one that runs ``run``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_KIB, run], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    baseline, peak = (int(kib) for kib in proc.stdout.split())
+    return baseline, peak
+
+
 def test_wide_geometric_light_run_peak_rss_is_its_pair_streams():
     # A d = 300 run of two ticks holds its d (d - 1) per-pair delay streams,
     # about 1.04 KiB each, and one two-row block of int32 ages; a block of
@@ -524,14 +582,28 @@ def test_wide_geometric_light_run_peak_rss_is_its_pair_streams():
     run = ("from asyncsa import GeometricDelays, RunConfig, ScaledIdentityObjective, run_light\n"
            f"run_light(RunConfig(dimension={d}, horizon={horizon}, seed=0, "
            "objective=ScaledIdentityObjective(gain=-1.0), delays=GeometricDelays(mean=3.0)))")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_KIB, run], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
-    assert proc.returncode == 0, proc.stderr[-3000:]
-    baseline, peak = (int(kib) for kib in proc.stdout.split())
+    baseline, peak = _child_peak_rss_kib(run)
     block_kib = horizon * d * d * 4 / 1024
     budget = baseline + 1.25 * d * (d - 1) + 1.25 * block_kib
+    assert peak <= budget, (peak, baseline, budget)
+
+
+def test_long_wide_run_peak_rss_holds_no_age_block():
+    # A d = 100 round-robin run of 1700 ticks crosses two delay blocks of
+    # 838 ticks.  It holds its d (d - 1) pair streams, about 1.04 KiB each,
+    # and its 1701 iterates; each block keeps only the read column's ages.
+    # A block of every pair's raw float64 draws (64 MiB) would pass the
+    # budget: with one, the run peaked at 84 260 KiB over the import's
+    # 32 520 KiB, against 20 180 KiB without (2-core x86 host, numpy 2.4.6).
+    d, horizon = 100, 1700
+    baseline, peak = _child_peak_rss_kib(
+        "from asyncsa import GeometricDelays, RoundRobin, RunConfig, "
+        "ScaledIdentityObjective, run_light\n"
+        f"run_light(RunConfig(dimension={d}, horizon={horizon}, seed=0, "
+        "objective=ScaledIdentityObjective(gain=-1.0), activation=RoundRobin(k=1), "
+        "delays=GeometricDelays(mean=3.0)))")
+    history_kib = (horizon + 1) * d * 8 / 1024
+    budget = baseline + 1.25 * d * (d - 1) + history_kib + 16 * 1024
     assert peak <= budget, (peak, baseline, budget)
 
 

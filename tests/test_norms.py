@@ -1,3 +1,6 @@
+import itertools
+import struct
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,35 @@ from asyncsa.norms import unit_max_norm, weighted_norm
 def test_euclidean_matches_numpy():
     x = np.array([3.0, -4.0])
     assert EuclideanNorm()(x) == pytest.approx(5.0)
+
+
+def _special_vectors(rng):
+    """Random float64 vectors with signed zeros, the least subnormal,
+    infinities, NaNs and squares that overflow, some of them strided."""
+    special = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, 1e200, -1e200]
+    for _ in range(400):
+        v = rng.standard_normal(int(rng.integers(0, 40))) * 10.0 ** rng.integers(-300, 300)
+        hits = rng.random(len(v)) < rng.choice([0.0, 0.1, 0.5])
+        v[hits] = rng.choice(special, int(hits.sum()))
+        yield v
+        if len(v) > 2:
+            yield v[::2]  # a strided view
+            yield v[::-3]
+    yield from (np.array(row) for row in itertools.product(special, repeat=2))
+
+
+def test_euclidean_and_max_norms_have_the_bits_of_numpy():
+    # norms take numpy's own path through ``dot`` and ``.max``, without
+    # its overhead: every result has the bits np.linalg.norm and np.max give
+    rng = np.random.default_rng(7)
+    bits = struct.Struct("<d").pack
+    with np.errstate(over="ignore", invalid="ignore"):
+        for v in _special_vectors(rng):
+            want = float(np.linalg.norm(v))
+            assert bits(EuclideanNorm()(v)) == bits(want), v
+            if len(v):
+                w = rng.uniform(0.1, 10.0, len(v))
+                assert bits(WeightedMaxNorm(w)(v)) == bits(float(np.max(np.abs(v) / w))), v
 
 
 def test_weighted_max_norm_example():

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import itertools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -199,6 +201,24 @@ def test_short_run_draws_a_short_delay_block():
     finally:
         tracemalloc.stop()
     assert peak < 0.01 * block
+
+
+@pytest.mark.parametrize("model", [UniformDelays(tau_max=3), GeometricDelays(mean=3.0)],
+                         ids=lambda m: m.kind)
+@pytest.mark.parametrize("by_columns", [False, True], ids=["full", "columns"])
+def test_iid_delay_sampler_is_freed_without_the_cycle_collector(model, by_columns):
+    # the sampler's draws close over its pair streams, not over the sampler,
+    # so a run frees its d (d - 1) streams as soon as it drops the sampler
+    d = 50
+    sampler = make_delay_sampler(model, d, seed=0, horizon=10)
+    sampler.take(3, np.ones((3, d), dtype=bool) if by_columns else None)
+    freed = weakref.ref(sampler)
+    gc.disable()
+    try:
+        del sampler
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_wide_delay_block_is_capped_by_bytes():
