@@ -168,8 +168,8 @@ class _DelaySampler(Rows):
     def take(self, size: int, columns: np.ndarray | None = None) -> np.ndarray:
         """The next ``size`` age matrices.  Given a (size, d) mask
         ``columns``, only the marked (tick, agent) cells are kept, in
-        ``np.nonzero(columns)`` order: column c of the C-ordered (d, cells)
-        result holds the ages of cell c's agent's view at cell c's tick."""
+        ``np.nonzero(columns)`` order: column c of the (d, cells) result is
+        cell c's view, C-ordered so that views gather as einsum needs."""
         ages = super().take(size)
         if columns is None:
             return ages
