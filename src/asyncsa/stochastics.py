@@ -13,17 +13,17 @@ Delay samplers serve a (d, d) matrix per tick with entry [j, i] the age
 of agent i's view of component j; the diagonal is always 0 and no age
 reaches before tick 0.  Rows come in tick order.  A drawn delay block
 holds at most ``_rng.DELAY_BLOCK_BYTES``.  Ages are ``int64``, except
-i.i.d. ages at a d where a CHUNK-row ``int64`` block would pass that cap
-(d > 45): those are ``int32`` (``int64`` past a horizon of 2**31 ticks).
-I.i.d. pairs are drawn a block of ticks at a time, one source component
-at a time into a small reused float64 scratch, and only the ages a
-reader asks for are kept: full matrices, or the columns a tick reads.
-Geometric ages are the bits of numpy's ``geometric``; below its branch
-threshold (a mean above 2) numpy inverts one standard exponential per
-draw, so those pairs draw the exponentials in bulk and the inversion
-runs on the ages kept.  Stale-refresh ages follow a recursion, but only
-through each view's last refresh, so a whole block of coins becomes a
-block of age matrices at once.
+the ages of every drawn delay kind at a d where a CHUNK-row ``int64``
+block would pass that cap (d > 45): those are ``int32`` (``int64`` past
+a horizon of 2**31 ticks).  Every drawn delay kind is drawn a block of
+ticks at a time, one source component at a time into a small reused
+float64 scratch, and only the ages a reader asks for are kept: full
+matrices, or the columns a tick reads.  Geometric ages are the bits of
+numpy's ``geometric``; below its branch threshold (a mean above 2) numpy
+inverts one standard exponential per draw, so those pairs draw the
+exponentials in bulk and the inversion runs on the ages kept.
+Stale-refresh ages follow a recursion, but only through each view's last
+refresh, so a source's block of coins becomes a block of ages at once.
 
 Error samplers enforce their declared bound on every sample: each block
 is checked before any of its rows is served.  Componentwise-uniform and
@@ -150,31 +150,21 @@ DelayModel = ZeroDelays | UniformDelays | GeometricDelays | StaleRefreshDelays
 class _DelaySampler(Rows):
     """Per-tick (d, d) age matrices, read in tick order with ``take``;
     ``matrix(n)`` reads one, tick n's when the ticks before it were read.
-    A drawn block holds ``rows`` ticks, at most ``DELAY_BLOCK_BYTES`` of
-    8-byte cells.
+    A block holds ``rows`` ticks, at most ``DELAY_BLOCK_BYTES`` of 8-byte
+    cells.  This class serves zero delays; ``_PairDelays`` draws the rest.
 
     The diagonal is always zero: delays model communication between
     distinct agents, and an agent reads its own component directly.
     """
 
     matrix = Rows.next
-    always_zero = False
+    always_zero = True
     tick_rows = None  # ticks a run should take at a time, if the sampler asks
 
-    def __init__(self, fill, horizon: int, d: int):
+    def __init__(self, d: int, horizon: int, fill=None):
         self.rows = max(1, min(CHUNK, DELAY_BLOCK_BYTES // (d * d * 8)))
+        fill = fill or constant(np.zeros((d, d), dtype=np.int64))
         super().__init__(fill, horizon, self.rows)
-
-    def take(self, size: int, columns: np.ndarray | None = None) -> np.ndarray:
-        """The next ``size`` age matrices.  Given a (size, d) mask
-        ``columns``, only the marked (tick, agent) cells are kept, in
-        ``np.nonzero(columns)`` order: column c of the (d, cells) result is
-        cell c's view, C-ordered so that views gather as einsum needs."""
-        ages = super().take(size)
-        if columns is None:
-            return ages
-        t, i = np.nonzero(columns)
-        return np.ascontiguousarray(ages[t, :, i].T)
 
 
 def _pair_matrix_param(value, d: int) -> np.ndarray:
@@ -195,111 +185,117 @@ def _iid_ages(raw, ticks, scale):
     return np.minimum(ages, ticks, out=ages)
 
 
-class _IidDelays(_DelaySampler):
-    """Per-pair i.i.d. ages, drawn one source component at a time.
+class _PairDelays(_DelaySampler):
+    """Per-pair ages of every drawn kind, drawn one source component at a time.
 
-    ``draw(rng, j, i, out)`` writes the next ``len(out)`` raw draws of pair
-    (j, i), from that pair's stream, to the float64 row ``out`` of a reused
-    (d, ticks) scratch that holds the draws of source j's pairs; only the
-    ages read are kept.  The age is the draw itself, or ``ceil(draw /
-    scale[j, i]) - 1`` with a (d, d) ``scale``.  Ages are clamped to their
-    tick in float64, where every age up to the tick is exact, and only then
-    cast to ``dtype``, so no larger draw reaches it.
+    ``draw(rng, j, i, out)`` writes the next ``len(out)`` draws of pair
+    (j, i), from its own stream, to the float64 row ``out`` of a reused
+    (d, ticks) scratch that holds source j's draws.  Kinds differ only in
+    how those become ages, computed in float64, where every age up to the
+    tick is exact, and then cast to ``dtype``:
+
+    - i.i.d.: a draw is an age, or ``ceil(draw / scale[j, i]) - 1`` with a
+      (d, d) ``scale``, clamped to its tick, so no larger draw is cast;
+    - stale-refresh (a (d, d) ``p_c``): a draw is a coin.  Tick 0 reads
+      none, tick n >= 1 reads coin n - 1, and a view refreshes when its
+      coin is below ``p_c[j, i]``, else ages by one: it is ``t - s`` ticks
+      old at tick t, s its last refresh, so a block of coins becomes ages
+      at once from the age each pair carries.  With ``symmetric`` only the
+      pairs j < i own a stream, and each age is both [j, i] and [i, j].
 
     ``take(size)`` serves full matrices from drawn blocks; ``take(size,
-    columns)`` draws ``size`` ticks itself and keeps the marked cells, so a
-    run that reads by columns takes ``tick_rows`` ticks at a time, one call
-    per pair stream a block as in a full read.  Read one way, not both.
+    columns)`` draws ``size`` ticks itself and keeps the cells marked in a
+    (size, d) mask: column c of the (d, cells) result is the view of cell
+    c in ``np.nonzero`` order, C-ordered as einsum gathers views.  A run
+    that reads by columns takes ``tick_rows`` ticks at a time, one call per
+    pair stream a block as in a full read.  Read one way, not both.  Each
+    source writes its row of every cell kept, also the [j, i] it does not
+    own (i < j if ``symmetric``), which source i, run after it, rewrites.
 
     ``int32`` holds every age up to a horizon of 2**31.  It is used only
     where the byte cap would cut a CHUNK-row ``int64`` block: at small d
     ``int64`` ages are gathered faster (a d = 5 gather: 1.6 against 2.3 us).
     """
 
-    def __init__(self, d: int, seed: int, horizon: int, draw, scale=None):
+    always_zero = False
+
+    def __init__(self, d: int, seed: int, horizon: int, draw, scale=None, p_c=None,
+                 symmetric=False):
         wide = CHUNK * d * d * 8 > DELAY_BLOCK_BYTES  # a CHUNK-row int64 block
         self.dtype = dtype = np.dtype(np.int32 if wide and horizon <= 2**31 else np.int64)
-        pairs = [(j, i) for j in range(d) for i in range(d) if i != j]
+        lows = [j + 1 if symmetric else 0 for j in range(d)]  # source j's first pair
+        pairs = [(j, i) for j in range(d) for i in range(lows[j], d) if i != j]
         rngs = iter(streams(seed, DOMAIN_DELAY, pairs))
-        sources = [[(i, next(rngs)) for i in range(d) if i != j] for j in range(d)]
+        sources = [(j, lows[j], [(i, next(rngs)) for i in range(lows[j], d) if i != j])
+                   for j in range(d)]
+        sources = [source for source in reversed(sources) if source[2]]
         scratch, tick = np.zeros((d, 0)), 0  # tick: the first one of the next draw
+        carried = np.zeros((d, d))  # each stale-refresh pair's age at its last tick drawn
+
+        def refresh(coins, ticks, p, age):
+            """A source's coins of ``ticks`` to ages, in place, given its
+            pairs' ``p`` and carried ``age``."""
+            last = np.where(coins < p[:, None], ticks, ticks[0] - 1.0 - age[:, None])
+            np.maximum.accumulate(last, axis=1, out=last)
+            np.subtract(ticks, last, out=coins)
+            age[:] = coins[:, -1]
 
         def ages(size, columns=None):
             nonlocal scratch, tick
+            fresh = int(p_c is not None and tick == 0)  # tick 0 reads no coin
+            if fresh == size:  # nothing to draw: tick 0's views are fresh
+                tick += size
+                return np.zeros((size, d, d) if columns is None
+                                else (d, np.count_nonzero(columns)), dtype)
             if scratch.shape[1] < size:  # the first draw is the largest
                 scratch = np.zeros((d, size))
             raw, ticks = scratch[:, :size], np.arange(tick, tick + size, dtype=float)
-            tick += size
+            fill, tick = raw[:, fresh:], tick + size
+            raw[:, :fresh] = 0.0  # a coin below every p_c: tick 0 is fresh
             if columns is None:  # every cell: source j's ticks to out[:, j, :]
-                out, src, cells, ticks = np.empty((size, d, d), dtype), raw.T, ..., ticks[:, None]
+                out, src, cells, at = np.empty((size, d, d), dtype), raw.T, ..., ticks[:, None]
                 dest, scales, selves = out.transpose(1, 0, 2), scale, (..., *np.diag_indices(d))
+
+                def mirror(j, lo):  # pair (j, i)'s ages to out[:, i, j]
+                    np.copyto(out[:, lo:, j], raw[lo:].T, casting="unsafe")
             else:  # cell c to column c of a (d, cells) block
                 t, agent = np.nonzero(columns)
                 dest = out = np.empty((d, len(t)), dtype)
-                src, cells, ticks, selves = raw, (agent, t), ticks[t], (agent, np.arange(len(t)))
+                src, cells, at, selves = raw, (agent, t), ticks[t], (agent, np.arange(len(t)))
                 scales = scale if scale is None else scale[:, agent]
-            for j, own in enumerate(sources):
+
+                def mirror(j, lo):  # pair (j, i)'s ages to row i of agent j's cells
+                    mine = np.flatnonzero(agent == j)
+                    out[lo:, mine] = raw[lo:, t[mine]]
+            for j, lo, own in sources:
                 for i, rng in own:
-                    draw(rng, j, i, raw[i])
-                np.copyto(dest[j], _iid_ages(src[cells], ticks, None if scale is None
-                                             else scales[j]), casting="unsafe")
+                    draw(rng, j, i, fill[i])
+                if p_c is None:  # i.i.d. draws: the read cells' ages
+                    got = _iid_ages(src[cells], at, None if scale is None else scales[j])
+                else:  # coins: every tick's ages, so that each pair carries its own
+                    refresh(raw[lo:], ticks, p_c[j, lo:], carried[j, lo:])
+                    got = src[cells]
+                np.copyto(dest[j], got, casting="unsafe")
+                if symmetric:
+                    mirror(j, lo)
             out[selves] = 0  # no pair stream draws a self-view
             return out
 
-        super().__init__(lambda start, size: ages(size), horizon, d)
+        super().__init__(d, horizon, lambda start, size: ages(size))
         self._ages, self.tick_rows = ages, self.rows
 
     def take(self, size: int, columns: np.ndarray | None = None) -> np.ndarray:
         return super().take(size) if columns is None else self._ages(size, columns)
 
 
-def _stale_refresh_delays(model: StaleRefreshDelays, d: int, seed: int,
-                          horizon: int) -> _DelaySampler:
-    p = _pair_matrix_param(model.p_c, d)
-    if model.symmetric:
-        pairs = [(j, i) for j in range(d) for i in range(j + 1, d)]
-    else:
-        pairs = [(j, i) for j in range(d) for i in range(d) if j != i]
-    p = [p[j, i] for j, i in pairs]
-    rngs = streams(seed, DOMAIN_DELAY, pairs)
-    ages = np.zeros(len(pairs), dtype=np.int64)  # at the last row filled
-
-    def fill(start, size):
-        """Matrices of ticks ``start ..``, one pair's coins at a time.
-
-        Tick 0 reads fresh views and draws no coin; tick n >= 1 reads coin
-        n - 1.  A view is ``t - s`` ticks old at coin row t when s was its
-        last refresh in the block, and ``t + 1`` older than at the block's
-        start when it had none.
-        """
-        block = np.zeros((size, d, d), dtype=np.int64)
-        coined = block[1:] if start == 0 else block
-        if not len(coined):
-            return block
-        t = np.arange(len(coined))
-        for k, ((j, i), rng) in enumerate(zip(pairs, rngs)):
-            last = np.where(rng.random(len(t)) < p[k], t, -1 - ages[k])
-            np.maximum.accumulate(last, out=last)
-            np.subtract(t, last, out=last)
-            coined[:, j, i] = last
-            if model.symmetric:
-                coined[:, i, j] = last
-            ages[k] = last[-1]
-        return block
-
-    return _DelaySampler(fill, horizon, d)
-
-
 def make_delay_sampler(model: DelayModel, d: int, seed: int, horizon: int):
     """Age matrices of ticks 0, 1, ... in blocks cut at ``horizon``."""
     check_model_shape(model, d)
     if isinstance(model, ZeroDelays):
-        sampler = _DelaySampler(constant(np.zeros((d, d), dtype=np.int64)), horizon, d)
-        sampler.always_zero = True
-        return sampler
+        return _DelaySampler(d, horizon)
     if isinstance(model, UniformDelays):
         high = model.tau_max + 1
-        return _IidDelays(d, seed, horizon, lambda rng, j, i, out: np.copyto(
+        return _PairDelays(d, seed, horizon, lambda rng, j, i, out: np.copyto(
             out, rng.integers(0, high, size=out.size)))
     if isinstance(model, GeometricDelays):
         # below its threshold numpy's geometric(p) is ceil(E / s), E a standard
@@ -315,9 +311,10 @@ def make_delay_sampler(model: DelayModel, d: int, seed: int, horizon: int):
             else:
                 rng.standard_exponential(out=out)
 
-        return _IidDelays(d, seed, horizon, draw, scale)
+        return _PairDelays(d, seed, horizon, draw, scale)
     if isinstance(model, StaleRefreshDelays):
-        return _stale_refresh_delays(model, d, seed, horizon)
+        return _PairDelays(d, seed, horizon, lambda rng, j, i, out: rng.random(out=out),
+                           p_c=_pair_matrix_param(model.p_c, d), symmetric=model.symmetric)
     raise ConfigError(f"unknown delay model {model!r}")
 
 

@@ -368,6 +368,10 @@ _READ_DELAYS = {
     "uniform": lambda d: UniformDelays(tau_max=5),
     "geometric": lambda d: GeometricDelays(mean=3.0),
     "geometric-matrix": lambda d: GeometricDelays(mean=_mixed_means(d)),
+    "stale-refresh": lambda d: StaleRefreshDelays(p_c=0.3),  # symmetric coins
+    # independent per-pair coins, with p_c[j, i] != p_c[i, j]
+    "stale-refresh-matrix": lambda d: StaleRefreshDelays(
+        p_c=0.2 + 0.1 * (np.add.outer(np.arange(d), 3 * np.arange(d)) % 7)),
 }
 
 
@@ -426,7 +430,7 @@ def test_drawn_ages_of_read_columns_match_the_full_matrices(d, activation, delay
 _BLOCK_DELAYS = {
     "uniform": _READ_DELAYS["uniform"],
     "geometric-matrix": _READ_DELAYS["geometric-matrix"],  # both numpy branches
-    "stale-refresh": lambda d: StaleRefreshDelays(p_c=0.3),
+    "stale-refresh": _READ_DELAYS["stale-refresh"],
 }
 
 
@@ -436,9 +440,8 @@ _BLOCK_DELAYS = {
 @pytest.mark.parametrize("d", [48, 100])
 def test_served_ages_match_the_full_matrices_across_delay_blocks(d, activation, delays):
     # A wide chain's ticks read their ages from blocks of its delay rows
-    # (3640 at d = 48, 838 at d = 100): i.i.d. ages drawn for the read
-    # columns only, stale-refresh ages cut from full blocks.  The horizon
-    # crosses two delay blocks and cuts a third mid-block.  Round-robin
+    # (3640 at d = 48, 838 at d = 100), drawn for the read columns only.
+    # The horizon crosses two delay blocks and cuts a third mid-block.  Round-robin
     # ticks read one column each; Bernoulli blocks mix column and full ticks.
     delays = _BLOCK_DELAYS[delays](d)
     rows = min(CHUNK, DELAY_BLOCK_BYTES // (d * d * 8))
@@ -588,20 +591,23 @@ def test_wide_geometric_light_run_peak_rss_is_its_pair_streams():
     assert peak <= budget, (peak, baseline, budget)
 
 
-def test_long_wide_run_peak_rss_holds_no_age_block():
+@pytest.mark.parametrize("delays", ["GeometricDelays(mean=3.0)", "StaleRefreshDelays(p_c=0.3)"],
+                         ids=["geometric", "stale-refresh"])
+def test_long_wide_run_peak_rss_holds_no_age_block(delays):
     # A d = 100 round-robin run of 1700 ticks crosses two delay blocks of
-    # 838 ticks.  It holds its d (d - 1) pair streams, about 1.04 KiB each,
-    # and its 1701 iterates; each block keeps only the read column's ages.
-    # A block of every pair's raw float64 draws (64 MiB) would pass the
-    # budget: with one, the run peaked at 84 260 KiB over the import's
-    # 32 520 KiB, against 20 180 KiB without (2-core x86 host, numpy 2.4.6).
+    # 838 ticks.  It holds its pair streams, about 1.04 KiB each, and its
+    # 1701 iterates; each block keeps only the read column's ages.  A block
+    # of every pair's raw float64 draws, or of their int64 stale-refresh
+    # ages (64 MiB), would pass the budget: with one, geometric and
+    # stale-refresh runs grew 51 740 and 79 030 KiB over the import's peak,
+    # against 20 490 and 15 700 KiB without (2-core x86 host, numpy 2.4.6).
     d, horizon = 100, 1700
     baseline, peak = _child_peak_rss_kib(
         "from asyncsa import GeometricDelays, RoundRobin, RunConfig, "
-        "ScaledIdentityObjective, run_light\n"
+        "ScaledIdentityObjective, StaleRefreshDelays, run_light\n"
         f"run_light(RunConfig(dimension={d}, horizon={horizon}, seed=0, "
         "objective=ScaledIdentityObjective(gain=-1.0), activation=RoundRobin(k=1), "
-        "delays=GeometricDelays(mean=3.0)))")
+        f"delays={delays}))")
     history_kib = (horizon + 1) * d * 8 / 1024
     budget = baseline + 1.25 * d * (d - 1) + history_kib + 16 * 1024
     assert peak <= budget, (peak, baseline, budget)

@@ -203,12 +203,13 @@ def test_short_run_draws_a_short_delay_block():
     assert peak < 0.01 * block
 
 
-@pytest.mark.parametrize("model", [UniformDelays(tau_max=3), GeometricDelays(mean=3.0)],
-                         ids=lambda m: m.kind)
+@pytest.mark.parametrize("model", [UniformDelays(tau_max=3), GeometricDelays(mean=3.0),
+                                   StaleRefreshDelays(p_c=0.3)], ids=lambda m: m.kind)
 @pytest.mark.parametrize("by_columns", [False, True], ids=["full", "columns"])
-def test_iid_delay_sampler_is_freed_without_the_cycle_collector(model, by_columns):
-    # the sampler's draws close over its pair streams, not over the sampler,
-    # so a run frees its d (d - 1) streams as soon as it drops the sampler
+def test_pair_delay_sampler_is_freed_without_the_cycle_collector(model, by_columns):
+    # the sampler's draws (and a stale-refresh sampler's coin recursion)
+    # close over its pair streams, not over the sampler, so a run frees its
+    # pair streams as soon as it drops the sampler
     d = 50
     sampler = make_delay_sampler(model, d, seed=0, horizon=10)
     sampler.take(3, np.ones((3, d), dtype=bool) if by_columns else None)
@@ -244,15 +245,15 @@ _DELAY_KINDS = {
 }
 # the age dtype of each kind at a d where the byte cap cuts its blocks
 _AGE_DTYPES = {"zero": np.int64, "uniform": np.int32, "geometric": np.int32,
-               "stale-symmetric": np.int64, "stale-asymmetric": np.int64}
+               "stale-symmetric": np.int32, "stale-asymmetric": np.int32}
 
 
 @pytest.mark.parametrize("kind", _DELAY_KINDS)
 def test_capped_delay_blocks_keep_their_invariants(kind):
-    # d is the smallest at which the byte cap cuts a drawn block below CHUNK
-    # rows (8-byte cells: int64 ages, or the float64 raw draws of i.i.d.
-    # ages); read two capped blocks and five rows, in runs that cross both
-    # block boundaries
+    # d is the smallest at which the byte cap cuts a block below CHUNK rows
+    # of 8-byte cells (the int64 zero ages; every drawn kind keeps int32
+    # ages there); read two capped blocks and five rows, in runs that cross
+    # both block boundaries
     dtype = np.dtype(_AGE_DTYPES[kind])
     d = next(d for d in range(2, 100) if DELAY_BLOCK_BYTES // (d * d * 8) < CHUNK)
     cap = DELAY_BLOCK_BYTES // (d * d * 8)
@@ -571,13 +572,13 @@ def test_delay_samplers_store_their_documented_age_dtype(name):
                                    GeometricDelays(mean=2.0), StaleRefreshDelays(p_c=0.4)],
                          ids=lambda m: m.kind)
 def test_wide_iid_delay_samplers_store_int32_ages(model):
-    # i.i.d. ages are int32 from the least d at which a CHUNK-row int64
-    # block would pass the byte cap, up to a horizon of 2**31; every other
-    # kind, d and horizon keeps int64
+    # drawn ages of every kind are int32 from the least d at which a
+    # CHUNK-row int64 block would pass the byte cap, up to a horizon of
+    # 2**31; zero delays, and every other d and horizon, keep int64
     wide = next(d for d in range(2, 100) if CHUNK * d * d * 8 > DELAY_BLOCK_BYTES)
-    iid = model.kind in ("bounded-uniform", "geometric")
+    drawn = model.kind != "zero"
     for d, horizon, dtype in ((wide - 1, 2**31, np.int64),
-                              (wide, 2**31, np.int32 if iid else np.int64),
+                              (wide, 2**31, np.int32 if drawn else np.int64),
                               (wide, 2**31 + 1, np.int64)):
         sampler = make_delay_sampler(model, d, seed=7, horizon=horizon)
         assert sampler.take(1).dtype == dtype, (d, horizon)
