@@ -230,7 +230,7 @@ class _PairDelays(_DelaySampler):
                    for j in range(d)]
         sources = [source for source in reversed(sources) if source[2]]
         scratch, tick = np.zeros((d, 0)), 0  # tick: the first one of the next draw
-        carried = np.zeros((d, d))  # each stale-refresh pair's age at its last tick drawn
+        carried = None if p_c is None else np.zeros((d, d))  # each coin pair's latest age
 
         def refresh(coins, ticks, p, age):
             """A source's coins of ``ticks`` to ages, in place, given its
@@ -248,10 +248,9 @@ class _PairDelays(_DelaySampler):
                 return np.zeros((size, d, d) if columns is None
                                 else (d, np.count_nonzero(columns)), dtype)
             if scratch.shape[1] < size:  # the first draw is the largest
-                scratch = np.zeros((d, size))
+                scratch = np.zeros((d, size))  # tick 0's coins: 0, below every p_c
             raw, ticks = scratch[:, :size], np.arange(tick, tick + size, dtype=float)
             fill, tick = raw[:, fresh:], tick + size
-            raw[:, :fresh] = 0.0  # a coin below every p_c: tick 0 is fresh
             if columns is None:  # every cell: source j's ticks to out[:, j, :]
                 out, src, cells, at = np.empty((size, d, d), dtype), raw.T, ..., ticks[:, None]
                 dest, scales, selves = out.transpose(1, 0, 2), scale, (..., *np.diag_indices(d))
