@@ -9,24 +9,28 @@ of another, and identical (config, seed) pairs replay bit-for-bit.
 
 Every per-tick input of a run that does not depend on the iterate
 (activation masks, delays, errors, noise) is read through ``Rows``, the
-one stream cursor: rows are drawn in blocks of at most ``CHUNK`` (fewer
-for wide delay matrices, see ``DELAY_BLOCK_BYTES``), cut at the run's
-horizon, and read a run of rows at a time with ``take``.  How a
-stream is read never changes its draws.  A ``constant`` fill serves one
-value and draws nothing.
+one stream cursor, a run of rows at a time with ``take``.  ``Rows`` holds
+the one fill policy: a stream is drawn in blocks of exactly the rows a
+``take`` asks for, so a run's streams hold one of its tick blocks each,
+except where a stream's bits depend on its block length (``CHUNK``) or a
+block is capped in bytes (``DELAY_BLOCK_BYTES``).  How a stream is read
+never changes its draws.  A ``constant`` fill serves one value and draws
+nothing.
 """
 
 from __future__ import annotations
+
+import gc
 
 import numpy as np
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 
-# Most rows per drawn block.  Numpy gives the same draws however a stream is
-# cut, except for the Euclidean norm-ball errors, which draw all of a block's
-# normals before its radii: they always draw CHUNK rows of each and keep the
-# first ones, so their bits depend on this value.
+# Rows per drawn block of a stream whose bits depend on its block length.
+# Numpy gives the same draws however a stream is cut, except for the
+# Euclidean norm-ball errors, which draw all of a block's normals before its
+# radii: they always draw CHUNK rows of each and keep the first ones.
 CHUNK = 4096
 
 # Most bytes per drawn block of delay ages, so that a block of (d, d) age
@@ -81,7 +85,16 @@ def streams(seed: int, domain: int, keys) -> list[np.random.Generator]:
     words = _state_words(entropy)
     # registered here, so that importing asyncsa does not load numpy.random
     np.random.bit_generator.ISeedSequence.register(_StateWords)
-    return [np.random.Generator(np.random.PCG64(_StateWords(w))) for w in words]
+    # the loop makes enough tracked objects to start cyclic collections, and
+    # they find nothing to free: 9900 keys took 20-23 against 28-31 ms with
+    # the collector on (medians of 8, 2-core x86 host, numpy 2.4.6)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return [np.random.Generator(np.random.PCG64(_StateWords(w))) for w in words]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _state_words(entropy) -> np.ndarray:
@@ -122,7 +135,8 @@ def _state_words(entropy) -> np.ndarray:
 
 class _StateWords:
     """The state words of one key, handed to ``PCG64`` as its seed (an
-    ``ISeedSequence``)."""
+    ``ISeedSequence``) once: ``PCG64`` keeps its seed object for life, so
+    the words are dropped as they are handed over."""
 
     __slots__ = ("_words",)
 
@@ -132,7 +146,8 @@ class _StateWords:
     def generate_state(self, n_words, dtype=np.uint32):
         if n_words != 4 or dtype is not np.uint64:  # what PCG64 asks for
             raise ValueError("hashed state words serve PCG64 only")
-        return self._words
+        words, self._words = self._words, None
+        return words
 
 
 def constant(value: np.ndarray):
@@ -144,13 +159,17 @@ class Rows:
     """The rows of a stream, read in order with ``take(size)``.
 
     ``fill(start, size)`` returns rows ``start .. start + size - 1``.  A
-    block is drawn only when the current one is used up, with ``size`` the
-    smaller of ``most`` and the rows left before ``rows`` (the run's
-    horizon), and at least one: a caller may read past ``rows``, one row
-    per block.  The spent block is released before ``fill`` runs.
+    block is drawn only when the current one is used up.  The fill policy:
+    a block holds exactly the rows the ``take`` that draws it still lacks,
+    so each block is read whole by one ``take``, and a run's streams are
+    drawn one tick block at a time.  Only a stream whose draws depend on
+    where it is cut (``CHUNK``), or whose blocks are capped in bytes, is
+    given ``most``: its blocks hold ``most`` rows, cut at ``rows`` (the
+    run's horizon), and at least one, for a caller may read past ``rows``.
+    The spent block is released before ``fill`` runs.
     """
 
-    def __init__(self, fill, rows: int, most: int = CHUNK):
+    def __init__(self, fill, rows: int = 0, most: int | None = None):
         self._fill = fill
         self._rows = rows
         self._most = most
@@ -173,7 +192,7 @@ class Rows:
                 size = end - len(block)
             block = self._block = ()  # release the spent block before fill allocates
             start = self._start
-            rows = max(1, min(self._most, self._rows - start))
+            rows = size if self._most is None else max(1, min(self._most, self._rows - start))
             self._block = self._fill(start, rows)
             self._start = start + rows
             self._pos = 0

@@ -251,7 +251,7 @@ class TickBlock:
 
 
 # (tick, agent) cells per block of drawn ticks: hundreds of ticks at small d,
-# and small next to a CHUNK-row block of an error or noise stream at any d
+# and 8 KiB of each float64 stream's block at any d
 BLOCK_CELLS = 1024
 
 
@@ -297,6 +297,8 @@ def draw_tick(n: int, bundle: RuntimeBundle) -> TickSample:
     Ticks are drawn in order by :func:`draw_block`, about ``BLOCK_CELLS``
     (tick, agent) cells at a time, cut at the horizon; a chain that reads
     by columns takes the ticks its delay sampler asks for (``tick_rows``).
+    That tick block is also the block each activation, error and noise
+    stream draws (see ``_rng.Rows``).
     A block's last row is served as copies, so a caller holding only the
     latest sample keeps no spent block alive.
     """
@@ -345,8 +347,8 @@ def apply_tick(history: IterateHistory, field: Field, sample: TickSample,
         x_new = x.copy()
         x_new[agents] += sample.step[agents] * (drive + sample.eps[agents]
                                                 + sample.noise[agents])
-    # x @ 0 is NaN exactly when some component of x is not finite
-    if not math.isfinite(x_new @ history._zeros):
+    # x . 0 is NaN exactly when some component of x is not finite
+    if not math.isfinite(x_new.dot(history._zeros)):
         bad = int(np.flatnonzero(~np.isfinite(x_new))[0])
         raise DivergenceError(n, bad)
     projected = False

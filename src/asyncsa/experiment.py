@@ -159,6 +159,17 @@ def reproduce_experiment(p_c: float, seeds, eps_grid=EPS_GRID,
                            rows=rows)
 
 
+def _median(values: list[float]) -> float:
+    """``float(np.median(values))`` of a non-empty list, bit for bit, with
+    no numpy call: both take the middle value or ``(a + b) / 2`` of the two
+    middle ones, and both give NaN when a value is NaN.  Numpy's mean adds
+    to 0.0, so its median is never -0.0."""
+    if any(math.isnan(v) for v in values):
+        return math.nan
+    ranked, k = sorted(values), len(values) // 2
+    return float(ranked[k] if len(ranked) % 2 else (ranked[k - 1] + ranked[k]) / 2) + 0.0
+
+
 def summarize(result: AggregateResult) -> dict:
     """Scaling summary: rank correlation and tail medians of the rows."""
     from scipy import stats  # about 70 MiB and 1 s to import: only here
@@ -170,11 +181,11 @@ def summarize(result: AggregateResult) -> dict:
     tail = vals[eps >= 1.0]
     per_eps = []
     for e in result.eps_grid:
-        sel = vals[eps == e]
+        sel = [r["log_final_norm"] for r in ok if r["epsilon"] == e]
         per_eps.append({
             "epsilon": float(e),
-            "median_log_final_norm": float(np.median(sel)) if sel.size else None,
-            "runs": int(sel.size),
+            "median_log_final_norm": _median(sel) if sel else None,
+            "runs": len(sel),
         })
     return {
         "schema": "scaling-summary-v1",
@@ -237,7 +248,7 @@ def emit_plot_data(result: AggregateResult, path, style: str = "wide") -> None:
     write_table(path, "plot-wide-v1", [],
                 ["epsilon"] + [f"s{s}" for s in seeds] + ["median"],
                 [np.array(result.eps_grid, dtype=float), *zip(*grid),
-                 [float(np.median(p)) if p else None for p in present]])
+                 [_median(p) if p else None for p in present]])
 
 
 def read_plot_data(path) -> dict:

@@ -148,12 +148,13 @@ def check_policy_shape(policy: ActivationPolicy, d: int) -> None:
 
 def make_activation_sampler(policy: ActivationPolicy, d: int, seed: int,
                             horizon: int) -> Rows:
-    """Active masks of ticks 0, 1, ... in blocks cut at ``horizon``."""
+    """Active masks of ticks 0, 1, ...; ``horizon`` is unused, as no mask
+    stream is cut at it."""
     if d < 1:
         raise ConfigError("dimension must be >= 1")
     check_policy_shape(policy, d)
     if isinstance(policy, AllActive):
-        return Rows(constant(np.ones(d, dtype=bool)), horizon)
+        return Rows(constant(np.ones(d, dtype=bool)))
     if isinstance(policy, RoundRobin):
         k = min(policy.k, d)
 
@@ -164,7 +165,7 @@ def make_activation_sampler(policy: ActivationPolicy, d: int, seed: int,
             np.put_along_axis(masks, (ticks * k + np.arange(k)) % d, True, axis=1)
             return masks
 
-        return Rows(fill, horizon)
+        return Rows(fill)
     q = policy.q
     rng = stream(seed, DOMAIN_ACTIVATION)
 
@@ -177,7 +178,7 @@ def make_activation_sampler(policy: ActivationPolicy, d: int, seed: int,
             masks = np.concatenate((masks, rows[rows.any(axis=1)]))
         return masks
 
-    return Rows(fill, horizon)
+    return Rows(fill)
 
 
 @dataclass(eq=False)

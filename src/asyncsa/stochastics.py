@@ -3,11 +3,13 @@
 Samplers draw from per-purpose seed streams (see asyncsa._rng): errors and
 noise each own one stream per run, delays own one stream per ordered agent
 pair, so swapping one model never perturbs the samples of another.  Every
-sampler is an ``_rng.Rows`` stream of per-tick rows, read in blocks that
-``Rows`` cuts at the run's horizon; each kind's fill function is chosen in
-its ``make_*`` factory, which takes the horizon, and zero or constant
-models draw nothing.  A model whose shape does not fit the dimension is a
-``ConfigError`` (``check_model_shape``).
+sampler is an ``_rng.Rows`` stream of per-tick rows, drawn by ``Rows``' one
+fill policy: a block is as long as the ``take`` that draws it, a run's tick
+block, except for the Euclidean norm-ball errors (``CHUNK`` rows) and full
+delay matrices (``DELAY_BLOCK_BYTES``), whose blocks are cut at the run's
+horizon.  Each kind's fill function is chosen in its ``make_*`` factory,
+and zero or constant models draw nothing.  A model whose shape does not
+fit the dimension is a ``ConfigError`` (``check_model_shape``).
 
 Delay samplers serve a (d, d) matrix per tick with entry [j, i] the age
 of agent i's view of component j; the diagonal is always 0 and no age
@@ -34,6 +36,7 @@ mean conditional on the past and components bounded by their level.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -226,8 +229,9 @@ class _PairDelays(_DelaySampler):
         lows = [j + 1 if symmetric else 0 for j in range(d)]  # source j's first pair
         pairs = [(j, i) for j in range(d) for i in range(lows[j], d) if i != j]
         rngs = iter(streams(seed, DOMAIN_DELAY, pairs))
-        sources = [(j, lows[j], [(i, next(rngs)) for i in range(lows[j], d) if i != j])
-                   for j in range(d)]
+        # source j's generators, of its pairs (j, i) in the order of i
+        sources = [(j, lo, list(itertools.islice(rngs, d - lo - (lo <= j))))
+                   for j, lo in enumerate(lows)]
         sources = [source for source in reversed(sources) if source[2]]
         scratch, tick = np.zeros((d, 0)), 0  # tick: the first one of the next draw
         carried = None if p_c is None else np.zeros((d, d))  # each coin pair's latest age
@@ -267,7 +271,7 @@ class _PairDelays(_DelaySampler):
                     mine = np.flatnonzero(agent == j)
                     out[lo:, mine] = raw[lo:, t[mine]]
             for j, lo, own in sources:
-                for i, rng in own:
+                for i, rng in zip(itertools.chain(range(lo, j), range(j + 1, d)), own):
                     draw(rng, j, i, fill[i])
                 if p_c is None:  # i.i.d. draws: the read cells' ages
                     got = _iid_ages(src[cells], at, None if scale is None else scales[j])
@@ -412,9 +416,9 @@ class _RowSampler(Rows):
 class _ErrorSampler(_RowSampler):
     """Per-tick error vectors.  Every block is checked against ``bound``
     before any of its rows is served; ``worst(block)`` is the block's
-    largest norm."""
+    largest norm.  ``rows`` and ``most`` are those of ``Rows``."""
 
-    def __init__(self, bound: float, fill, worst, rows: int):
+    def __init__(self, bound: float, fill, worst, rows: int = 0, most: int | None = None):
         self.bound = bound = float(bound)
 
         def checked(start, size):
@@ -424,32 +428,33 @@ class _ErrorSampler(_RowSampler):
                 raise AssertionError(f"error sample breached its bound: {top} > {bound}")
             return block
 
-        super().__init__(checked, rows)
+        super().__init__(checked, rows, most)
 
 
 def make_error_sampler(model: ErrorModel, d: int, seed: int, horizon: int,
                        domain: int = DOMAIN_ERROR):
-    """Error vectors of ticks 0, 1, ... in blocks cut at ``horizon``."""
+    """Error vectors of ticks 0, 1, ...; Euclidean norm-ball blocks are cut
+    at ``horizon``."""
     check_model_shape(model, d)
     if isinstance(model, ZeroErrors):
-        return _ErrorSampler(0.0, constant(np.zeros(d)), _max_abs, horizon)
+        return _ErrorSampler(0.0, constant(np.zeros(d)), _max_abs)
     if isinstance(model, FixedBiasErrors):
         bias = model.bias.copy()
         # checked by its largest component, which never exceeds its norm
-        return _ErrorSampler(np.linalg.norm(bias), constant(bias), _max_abs, horizon)
+        return _ErrorSampler(np.linalg.norm(bias), constant(bias), _max_abs)
     rng = stream(seed, domain)
     if isinstance(model, ComponentUniformErrors):
         half = model.bound / 2.0
         return _ErrorSampler(
             model.bound, lambda start, size: rng.uniform(0.0, half, size=(size, d)),
-            _max_abs, horizon)
+            _max_abs)
     if isinstance(model, NormBallErrors):
         norm, bound = model.norm, float(model.bound)
         if isinstance(norm, WeightedMaxNorm):
             half = bound * norm.weights
             return _ErrorSampler(
                 bound, lambda start, size: rng.uniform(-half, half, size=(size, d)),
-                _max_norm(norm), horizon)
+                _max_norm(norm))
 
         def fill(start, size):
             # a block draws all of its normals before its radii, so every
@@ -459,7 +464,7 @@ def make_error_sampler(model: ErrorModel, d: int, seed: int, horizon: int,
             radii = bound * rng.random(CHUNK)[:size] ** (1.0 / d)
             return g * radii[:, None]
 
-        return _ErrorSampler(bound, fill, _max_norm(norm), horizon)
+        return _ErrorSampler(bound, fill, _max_norm(norm), horizon, CHUNK)
     raise ConfigError(f"unknown error model {model!r}")
 
 
@@ -500,19 +505,19 @@ NoiseModel = ZeroNoise | UniformNoise | RademacherNoise
 
 
 def make_noise_sampler(model: NoiseModel, d: int, seed: int, horizon: int):
-    """Noise vectors of ticks 0, 1, ... in blocks cut at ``horizon``."""
+    """Noise vectors of ticks 0, 1, ...; ``horizon`` is unused, as no noise
+    stream is cut at it."""
     if isinstance(model, ZeroNoise):
-        return _RowSampler(constant(np.zeros(d)), horizon)
+        return _RowSampler(constant(np.zeros(d)))
     if not isinstance(model, (UniformNoise, RademacherNoise)):
         raise ConfigError(f"unknown noise model {model!r}")
     rng = stream(seed, DOMAIN_NOISE)
     level = float(model.level)
     if isinstance(model, UniformNoise):
-        return _RowSampler(
-            lambda start, size: rng.uniform(-level, level, size=(size, d)), horizon)
+        return _RowSampler(lambda start, size: rng.uniform(-level, level, size=(size, d)))
 
     def fill(start, size):
         signs = rng.integers(0, 2, size=(size, d)) * 2 - 1
         return level * signs.astype(float)
 
-    return _RowSampler(fill, horizon)
+    return _RowSampler(fill)

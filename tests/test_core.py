@@ -515,21 +515,34 @@ def test_paired_run_reads_step_sizes_once_per_tick(monkeypatch):
 
 
 def test_light_run_holds_no_spent_error_or_noise_block():
-    # the held sample's last rows are copies, so across a refill each of
-    # the two streams holds one block
-    d = 64
+    # A d = 100 round-robin chain reads by columns and draws 838-tick blocks
+    # (its delay sampler's tick_rows); its error and noise streams draw the
+    # same blocks.  Over its set-up and history, the run then peaks at about
+    # one CHUNK-row float64 block: the tick block's steps, counts, errors,
+    # noise and delay scratch are (838, d) arrays of 8-byte cells.  One
+    # CHUNK-row error or noise block more would pass the budget: with a
+    # CHUNK-row block for each, the run peaked 2.7 blocks over them.
+    d = 100
     block = CHUNK * d * 8
     cfg = RunConfig(dimension=d, horizon=CHUNK + 1, seed=0,
                     objective=ScaledIdentityObjective(gain=-1.0),
+                    activation=RoundRobin(k=1), delays=GeometricDelays(mean=3.0),
                     errors=ComponentUniformErrors(bound=0.2),
                     noise=UniformNoise(level=0.1))
+    history = (cfg.horizon + 1) * d * 8
     tracemalloc.start()
     try:
+        start = tracemalloc.get_traced_memory()[0]
+        bundle = build_runtime(cfg)
+        set_up = tracemalloc.get_traced_memory()[0] - start
+        del bundle
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
         run_light(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
+        peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak <= 2.1 * block
+    assert peak <= set_up + history + 1.5 * block, (peak, set_up, history)
 
 
 def test_light_run_holds_no_spent_delay_block():

@@ -22,7 +22,7 @@ from asyncsa import (
     write_aggregate_csv,
     write_sweep_csv,
 )
-from asyncsa.experiment import cell_config
+from asyncsa.experiment import _median, cell_config
 
 
 def test_eps_grid_shape():
@@ -157,6 +157,23 @@ def test_plot_data_styles(tmp_path):
     assert len(data["rows"]) == 6
     with pytest.raises(ConfigError):
         emit_plot_data(result, tmp_path / "x.csv", style="fancy")
+
+
+_INF, _NAN, _BIG = math.inf, math.nan, 1.7976931348623157e308
+
+
+@pytest.mark.parametrize("values", [
+    [0.5], [-0.0], [-0.0, -0.0], [0.0, -0.0, -0.0], [3.0, -1.0], [0.1, 0.2, 0.7, 0.3],
+    [_BIG, _BIG], [_BIG, -_BIG, 1.0, 2.0], [_INF, 1.0], [_INF, -_INF], [-_INF, 2.0, -_INF],
+    [_NAN], [1.0, _NAN, 2.0], [_INF, _NAN], [5e-324, 5e-324],
+    np.random.default_rng(0).normal(size=9).tolist(),
+    np.random.default_rng(1).normal(size=10).tolist(),
+], ids=str)
+def test_median_is_numpys_median_bit_for_bit(values):
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.median(np.array(values))  # the per-eps medians numpy gave
+    got = np.float64(_median(values))
+    assert (math.isnan(got) and math.isnan(want)) or got.tobytes() == want.tobytes()
 
 
 SWEEP_DOC = {

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,8 @@ def test_streams_are_the_streams_of_their_keys(seed, keys):
     assert len(got) == len(keys)
     for rng, key in zip(got, keys):
         assert isinstance(rng.bit_generator.seed_seq, np.random.SeedSequence) != bulk
+        if bulk:  # a seeded stream keeps its seed object but not the words
+            assert rng.bit_generator.seed_seq._words is None
         want = stream(seed, DOMAIN_DELAY, *key)
         assert rng.bit_generator.state == want.bit_generator.state, key
         assert np.array_equal(rng.random(16), want.random(16)), key
@@ -49,3 +53,15 @@ def test_stream_keys_out_of_range_raise(count, bad):
 
 def test_no_keys_build_no_streams():
     assert streams(0, DOMAIN_DELAY, []) == []
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_bulk_seeding_leaves_the_collector_as_it_found_it(enabled):
+    # bulk seeding pauses cyclic collection while it builds the streams
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        streams(0, DOMAIN_DELAY, [(k,) for k in range(BULK_KEYS)])
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()

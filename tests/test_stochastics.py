@@ -584,15 +584,33 @@ def test_wide_iid_delay_samplers_store_int32_ages(model):
         assert sampler.take(1).dtype == dtype, (d, horizon)
 
 
-def _in_runs(sampler):
-    """Row n of ``sampler``, read with ``take`` in runs of 1, 42, 3000 and
-    5 rows; the run from row 3091 spans the block boundary at CHUNK."""
-    rows = []
-    sizes = itertools.cycle((1, 42, 3000, 5))
-    while len(rows) < _DRAWS:
-        rows.extend(sampler.take(min(next(sizes), _DRAWS - len(rows))))
-    return rows.__getitem__
+def _in_runs(sizes):
+    """A reader: row n of a sampler, read with ``take`` in runs of the
+    cycled ``sizes``."""
+    def reader(sampler):
+        rows, runs = [], itertools.cycle(sizes)
+        while len(rows) < _DRAWS:
+            rows.extend(sampler.take(min(next(runs), _DRAWS - len(rows))))
+        return rows.__getitem__
+    return reader
 
 
 def test_reading_streams_in_runs_keeps_their_digests():
-    assert _stream_digests(_in_runs) == _STREAM_DIGESTS
+    # the run of 3000 rows from row 3091 spans the block boundary at CHUNK
+    assert _stream_digests(_in_runs((1, 42, 3000, 5))) == _STREAM_DIGESTS
+
+
+# A stream's block is as long as the take that draws it, except the
+# Euclidean norm ball's CHUNK rows and full delay matrices' capped blocks,
+# so each cut below draws blocks of other lengths: one whole read, and
+# runs drawn from seeded generators.
+_CUTS = {
+    "whole": (_DRAWS,),
+    **{f"random-{seed}": tuple(np.random.default_rng(seed).integers(1, high, size=64).tolist())
+       for seed, high in ((0, 8), (1, 300), (2, 2000))},
+}
+
+
+@pytest.mark.parametrize("cut", _CUTS)
+def test_streams_read_in_any_cut_keep_their_digests(cut):
+    assert _stream_digests(_in_runs(_CUTS[cut])) == _STREAM_DIGESTS
