@@ -52,12 +52,7 @@ from .fields import (
 from .mdp import BellmanResidualField, load_fixture, random_mdp
 from .norms import EuclideanNorm, Norm, weighted_norm
 from .schedules import AgentSchedule
-from .stochastics import (
-    UniformDelays,
-    make_delay_sampler,
-    make_error_sampler,
-    make_noise_sampler,
-)
+from .stochastics import make_delay_sampler, make_error_sampler, make_noise_sampler
 from .trace import RunTrace
 
 __all__ = [
@@ -257,10 +252,13 @@ BLOCK_CELLS = 1024
 
 # Least d * d at which a tick with at most a quarter of its agents active
 # reads only their columns: their ages, views and drive components.  Its
-# extra numpy calls pay only where enough cells are skipped (round-robin
-# geometric run_light, best of 7 runs of 4000 ticks): with one agent active
-# it is 13% slower at d = 24 and 9%, 16%, 25% faster at d = 32, 40, 48; with
-# a quarter active it is 5% and 7% slower at d = 32, 40 and 4% faster at 48.
+# extra numpy calls pay only where enough cells are skipped.  With either
+# path forced (round-robin run_light of a random quadratic, best of 7 runs
+# of 4000 ticks, two runs, 2-core x86 host), one active agent reads columns
+# 12-15% slower at d = 12, within 3% at 16 and 8-11%, 12-19%, 25-32% faster
+# at 20, 24, 32 (geometric or stale-refresh); a quarter active, 23%, 11-13%,
+# 5-9% and 1-2% slower at 12, 16, 20, 24 and 8-9% faster at 32.  The cut
+# stays: no benchmark workload runs a d between 5 and 100.
 COLUMN_GATHER_CELLS = 2048
 
 
@@ -430,11 +428,11 @@ def build_runtime(cfg: RunConfig) -> RuntimeBundle:
     field = build_field(cfg)
     x0 = (stream(cfg.seed, DOMAIN_INIT).uniform(-1.0, 1.0, d) if cfg.x0 is None
           else np.asarray(cfg.x0, dtype=float).copy())
-    schedule = AgentSchedule(cfg.activation, d, cfg.seed, cfg.horizon, cfg.steps)
+    schedule = AgentSchedule(cfg.activation, d, cfg.seed, cfg.steps)
     models = StochasticModels(
         delays=make_delay_sampler(cfg.delays, d, cfg.seed, cfg.horizon),
         errors=make_error_sampler(cfg.errors, d, cfg.seed, cfg.horizon),
-        noise=make_noise_sampler(cfg.noise, d, cfg.seed, cfg.horizon),
+        noise=make_noise_sampler(cfg.noise, d, cfg.seed),
     )
     projection = cfg.projection
     region = None if projection is None else ProjectionRegion.from_spec(projection, d)
@@ -535,19 +533,13 @@ class RunResult:
 def run_light(cfg: RunConfig) -> RunResult:
     """Execute a run keeping only the endpoint.
 
-    Past iterates are kept only as far back as the delay model can reach:
-    none without delays, ``tau_max`` ticks under bounded-uniform delays,
-    all otherwise.
+    Past iterates are kept only as far back as the delay sampler can reach
+    (its ``reach``): none without delays, ``tau_max`` ticks under
+    bounded-uniform delays, all otherwise, and never more than the horizon.
     """
     bundle = build_runtime(cfg)
     x0, projected0 = _start(bundle)
-    if bundle.models.delays.always_zero:
-        window = 0
-    elif isinstance(cfg.delays, UniformDelays):
-        window = cfg.delays.tau_max
-    else:
-        window = bundle.horizon
-    history = IterateHistory(x0, window=window)
+    history = IterateHistory(x0, window=bundle.models.delays.reach)
     projections = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for _, _, _, projected in tick_loop(history, bundle, bundle.region):

@@ -187,7 +187,7 @@ def activation_rates(policy: ActivationPolicy, d: int, horizon: int = 10_000,
                      seed: int = 0) -> np.ndarray:
     """Fraction of ticks each agent was active over a simulated window."""
     H = int(horizon)
-    sampler = make_activation_sampler(policy, d, seed, H)
+    sampler = make_activation_sampler(policy, d, seed)
     counts = np.zeros(d, dtype=np.int64)
     for start in range(0, H, CHUNK):
         counts += sampler.take(min(CHUNK, H - start)).sum(axis=0)

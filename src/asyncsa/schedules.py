@@ -146,10 +146,8 @@ def check_policy_shape(policy: ActivationPolicy, d: int) -> None:
         raise ConfigError(f"bernoulli q must be scalar or length {d}")
 
 
-def make_activation_sampler(policy: ActivationPolicy, d: int, seed: int,
-                            horizon: int) -> Rows:
-    """Active masks of ticks 0, 1, ...; ``horizon`` is unused, as no mask
-    stream is cut at it."""
+def make_activation_sampler(policy: ActivationPolicy, d: int, seed: int) -> Rows:
+    """Active masks of ticks 0, 1, ...."""
     if d < 1:
         raise ConfigError("dimension must be >= 1")
     check_policy_shape(policy, d)
@@ -194,7 +192,6 @@ class AgentSchedule:
     policy: ActivationPolicy
     d: int
     seed: int
-    horizon: int
     steps: StepSizePolicy
     counters: np.ndarray = field(init=False)
     sampler: Rows = field(init=False, repr=False)
@@ -203,7 +200,7 @@ class AgentSchedule:
     def __post_init__(self):
         policy, d = self.policy, self.d
         self.seed = int(self.seed)
-        self.sampler = make_activation_sampler(policy, d, self.seed, self.horizon)
+        self.sampler = make_activation_sampler(policy, d, self.seed)
         self.counters = np.zeros(d, dtype=np.int64)
         self.all_active = (
             isinstance(policy, AllActive)
@@ -234,7 +231,7 @@ def timeline(policy: StepSizePolicy, schedule: AgentSchedule, ticks: int) -> np.
     """
     if ticks < 0:
         raise ValueError("ticks must be >= 0")
-    sched = AgentSchedule(schedule.policy, schedule.d, schedule.seed, ticks, policy)
+    sched = AgentSchedule(schedule.policy, schedule.d, schedule.seed, policy)
     t = np.zeros(ticks + 1)
     for start in range(0, ticks, CHUNK):
         active, step = sched.take(min(CHUNK, ticks - start))

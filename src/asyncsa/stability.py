@@ -72,8 +72,9 @@ def run_paired(cfg: RunConfig, coupled_errors: bool = True) -> PairedRun:
     x0_proj, projected0 = _start(bundle)
     projection_ticks: list[int] = [-1] if projected0 else []
 
-    hist_raw = IterateHistory(bundle.x0, window=N)
-    hist_proj = IterateHistory(x0_proj, window=N)
+    reach = bundle.models.delays.reach  # how far back either chain reads
+    hist_raw = IterateHistory(bundle.x0, window=reach)
+    hist_proj = IterateHistory(x0_proj, window=reach)
     alt_errors = None if coupled_errors else make_error_sampler(
         cfg.errors, d, cfg.seed, N, domain=DOMAIN_ERROR_ALT)
     alt_eps, alt_start = (), 0  # the second errors of the chain's drawn block

@@ -11,16 +11,19 @@ horizon.  Each kind's fill function is chosen in its ``make_*`` factory,
 and zero or constant models draw nothing.  A model whose shape does not
 fit the dimension is a ``ConfigError`` (``check_model_shape``).
 
-Delay samplers serve a (d, d) matrix per tick with entry [j, i] the age
-of agent i's view of component j; the diagonal is always 0 and no age
-reaches before tick 0.  Rows come in tick order.  A drawn delay block
-holds at most ``_rng.DELAY_BLOCK_BYTES``.  Ages are ``int64``, except
-the ages of every drawn delay kind at a d where a CHUNK-row ``int64``
-block would pass that cap (d > 45): those are ``int32`` (``int64`` past
-a horizon of 2**31 ticks).  Every drawn delay kind is drawn a block of
-ticks at a time, one source component at a time into a small reused
-float64 scratch, and only the ages a reader asks for are kept: full
-matrices, or the columns a tick reads.  Geometric ages are the bits of
+One delay sampler serves every delay kind, a (d, d) matrix per tick with
+entry [j, i] the age of agent i's view of component j; the diagonal is
+always 0 and no age reaches before tick 0.  Rows come in tick order.  Its
+``reach``, the oldest age a run can read, is 0 for zero delays,
+``tau_max`` for bounded-uniform ones and the horizon otherwise, capped at
+the horizon.  A block of full delay matrices holds at most
+``_rng.DELAY_BLOCK_BYTES``.  Ages are ``int64``, except the ages of every
+drawn delay kind at a d where a CHUNK-row ``int64`` block would pass that
+cap (d > 45): those are ``int32`` (``int64`` past a horizon of 2**31
+ticks).  Every drawn delay kind is drawn a block of ticks at a time, one
+source component at a time into a small reused float64 scratch, and only
+the ages a reader asks for are kept: full matrices, or the columns a tick
+reads, which are drawn without ``Rows``.  Geometric ages are the bits of
 numpy's ``geometric``; below its branch threshold (a mean above 2) numpy
 inverts one standard exponential per draw, so those pairs draw the
 exponentials in bulk and the inversion runs on the ages kept.
@@ -150,26 +153,6 @@ class StaleRefreshDelays:
 DelayModel = ZeroDelays | UniformDelays | GeometricDelays | StaleRefreshDelays
 
 
-class _DelaySampler(Rows):
-    """Per-tick (d, d) age matrices, read in tick order with ``take``;
-    ``matrix(n)`` reads one, tick n's when the ticks before it were read.
-    A block holds ``rows`` ticks, at most ``DELAY_BLOCK_BYTES`` of 8-byte
-    cells.  This class serves zero delays; ``_PairDelays`` draws the rest.
-
-    The diagonal is always zero: delays model communication between
-    distinct agents, and an agent reads its own component directly.
-    """
-
-    matrix = Rows.next
-    always_zero = True
-    tick_rows = None  # ticks a run should take at a time, if the sampler asks
-
-    def __init__(self, d: int, horizon: int, fill=None):
-        self.rows = max(1, min(CHUNK, DELAY_BLOCK_BYTES // (d * d * 8)))
-        fill = fill or constant(np.zeros((d, d), dtype=np.int64))
-        super().__init__(fill, horizon, self.rows)
-
-
 def _pair_matrix_param(value, d: int) -> np.ndarray:
     """A per-pair parameter as a (d, d) matrix; a scalar is broadcast."""
     arr = np.asarray(value, dtype=float)
@@ -188,8 +171,13 @@ def _iid_ages(raw, ticks, scale):
     return np.minimum(ages, ticks, out=ages)
 
 
-class _PairDelays(_DelaySampler):
-    """Per-pair ages of every drawn kind, drawn one source component at a time.
+class _PairDelays(Rows):
+    """Per-tick (d, d) age matrices of every delay kind, read in tick order
+    with ``take``; ``matrix(n)`` reads one, tick n's when the ticks before
+    it were read.  The diagonal is always zero: an agent reads its own
+    component directly.  ``reach`` is the oldest age a run can read, at
+    most its horizon.  Without ``draw`` (zero delays) the sampler is
+    ``always_zero``: it builds no pair stream and serves ``int64`` zeros.
 
     ``draw(rng, j, i, out)`` writes the next ``len(out)`` draws of pair
     (j, i), from its own stream, to the float64 row ``out`` of a reused
@@ -206,24 +194,39 @@ class _PairDelays(_DelaySampler):
       at once from the age each pair carries.  With ``symmetric`` only the
       pairs j < i own a stream, and each age is both [j, i] and [i, j].
 
-    ``take(size)`` serves full matrices from drawn blocks; ``take(size,
-    columns)`` draws ``size`` ticks itself and keeps the cells marked in a
-    (size, d) mask: column c of the (d, cells) result is the view of cell
-    c in ``np.nonzero`` order, C-ordered as einsum gathers views.  A run
-    that reads by columns takes ``tick_rows`` ticks at a time, one call per
-    pair stream a block as in a full read.  Read one way, not both.  Each
-    source writes its row of every cell kept, also the [j, i] it does not
-    own (i < j if ``symmetric``), which source i, run after it, rewrites.
+    ``take(size)`` serves full matrices from drawn blocks of ``rows``
+    ticks, at most ``DELAY_BLOCK_BYTES`` of 8-byte cells; ``take(size,
+    columns)`` draws ``size`` ticks itself, without ``Rows``, and keeps the
+    cells marked in a (size, d) mask: column c of the (d, cells) result is
+    the view of cell c in ``np.nonzero`` order, C-ordered as einsum gathers
+    views.  A run that reads by columns takes ``tick_rows`` ticks at a
+    time, one call per pair stream a block as in a full read.  Read one
+    way, not both.  Each source writes its row of every cell kept, also the
+    [j, i] it does not own (i < j if ``symmetric``), which source i, run
+    after it, rewrites.
 
-    ``int32`` holds every age up to a horizon of 2**31.  It is used only
-    where the byte cap would cut a CHUNK-row ``int64`` block: at small d
-    ``int64`` ages are gathered faster (a d = 5 gather: 1.6 against 2.3 us).
+    ``int32`` holds every drawn age up to a horizon of 2**31.  It is used
+    only where the byte cap would cut a CHUNK-row ``int64`` block: at small
+    d ``int64`` ages are gathered faster (a d = 5 gather: 1.6 against 2.3 us).
     """
 
-    always_zero = False
+    matrix = Rows.next
+    always_zero, reach, tick_rows, dtype = True, 0, None, np.dtype(np.int64)  # zero delays'
 
-    def __init__(self, d: int, seed: int, horizon: int, draw, scale=None, p_c=None,
-                 symmetric=False):
+    def __init__(self, d: int, seed: int, horizon: int, draw=None, scale=None, p_c=None,
+                 symmetric=False, reach=None):
+        self.rows = max(1, min(CHUNK, DELAY_BLOCK_BYTES // (d * d * 8)))
+        if draw is None:  # zero delays: nothing to build
+            fill = constant(np.zeros((d, d), dtype=np.int64))
+        else:
+            self.always_zero, self.tick_rows = False, self.rows
+            self.reach = horizon if reach is None else min(reach, horizon)
+            fill = self._pair_streams(d, seed, horizon, draw, scale, p_c, symmetric)
+        super().__init__(fill, horizon, self.rows)
+
+    def _pair_streams(self, d, seed, horizon, draw, scale, p_c, symmetric):
+        """The fill of full matrices; sets ``dtype`` and ``_ages``.  Kept out
+        of ``__init__``, so that zero delays make no closure cell."""
         wide = CHUNK * d * d * 8 > DELAY_BLOCK_BYTES  # a CHUNK-row int64 block
         self.dtype = dtype = np.dtype(np.int32 if wide and horizon <= 2**31 else np.int64)
         lows = [j + 1 if symmetric else 0 for j in range(d)]  # source j's first pair
@@ -284,22 +287,27 @@ class _PairDelays(_DelaySampler):
             out[selves] = 0  # no pair stream draws a self-view
             return out
 
-        super().__init__(d, horizon, lambda start, size: ages(size))
-        self._ages, self.tick_rows = ages, self.rows
+        self._ages = ages
+        return lambda start, size: ages(size)
+
+    def _ages(self, size: int, columns: np.ndarray) -> np.ndarray:
+        """Zero delays' ages of the cells marked in ``columns``."""
+        return np.zeros((columns.shape[1], np.count_nonzero(columns)), self.dtype)
 
     def take(self, size: int, columns: np.ndarray | None = None) -> np.ndarray:
         return super().take(size) if columns is None else self._ages(size, columns)
 
 
 def make_delay_sampler(model: DelayModel, d: int, seed: int, horizon: int):
-    """Age matrices of ticks 0, 1, ... in blocks cut at ``horizon``."""
+    """Age matrices of ticks 0, 1, ... in blocks cut at ``horizon``, which
+    also caps the sampler's ``reach``."""
     check_model_shape(model, d)
     if isinstance(model, ZeroDelays):
-        return _DelaySampler(d, horizon)
+        return _PairDelays(d, seed, horizon)
     if isinstance(model, UniformDelays):
         high = model.tau_max + 1
         return _PairDelays(d, seed, horizon, lambda rng, j, i, out: np.copyto(
-            out, rng.integers(0, high, size=out.size)))
+            out, rng.integers(0, high, size=out.size)), reach=model.tau_max)
     if isinstance(model, GeometricDelays):
         # below its threshold numpy's geometric(p) is ceil(E / s), E a standard
         # exponential and s = -log1p(-p) by the C log1p that math.log1p calls
@@ -504,9 +512,8 @@ class RademacherNoise:
 NoiseModel = ZeroNoise | UniformNoise | RademacherNoise
 
 
-def make_noise_sampler(model: NoiseModel, d: int, seed: int, horizon: int):
-    """Noise vectors of ticks 0, 1, ...; ``horizon`` is unused, as no noise
-    stream is cut at it."""
+def make_noise_sampler(model: NoiseModel, d: int, seed: int):
+    """Noise vectors of ticks 0, 1, ...."""
     if isinstance(model, ZeroNoise):
         return _RowSampler(constant(np.zeros(d)))
     if not isinstance(model, (UniformNoise, RademacherNoise)):

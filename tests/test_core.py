@@ -275,7 +275,7 @@ def test_block_drawn_activation_matches_tick_by_tick(activation, steps):
     bundle = build_runtime(RunConfig(
         dimension=d, horizon=50, seed=2, objective=ScaledIdentityObjective(gain=-1.0),
         steps=steps, activation=activation))
-    sampler = make_activation_sampler(activation, d, seed=2, horizon=50)
+    sampler = make_activation_sampler(activation, d, seed=2)
     counters = np.zeros(d, dtype=np.int64)
     for n in range(50):
         sample = draw_tick(n, bundle)
@@ -818,6 +818,13 @@ def test_windowed_run_matches_full_history_run(monkeypatch):
     full = run(cfg).final_x
     assert windows == [3, cfg.horizon]
     assert np.array_equal(windowed, full)
+
+
+def test_light_run_with_a_delay_bound_far_past_the_horizon_finishes():
+    # a window of tau_max iterates would take 146 TiB at d = 2; the ages of
+    # a 10-tick run reach back 10 ticks at most
+    cfg = _cfg(horizon=10, delays=UniformDelays(tau_max=10**13))
+    assert np.array_equal(run_light(cfg).final_x, run(cfg).final_x)
 
 
 # ---------------------------------------------------------------------------

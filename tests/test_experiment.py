@@ -217,6 +217,14 @@ def test_sweep_residual_aggregate():
     assert rows[0]["value"] < 1.0
 
 
+def test_sweep_cell_with_a_delay_bound_far_past_the_horizon_runs():
+    base = dict(SWEEP_DOC["base"], horizon=10,
+                delays={"kind": "bounded-uniform", "tau_max": 10**13})
+    rows = sweep_run(parse_sweep_config({"base": base,
+                                         "sweep": {"parameters": {"errors.bound": [0.1]}}}))
+    assert [r["status"] for r in rows] == ["ok"]
+
+
 def test_sweep_records_divergent_cells():
     doc = {
         "base": {

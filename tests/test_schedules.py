@@ -62,7 +62,7 @@ def test_activation_config_round_trip_and_errors():
 
 
 def test_all_active_counters_track_tick():
-    sched = AgentSchedule(AllActive(), 3, seed=0, horizon=5, steps=HarmonicSteps())
+    sched = AgentSchedule(AllActive(), 3, seed=0, steps=HarmonicSteps())
     assert sched.all_active
     for n in range(5):
         (mask,), _ = sched.take(1)
@@ -71,7 +71,7 @@ def test_all_active_counters_track_tick():
 
 
 def test_round_robin_cycles_in_index_order():
-    sched = AgentSchedule(RoundRobin(k=2), 3, seed=0, horizon=3, steps=HarmonicSteps())
+    sched = AgentSchedule(RoundRobin(k=2), 3, seed=0, steps=HarmonicSteps())
     masks = []
     for n in range(3):
         (mask,), _ = sched.take(1)
@@ -82,7 +82,7 @@ def test_round_robin_cycles_in_index_order():
 
 def test_bernoulli_respects_per_agent_rates():
     sched = AgentSchedule(BernoulliActivation(q=[0.5, 1.0]), 2, seed=0,
-                          horizon=10_000, steps=HarmonicSteps())
+                          steps=HarmonicSteps())
     for n in range(10_000):
         (mask,), _ = sched.take(1)
         assert mask.any()
@@ -92,7 +92,7 @@ def test_bernoulli_respects_per_agent_rates():
 
 
 def test_timeline_all_active_matches_harmonic_sum():
-    sched = AgentSchedule(AllActive(), 2, seed=0, horizon=1, steps=HarmonicSteps())
+    sched = AgentSchedule(AllActive(), 2, seed=0, steps=HarmonicSteps())
     t = timeline(HarmonicSteps(c=10.0), sched, 1000)
     assert t.shape == (1001,)
     assert t[0] == 0.0
@@ -106,12 +106,11 @@ def test_timeline_all_active_matches_harmonic_sum():
 def test_schedule_rejects_a_wrong_length_q():
     # timeline's only input that holds a policy is a schedule
     with pytest.raises(ConfigError, match="bernoulli q must be scalar or length 2"):
-        AgentSchedule(BernoulliActivation(q=[0.5, 0.5, 0.5]), 2, seed=0, horizon=1,
-                      steps=HarmonicSteps())
+        AgentSchedule(BernoulliActivation(q=[0.5, 0.5, 0.5]), 2, seed=0, steps=HarmonicSteps())
 
 
 def test_timeline_round_robin_uses_active_agent_counter():
-    sched = AgentSchedule(RoundRobin(k=1), 2, seed=0, horizon=1, steps=HarmonicSteps())
+    sched = AgentSchedule(RoundRobin(k=1), 2, seed=0, steps=HarmonicSteps())
     t = timeline(HarmonicSteps(c=10.0), sched, 4)
     # ticks 0,1 both run a fresh agent at a(0); ticks 2,3 at a(1)
     assert t == pytest.approx([0.0, 0.1, 0.2, 0.2 + 1 / 11, 0.2 + 2 / 11])
@@ -119,7 +118,7 @@ def test_timeline_round_robin_uses_active_agent_counter():
 
 def _counters_trace(policy, d, ticks, seed=0):
     # row n: the counts before tick n
-    sched = AgentSchedule(policy, d, seed, horizon=ticks, steps=HarmonicSteps())
+    sched = AgentSchedule(policy, d, seed, steps=HarmonicSteps())
     active, _ = sched.take(ticks)
     return np.cumsum(active, axis=0, dtype=np.int64) - active
 
@@ -166,7 +165,7 @@ def test_balance_ratio_bernoulli_stays_near_one():
 ], ids=["all", "round-robin-d", "round-robin-over-d", "round-robin-under-d",
         "bernoulli-1", "bernoulli-ones", "bernoulli-mixed"])
 def test_all_active_is_read_from_the_policy(policy, d, expected):
-    sched = AgentSchedule(policy, d, seed=0, horizon=4, steps=HarmonicSteps())
+    sched = AgentSchedule(policy, d, seed=0, steps=HarmonicSteps())
     assert sched.all_active is expected
     if expected:
         assert all(sched.take(1)[0].all() for n in range(4))

@@ -1,4 +1,6 @@
 import hashlib
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,15 +10,22 @@ from asyncsa import (
     ComponentUniformErrors,
     ConfigError,
     HarmonicSteps,
+    IterateHistory,
     NormBallErrors,
+    ProjectionRegion,
     ProjectionSpec,
     RunConfig,
+    ScaledIdentityObjective,
+    UniformDelays,
     WeightedMaxNorm,
     bellman_apply,
     gap_report,
     non_expansiveness_check,
     random_mdp,
+    run,
+    run_light,
     run_paired,
+    weighted_norm,
     write_gap_csv,
 )
 from asyncsa._rng import CHUNK
@@ -78,6 +87,49 @@ def test_decoupled_errors_respect_growth_bound():
     assert report["growth_bound_ok"] is True
     # with independent draws the chains genuinely differ
     assert not np.array_equal(paired.raw_final, paired.proj_final)
+
+
+def test_bounded_delay_gap_matches_two_traced_runs(monkeypatch):
+    # each chain keeps tau_max past iterates; two traced runs, which keep
+    # every iterate, give the gap and the finals bit for bit
+    cfg = _paired_cfg(delays=UniformDelays(tau_max=6), seed=4)
+    windows = []
+    init = IterateHistory.__init__
+
+    def spy(self, x0, window):
+        windows.append(window)
+        init(self, x0, window)
+
+    monkeypatch.setattr(IterateHistory, "__init__", spy)
+    paired = run_paired(cfg)
+    assert windows == [6, 6]
+    plain = replace(cfg, projection=None)
+    norm = ProjectionRegion.from_spec(cfg.projection, cfg.dimension).norm
+    gaps = [weighted_norm(a - b, norm) for a, b in zip(run(plain).x, run(cfg).x)]
+    assert paired.gap.tobytes() == np.array(gaps).tobytes()
+    assert paired.raw_final.tobytes() == run_light(plain).final_x.tobytes()
+    assert paired.proj_final.tobytes() == run_light(cfg).final_x.tobytes()
+
+
+def test_zero_delay_paired_run_holds_no_full_horizon_history():
+    # without delays each chain keeps its latest iterate only; its gap,
+    # step and error series take 3 N floats, where one (N + 1, d) history
+    # takes (N + 1) d
+    d, N = 20, 10_000
+    cfg = RunConfig(dimension=d, horizon=N, seed=0,
+                    objective=ScaledIdentityObjective(gain=-1.0),
+                    errors=ComponentUniformErrors(bound=0.2),
+                    projection=ProjectionSpec(r_inner=1.0, r_outer=2.0),
+                    x0=[3.0] * d)
+    run_paired(replace(cfg, horizon=1))  # numpy's lazy imports, out of the count
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run_paired(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < (N + 1) * d * 8 / 2, peak
 
 
 @pytest.mark.parametrize("kw, digest", [

@@ -52,9 +52,32 @@ D = 3
 
 def test_zero_delays_always_zero():
     sampler = make_delay_sampler(ZeroDelays(), D, seed=0, horizon=100)
-    assert sampler.always_zero
+    assert sampler.always_zero and sampler.tick_rows is None
     assert sampler.matrix(0).tolist() == np.zeros((D, D)).tolist()
     assert max(sampler.matrix(n).max() for n in range(1, 101)) == 0
+    # full and column reads serve int64 zeros too
+    columns = np.eye(4, D, dtype=bool)
+    columns[3] = True  # tick 3 reads every view
+    for ages, shape in ((sampler.take(5), (5, D, D)), (sampler.take(4, columns), (D, 6))):
+        assert ages.dtype == np.int64 and ages.shape == shape and not ages.any()
+
+
+@pytest.mark.parametrize("model, reach", [
+    (ZeroDelays(), 0),
+    (UniformDelays(tau_max=7), 7),
+    (UniformDelays(tau_max=50), 50),
+    (UniformDelays(tau_max=51), 50),
+    (UniformDelays(tau_max=10**13), 50),
+    (GeometricDelays(mean=3.0), 50),
+    (StaleRefreshDelays(p_c=0.4), 50),
+], ids=["zero", "uniform-below", "uniform-at", "uniform-past", "uniform-far-past",
+        "geometric", "stale-refresh"])
+def test_delay_reach_is_the_oldest_age_a_run_reads(model, reach):
+    # the reach sizes a light run's history, so it is capped at the horizon
+    # and no served age of the run passes it
+    sampler = make_delay_sampler(model, D, seed=2, horizon=50)
+    assert sampler.reach == reach
+    assert sampler.take(50).max() <= reach
 
 
 def test_uniform_delays_bounded_and_clamped():
@@ -431,21 +454,21 @@ def test_error_config_round_trip_and_errors():
 
 
 def test_uniform_noise_bounds_and_mean():
-    sampler = make_noise_sampler(UniformNoise(level=0.05), D, seed=1, horizon=4000)
+    sampler = make_noise_sampler(UniformNoise(level=0.05), D, seed=1)
     draws = np.array([sampler.sample(n) for n in range(4000)])
     assert np.abs(draws).max() <= 0.05
     assert abs(draws.mean()) < 0.002
 
 
 def test_rademacher_noise_is_exactly_pm_level():
-    sampler = make_noise_sampler(RademacherNoise(level=0.5), D, seed=1, horizon=2000)
+    sampler = make_noise_sampler(RademacherNoise(level=0.5), D, seed=1)
     draws = np.array([sampler.sample(n) for n in range(2000)])
     assert set(np.unique(draws).tolist()) == {-0.5, 0.5}
     assert abs(draws.mean()) < 0.05
 
 
 def test_zero_noise_flag():
-    sampler = make_noise_sampler(ZeroNoise(), D, seed=0, horizon=4)
+    sampler = make_noise_sampler(ZeroNoise(), D, seed=0)
     assert sampler.sample(3).tolist() == [0.0] * D
 
 
@@ -523,10 +546,10 @@ def _stream_digests(reader=lambda sampler: sampler.next) -> dict[str, str]:
             out[f"errors/{name}/alt"] = _digest(reader(alt))
     for name, model in _NOISE_VARIANTS.items():
         out[f"noise/{name}"] = _digest(
-            reader(make_noise_sampler(model, D, seed=7, horizon=_DRAWS)))
+            reader(make_noise_sampler(model, D, seed=7)))
     for name, policy in _ACTIVATION_VARIANTS.items():
         out[f"activation/{name}"] = _digest(
-            reader(make_activation_sampler(policy, D, seed=7, horizon=_DRAWS)))
+            reader(make_activation_sampler(policy, D, seed=7)))
     return out
 
 
