@@ -78,51 +78,81 @@ __all__ = [
 # iterate history
 
 
+# Rows of the buffer that holds the latest iterates of a history without a
+# window.  A full buffer archives its older half and slides its newer half
+# to its end, so an age under HISTORY_BUFFER // 2 is always read by the
+# ring's unwrapped slice gather (one column at d = 100: 2.3-2.7 us), and an
+# older one by a searchsorted in the archive.  A geometric age of mean 3
+# passes 128 ticks with probability (3/4)**129, about 1e-16; at d = 100 the
+# buffer holds 200 KiB, against 6.25 MiB for wide-d100's 8192-tick ring.
+HISTORY_BUFFER = 256
+
+
 class IterateHistory:
-    """Stores the last ``window + 1`` iterates in a ring and answers
-    delayed reads.
+    """The iterates since tick 0, answering delayed reads.
 
-    Reading anything older than ``window`` ticks behind the latest iterate
-    raises :class:`HistoryWindowError` instead of silently returning
-    garbage; a window of the run's horizon keeps every iterate.
+    With a ``window``, the last ``window + 1`` iterates sit in a ring, and
+    reading anything older raises :class:`HistoryWindowError` instead of
+    silently returning garbage; a window of the run's horizon keeps every
+    iterate.
 
-    Iterate m sits in row ``(window - m) % (window + 1)``, so until the
-    ring wraps, row tau of ``buf[window - n:]`` is x_{n - tau}: a delay
-    reaching before tick 0 falls off the end of that slice and numpy's
-    own bounds check catches it.
+    With ``window=None`` every iterate is kept, in proportion to how often
+    its components change: the latest ``HISTORY_BUFFER`` in a buffer, older
+    ones in a :class:`_ChangeArchive`, which holds each component's value
+    only at the ticks where its bits changed.  An archived change takes 16
+    bytes against a ring cell's 8, so this pays only where few components
+    move on a tick (see ``_history``).
+
+    Iterate m sits in row ``(base - m) % slots``.  A ring's ``base`` is its
+    window; a buffer's moves on by the rows each slide archives, so its rows
+    never wrap.  Until a ring wraps, and always in a buffer, row tau of
+    ``buf[base - n:]`` is x_{n - tau}: a delay reaching past the oldest row
+    falls off the end of that slice, and numpy's own bounds check catches
+    it.
     """
 
-    def __init__(self, x0: np.ndarray, window: int):
+    def __init__(self, x0: np.ndarray, window: int | None):
         x0 = np.asarray(x0, dtype=float)
         if x0.ndim != 1:
             raise ValueError("x0 must be a vector")
-        if window < 0:
+        if window is not None and window < 0:
             raise ValueError("window must be >= 0")
         self.d = x0.shape[0]
         self.n = 0
         self._window = window
-        self._buf = np.zeros((window + 1, self.d))
-        self._buf[window] = x0
+        self._archive = None if window is not None else _ChangeArchive(
+            self.d, HISTORY_BUFFER // 2)
+        self._slots = HISTORY_BUFFER if window is None else window + 1
+        self._base = self._slots - 1
+        self._buf = np.zeros((self._slots, self.d))
+        self._buf[self._base] = x0
         self._cols = np.arange(self.d)[:, None]
         self._zeros = np.zeros(self.d)  # apply_tick's finiteness probe
 
     @property
     def latest(self) -> np.ndarray:
-        return self._buf[(self._window - self.n) % (self._window + 1)]
+        return self._buf[(self._base - self.n) % self._slots]
 
     def append(self, x: np.ndarray) -> None:
         self.n += 1
-        self._buf[(self._window - self.n) % (self._window + 1)] = x
+        if self.n > self._base and self._archive is not None:  # the buffer is full
+            half = self._slots // 2
+            self._archive.add(self._buf[half:][::-1])
+            self._buf[half:] = self._buf[:half]
+            self._base += half
+        self._buf[(self._base - self.n) % self._slots] = x
 
     def value(self, m: int) -> np.ndarray:
         if m < 0 or m > self.n:
             raise IndexError(f"iterate {m} not in [0, {self.n}]")
+        if self._archive is not None:
+            return self._read(np.full(self.d, m), self._cols[:, 0])
         if m < self.n - self._window:
             raise HistoryWindowError(
                 f"iterate {m} is older than the history window "
                 f"({self._window} behind tick {self.n})"
             )
-        return self._buf[(self._window - m) % (self._window + 1)]
+        return self._buf[(self._base - m) % self._slots]
 
     def gather(self, n: int, tau: np.ndarray) -> np.ndarray:
         """View matrix V with V[j, i] = x_{n - tau[j, i]}[j].
@@ -130,12 +160,15 @@ class IterateHistory:
         Column i is a delayed view of the full iterate; ``tau`` has one
         row per component and any number of columns.
         """
-        window = self._window
-        if n <= self.n <= window:  # nothing evicted yet
+        base = self._base
+        if n <= self.n <= base:  # the rows do not wrap
             try:
-                return self._buf[window - n:][tau, self._cols]
-            except IndexError:
-                raise IndexError("delay reaches before tick 0") from None
+                return self._buf[base - n:][tau, self._cols]
+            except IndexError:  # past the oldest row
+                if self._archive is None:
+                    raise IndexError("delay reaches before tick 0") from None
+            return self._read(n - tau, self._cols)
+        window = self._window
         rows = n - tau
         oldest = rows.min(initial=n)
         if oldest < 0:
@@ -147,11 +180,84 @@ class IterateHistory:
             )
         return self._buf[(window - rows) % (window + 1), self._cols]
 
+    def _read(self, m: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """x_m[j] for every cell of ``m`` and ``j`` (broadcast together),
+        from the buffer or, past its oldest row, the archive."""
+        m, j = np.broadcast_arrays(m, j)
+        if m.size and m.min() < 0:
+            raise IndexError("delay reaches before tick 0")
+        row = self._base - m
+        kept = row < self._slots
+        out = np.empty(m.shape)
+        out[kept] = self._buf[row[kept], j[kept]]
+        old = ~kept
+        out[old] = self._archive.read(m[old], j[old])
+        return out
+
     def snapshot(self, upto: int) -> np.ndarray:
-        """Dense (upto+1, d) array of iterates 0..upto (needs an unwrapped ring)."""
+        """Dense (upto+1, d) array of iterates 0..upto (a ring must not
+        have wrapped)."""
+        if self._archive is not None:
+            return self._read(np.arange(upto + 1)[:, None], self._cols[:, 0])
         if self.n > self._window:
             raise HistoryWindowError("snapshot needs every iterate since tick 0")
         return self._buf[self._window - upto: self._window + 1][::-1].copy()
+
+
+class _ChangeArchive:
+    """Iterates kept as changes, archived ``span`` ticks at a time.
+
+    Block b holds the iterates of ticks ``b span .. (b + 1) span - 1`` as
+    its first row and, for each later tick, the components whose bits
+    differ from the tick before: their values, in ``bits``, under a key
+    ``(b d + j) span + (tick - b span)`` in one ascending ``int64`` array.
+    Bits, not values, are compared and kept, so ``-0.0`` and NaN payloads
+    survive.  One ``searchsorted`` finds each read cell's last change at
+    or before its tick in its block; a cell with none reads the block's
+    first row.
+    """
+
+    def __init__(self, d: int, span: int):
+        self.d, self.span = d, span
+        self._blocks = 0
+        self._firsts = np.empty((1, d), dtype=np.int64)
+        self._size = 1  # keys and bits in use, after a sentinel below every key
+        self._keys = np.full(1, -1, dtype=np.int64)
+        self._bits = np.zeros(1, dtype=np.int64)
+
+    def add(self, rows: np.ndarray) -> None:
+        """Archive the next block: ``span`` iterates in tick order."""
+        bits = rows.view(np.int64)
+        j, t = np.nonzero((bits[1:] != bits[:-1]).T)  # by component, then tick
+        t += 1
+        b, size = self._blocks, self._size
+        end = size + len(t)
+        self._firsts = _grown(self._firsts, b + 1)
+        self._keys, self._bits = _grown(self._keys, end), _grown(self._bits, end)
+        self._firsts[b] = bits[0]
+        self._keys[size:end] = (b * self.d + j) * self.span + t
+        self._bits[size:end] = bits[t, j]
+        self._blocks, self._size = b + 1, end
+
+    def read(self, m: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """x_m[j] for every cell of the equal-shape ``m`` and ``j``; every
+        tick of ``m`` lies in an archived block."""
+        block, offset = np.divmod(m.astype(np.int64), self.span)
+        group = block * self.d + j
+        keys = self._keys[:self._size]
+        at = np.searchsorted(keys, group * self.span + offset, side="right") - 1
+        changed = keys[at] // self.span == group
+        return np.where(changed, self._bits[at], self._firsts[block, j]).view(float)
+
+
+def _grown(a: np.ndarray, rows: int) -> np.ndarray:
+    """``a`` if it has ``rows`` rows, else a copy of it with room for
+    ``rows`` rows and at least twice its own."""
+    if rows <= len(a):
+        return a
+    out = np.empty((max(rows, 2 * len(a)), *a.shape[1:]), dtype=a.dtype)
+    out[:len(a)] = a
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +501,12 @@ def build_field(cfg: RunConfig) -> Field:
     if isinstance(obj, QuadraticObjective):
         if isinstance(obj.matrices, str):
             # agent i reads only row i of its own matrix M_i, so the drive
-            # is that of the one matrix whose row i is row i of M_i
+            # is that of the one matrix whose row i is row i of M_i; each
+            # row is copied, so that no whole M_i outlives its row
             rng = stream(cfg.seed, DOMAIN_INSTANCE)
-            mats = np.stack([random_pd_matrix(d, rng)[i] for i in range(d)])
+            mats = np.empty((d, d))
+            for i in range(d):
+                mats[i] = random_pd_matrix(d, rng)[i]
         else:
             mats = np.asarray(obj.matrices, dtype=float)
         return QuadraticField(mats)
@@ -530,16 +639,28 @@ class RunResult:
     initial_projection: bool
 
 
-def run_light(cfg: RunConfig) -> RunResult:
-    """Execute a run keeping only the endpoint.
+def _history(x0: np.ndarray, bundle: RuntimeBundle) -> IterateHistory:
+    """The history of a light or paired run.
 
     Past iterates are kept only as far back as the delay sampler can reach
     (its ``reach``): none without delays, ``tau_max`` ticks under
     bounded-uniform delays, all otherwise, and never more than the horizon.
+    A chain that moves at most a quarter of its components on a tick, on
+    average, keeps them as changes once that reach passes the buffer
+    (``window=None``): its archive then holds at most about half the ring's
+    bytes, and a denser chain keeps the ring.
     """
+    reach = bundle.models.delays.reach
+    changes = bundle.schedule.active_share <= 0.25 and reach >= HISTORY_BUFFER
+    return IterateHistory(x0, window=None if changes else reach)
+
+
+def run_light(cfg: RunConfig) -> RunResult:
+    """Execute a run keeping only the endpoint and the iterates its delays
+    can still read (see ``_history``)."""
     bundle = build_runtime(cfg)
     x0, projected0 = _start(bundle)
-    history = IterateHistory(x0, window=bundle.models.delays.reach)
+    history = _history(x0, bundle)
     projections = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for _, _, _, projected in tick_loop(history, bundle, bundle.region):

@@ -9,7 +9,8 @@ Conventions
   ``make_activation_sampler``, one fill per policy kind: all-active serves
   a constant and draws nothing, round-robin computes a block of masks from
   the tick numbers, and Bernoulli keeps the coin rows with an active agent,
-  drawing only as many more rows as its block still lacks.
+  reading coin rows ahead in batches sized from the rate at which rows are
+  kept.
 * AgentSchedule binds a run's step policy and reads the masks a run of
   ticks at a time with ``take``: each tick's step sizes are read from the
   counters before that tick.
@@ -19,6 +20,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,6 +148,13 @@ def check_policy_shape(policy: ActivationPolicy, d: int) -> None:
         raise ConfigError(f"bernoulli q must be scalar or length {d}")
 
 
+# Most bytes of coins a Bernoulli fill draws at once.  A tick takes
+# 1 / kept_rate coin rows on average, 5e5 at d = 2 and q = 1e-6, so rows are
+# read ahead in batches sized from that rate rather than one missing row at
+# a time.
+COIN_BLOCK_BYTES = 4 * 2**20
+
+
 def make_activation_sampler(policy: ActivationPolicy, d: int, seed: int) -> Rows:
     """Active masks of ticks 0, 1, ...."""
     if d < 1:
@@ -166,17 +175,32 @@ def make_activation_sampler(policy: ActivationPolicy, d: int, seed: int) -> Rows
         return Rows(fill)
     q = policy.q
     rng = stream(seed, DOMAIN_ACTIVATION)
+    rate, most = kept_rate(q, d), max(1, COIN_BLOCK_BYTES // (8 * d))
+    ahead = np.empty((0, d), dtype=bool)  # kept rows drawn for a later fill
 
     def fill(start, size):
         """The next ``size`` coin rows with an active agent; an empty row
-        is dropped, and only as many rows are drawn as are still missing."""
-        masks = np.empty((0, d), dtype=bool)
-        while len(masks) < size:
-            rows = rng.random((size - len(masks), d)) < q
-            masks = np.concatenate((masks, rows[rows.any(axis=1)]))
-        return masks
+        is dropped.  Coin rows are drawn ahead, as many as the missing rows
+        need at the kept-row ``rate``, at most ``most`` a draw, and the kept
+        rows left over serve the next fill."""
+        nonlocal ahead
+        parts, have = [ahead], len(ahead)
+        while have < size:
+            rows = rng.random((math.ceil(min((size - have) / rate, most)), d)) < q
+            parts.append(rows[rows.any(axis=1)])
+            have += len(parts[-1])
+        masks = np.concatenate(parts)
+        ahead = masks[size:].copy()
+        return masks[:size]
 
     return Rows(fill)
+
+
+def kept_rate(q: np.ndarray, d: int) -> float:
+    """The chance 1 - prod(1 - q_i) that a Bernoulli coin row of d agents
+    activates one."""
+    with np.errstate(divide="ignore"):  # log1p(-1) is -inf: every row is kept
+        return float(-np.expm1(np.log1p(-np.broadcast_to(q, d)).sum()))
 
 
 @dataclass(eq=False)
@@ -186,7 +210,10 @@ class AgentSchedule:
 
     ``sampler`` is the stream of active masks; ``counters`` holds each
     agent's activations over the ticks taken so far; ``all_active`` is true
-    when the policy activates every agent on every tick.
+    when the policy activates every agent on every tick, and
+    ``active_share`` is the expected share of agents active on a tick:
+    k / d for round-robin, and for Bernoulli the mean q over the rows kept,
+    mean(q) / kept_rate.
     """
 
     policy: ActivationPolicy
@@ -196,6 +223,7 @@ class AgentSchedule:
     counters: np.ndarray = field(init=False)
     sampler: Rows = field(init=False, repr=False)
     all_active: bool = field(init=False)
+    active_share: float = field(init=False)
 
     def __post_init__(self):
         policy, d = self.policy, self.d
@@ -206,6 +234,11 @@ class AgentSchedule:
             isinstance(policy, AllActive)
             or isinstance(policy, RoundRobin) and policy.k >= d
             or isinstance(policy, BernoulliActivation) and bool(np.all(policy.q == 1.0))
+        )
+        self.active_share = (
+            1.0 if self.all_active
+            else min(policy.k, d) / d if isinstance(policy, RoundRobin)
+            else float(np.broadcast_to(policy.q, d).mean()) / kept_rate(policy.q, d)
         )
 
     def take(self, size: int):

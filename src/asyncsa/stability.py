@@ -17,7 +17,7 @@ import numpy as np
 
 from ._rng import DOMAIN_CHECK, DOMAIN_ERROR_ALT, stream
 from .config import RunConfig
-from .core import IterateHistory, _meta, _start, apply_tick, build_runtime, tick_loop
+from .core import _history, _meta, _start, apply_tick, build_runtime, tick_loop
 from .errors import ConfigError
 from .norms import EuclideanNorm, Norm, weighted_norm
 from .stochastics import make_error_sampler
@@ -72,9 +72,7 @@ def run_paired(cfg: RunConfig, coupled_errors: bool = True) -> PairedRun:
     x0_proj, projected0 = _start(bundle)
     projection_ticks: list[int] = [-1] if projected0 else []
 
-    reach = bundle.models.delays.reach  # how far back either chain reads
-    hist_raw = IterateHistory(bundle.x0, window=reach)
-    hist_proj = IterateHistory(x0_proj, window=reach)
+    hist_raw, hist_proj = _history(bundle.x0, bundle), _history(x0_proj, bundle)
     alt_errors = None if coupled_errors else make_error_sampler(
         cfg.errors, d, cfg.seed, N, domain=DOMAIN_ERROR_ALT)
     alt_eps, alt_start = (), 0  # the second errors of the chain's drawn block

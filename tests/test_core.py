@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,9 +48,10 @@ from asyncsa import (
     run,
     run_light,
     run_paired,
+    weighted_norm,
 )
 from asyncsa._rng import CHUNK, DELAY_BLOCK_BYTES
-from asyncsa.core import COLUMN_GATHER_CELLS, draw_block
+from asyncsa.core import COLUMN_GATHER_CELLS, HISTORY_BUFFER, draw_block
 from asyncsa.fields import QuadraticBowl, QuadraticField, ScaledIdentityField, random_pd_matrix
 from asyncsa.schedules import make_activation_sampler
 from asyncsa.stochastics import make_delay_sampler
@@ -572,16 +574,17 @@ import resource, subprocess, sys
 def peak(code):
     subprocess.run([sys.executable, "-c", code], check=True)
     return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-print(peak("import asyncsa"), peak(sys.argv[1]))
+print(peak(sys.argv[1]), peak(sys.argv[2]))
 """
 
 
-def _child_peak_rss_kib(run: str) -> tuple[int, int]:
-    """Peak RSS of a child that imports asyncsa, and of one that runs ``run``."""
+def _child_peak_rss_kib(run: str, baseline: str = "import asyncsa") -> tuple[int, int]:
+    """Peak RSS of a child that runs ``baseline``, and of one that runs ``run``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_KIB, run], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_KIB, baseline, run],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=300)
     assert proc.returncode == 0, proc.stderr[-3000:]
     baseline, peak = (int(kib) for kib in proc.stdout.split())
     return baseline, peak
@@ -623,6 +626,40 @@ def test_long_wide_run_peak_rss_holds_no_age_block(delays):
         f"delays={delays}))")
     history_kib = (horizon + 1) * d * 8 / 1024
     budget = baseline + 1.25 * d * (d - 1) + history_kib + 16 * 1024
+    assert peak <= budget, (peak, baseline, budget)
+
+
+def test_long_sparse_light_run_peak_rss_holds_no_ring():
+    # A d = 100 round-robin k = 1 run of 32 000 geometric ticks reads
+    # iterates as old as tick 0, so a ring would hold all 32 001 of them,
+    # 24.4 MiB, and pass the budget by 8 MiB with nothing else; kept as
+    # changes they take 16 B a tick.  The run grew 17.7 MiB over the import
+    # with the archive and 41.6 MiB with the ring (2-core x86 host, numpy
+    # 2.4.6), and took 3.5 s with its two children.
+    d, horizon = 100, 32_000
+    baseline, peak = _child_peak_rss_kib(
+        "from asyncsa import GeometricDelays, RoundRobin, RunConfig, "
+        "ScaledIdentityObjective, run_light\n"
+        f"run_light(RunConfig(dimension={d}, horizon={horizon}, seed=0, "
+        "objective=ScaledIdentityObjective(gain=-1.0), activation=RoundRobin(k=1), "
+        "delays=GeometricDelays(mean=3.0)))")
+    assert (horizon + 1) * d * 8 / 1024 >= (16 + 8) * 1024
+    budget = baseline + 1.25 * d * (d - 1) + 16 * 1024
+    assert peak <= budget, (peak, baseline, budget)
+
+
+def test_random_quadratic_set_up_holds_one_matrix_at_a_time():
+    # agent i keeps row i of its own random matrix: a d = 200 set-up holds
+    # the field's (d, d) matrix and one QR's temporaries, about a dozen
+    # (d, d) arrays, not the d whole matrices (8 d**3 bytes, 61 MiB) that
+    # row views kept alive.  It grew 3.4 MiB over a d = 2 set-up, which
+    # makes the same imports, against 64 MiB with row views
+    build = ("from asyncsa import QuadraticObjective, RunConfig, build_runtime\n"
+             "build_runtime(RunConfig(dimension={}, horizon=10, seed=0, "
+             "objective=QuadraticObjective(matrices='random')))")
+    d = 200
+    baseline, peak = _child_peak_rss_kib(build.format(d), baseline=build.format(2))
+    budget = baseline + 24 * 8 * d * d / 1024
     assert peak <= budget, (peak, baseline, budget)
 
 
@@ -818,6 +855,122 @@ def test_windowed_run_matches_full_history_run(monkeypatch):
     full = run(cfg).final_x
     assert windows == [3, cfg.horizon]
     assert np.array_equal(windowed, full)
+
+
+def _nan(payload: int) -> float:
+    """A quiet NaN with its own payload bits."""
+    return np.array([0x7FF8000000000000 | payload]).view(float)[0]
+
+
+def test_archived_history_reads_every_iterate_as_the_ring_does():
+    # a history without a window keeps its latest HISTORY_BUFFER iterates
+    # in a buffer and archives older ones as per-component changes; every
+    # read, through the buffer or the archive, must give the full ring's
+    # bits.  Most ticks move one or two components; every seventh moves
+    # all of them, as a projected tick does; zeros flip sign and NaNs
+    # change payload, which only a comparison of bits tells apart
+    d, ticks = 6, 3 * HISTORY_BUFFER + 5
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(d)
+    x[0], x[1] = 0.0, _nan(1)
+    ring, archive = IterateHistory(x, window=ticks), IterateHistory(x, window=None)
+    for n in range(1, ticks + 1):
+        x = x.copy()
+        if n % 7 == 0:
+            x *= -1.0
+        else:
+            x[rng.integers(2, d, size=2)] = rng.standard_normal(2)
+        if n % 5 == 0:
+            x[0], x[1] = -x[0], _nan(n)
+        ring.append(x)
+        archive.append(x)
+        assert _bits(archive.latest) == _bits(ring.latest), n
+        tau = rng.integers(0, n + 1, size=(d, 3))
+        tau[:, 0] = rng.geometric(0.2, size=d).clip(max=n + 1) - 1  # mostly buffered
+        for m in (n, rng.integers(0, n + 1)):
+            ages = tau.clip(max=m)
+            assert _bits(archive.gather(m, ages)) == _bits(ring.gather(m, ages)), (n, m)
+    for m in (0, 1, HISTORY_BUFFER // 2, ticks - HISTORY_BUFFER, ticks):
+        assert _bits(archive.value(m)) == _bits(ring.value(m)), m
+    assert _bits(archive.snapshot(ticks)) == _bits(ring.snapshot(ticks))
+    for n in (ticks, 10):
+        late = np.zeros((d, 2), dtype=np.int32)
+        late[3, 1] = n + 1
+        for history in (ring, archive):
+            with pytest.raises(IndexError):
+                history.gather(n, late)
+    with pytest.raises(IndexError):
+        archive.value(ticks + 1)
+
+
+_SPARSE_ACTIVATIONS = {"round-robin": RoundRobin(k=1), "bernoulli": BernoulliActivation(q=0.1)}
+# a geometric age of mean 40 passes the buffer's guaranteed 128 ticks with
+# probability (40/41)**129, about 4%; a stale-refresh one, 7%
+_LONG_DELAYS = {"geometric": GeometricDelays(mean=40.0),
+                "stale-refresh": StaleRefreshDelays(p_c=0.02)}
+
+
+@pytest.mark.parametrize("delays", _LONG_DELAYS)
+@pytest.mark.parametrize("activation", _SPARSE_ACTIVATIONS)
+@pytest.mark.parametrize("d", [5, 48, 100])
+def test_archived_light_and_paired_runs_match_full_history_runs(d, activation, delays,
+                                                                 monkeypatch):
+    # a partly active chain whose delays reach past the buffer keeps its
+    # iterates as changes in run_light and in both chains of run_paired;
+    # run keeps every iterate in a ring.  Final iterates, counters and the
+    # gap series must agree bit for bit, with projected ticks in the
+    # pulled-back chain
+    cfg = RunConfig(
+        dimension=d, horizon=2 * HISTORY_BUFFER + 100, seed=2,
+        objective=BellmanObjective(states=d, actions=2, mdp_seed=11, discount=0.9),
+        steps=HarmonicSteps(c=5.0), activation=_SPARSE_ACTIVATIONS[activation],
+        delays=_LONG_DELAYS[delays], errors=ComponentUniformErrors(bound=0.3),
+        noise=UniformNoise(level=0.3),
+        projection=ProjectionSpec(r_inner=0.25, r_outer=0.5,
+                                  norm={"kind": "weighted-max", "weights": [1.0] * d}))
+    plain = replace(cfg, projection=None)
+    windows = []
+    init = IterateHistory.__init__
+
+    def spy(self, x0, window):
+        windows.append(window)
+        init(self, x0, window)
+
+    monkeypatch.setattr(IterateHistory, "__init__", spy)
+    light, light_proj, paired = run_light(plain), run_light(cfg), run_paired(cfg)
+    assert windows == [None] * 4
+    full, full_proj = run(plain), run(cfg)
+    assert _bits(light.final_x) == _bits(full.final_x)
+    assert _bits(light.counters) == _bits(full.counters[-1])
+    assert _bits(light_proj.final_x) == _bits(full_proj.final_x)
+    assert light_proj.projections == int(full_proj.projected.sum()) > 1
+    norm = ProjectionRegion.from_spec(cfg.projection, d).norm
+    gaps = [weighted_norm(a - b, norm) for a, b in zip(full.x, full_proj.x)]
+    assert _bits(paired.gap) == _bits(np.array(gaps))
+    assert _bits(paired.raw_final) == _bits(full.final_x)
+    assert _bits(paired.proj_final) == _bits(full_proj.final_x)
+
+
+def test_dense_or_short_delay_chains_keep_the_ring(monkeypatch):
+    # the archive pays only where at most a quarter of the agents move on a
+    # tick and the delays reach past the buffer
+    windows = []
+    init = IterateHistory.__init__
+
+    def spy(self, x0, window):
+        windows.append(window)
+        init(self, x0, window)
+
+    monkeypatch.setattr(IterateHistory, "__init__", spy)
+    horizon, long = 2 * HISTORY_BUFFER, GeometricDelays(mean=3.0)
+    for activation, delays in [(AllActive(), long), (RoundRobin(k=2), long),
+                               (BernoulliActivation(q=0.3), long),
+                               (RoundRobin(k=1), UniformDelays(tau_max=HISTORY_BUFFER - 1)),
+                               (RoundRobin(k=1), ZeroDelays())]:
+        run_light(RunConfig(dimension=5, horizon=horizon, seed=0,
+                            objective=ScaledIdentityObjective(gain=-1.0),
+                            activation=activation, delays=delays))
+    assert windows == [horizon] * 3 + [HISTORY_BUFFER - 1, 0]
 
 
 def test_light_run_with_a_delay_bound_far_past_the_horizon_finishes():

@@ -1,3 +1,9 @@
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,7 +20,11 @@ from asyncsa import (
     balance_ratio,
     timeline,
 )
+from asyncsa._rng import DOMAIN_ACTIVATION, stream
 from asyncsa.config import spec_from_config, spec_to_config
+from asyncsa.schedules import kept_rate, make_activation_sampler
+
+import reference
 
 
 def test_harmonic_values_and_bounds():
@@ -169,3 +179,74 @@ def test_all_active_is_read_from_the_policy(policy, d, expected):
     assert sched.all_active is expected
     if expected:
         assert all(sched.take(1)[0].all() for n in range(4))
+
+
+@pytest.mark.parametrize("policy, d, share", [
+    (AllActive(), 3, 1.0),
+    (RoundRobin(k=2), 8, 0.25),
+    (RoundRobin(k=9), 8, 1.0),
+    (BernoulliActivation(q=1.0), 3, 1.0),
+    (BernoulliActivation(q=0.5), 2, 0.5 / 0.75),
+    (BernoulliActivation(q=[0.1, 0.3]), 2, 0.2 / (1 - 0.9 * 0.7)),
+], ids=["all", "round-robin", "round-robin-over-d", "bernoulli-1", "bernoulli",
+        "bernoulli-vector"])
+def test_active_share_is_the_expected_share_of_a_kept_row(policy, d, share):
+    # a Bernoulli row without an active agent is dropped, so the kept rows
+    # hold mean(q) / (1 - prod(1 - q)) of the agents on average
+    sched = AgentSchedule(policy, d, seed=0, steps=HarmonicSteps())
+    assert sched.active_share == pytest.approx(share, rel=1e-12)
+
+
+def _missing_rows_masks(q, d: int, seed: int, ticks: int) -> np.ndarray:
+    """Kept coin rows, drawing each time only as many rows as are missing."""
+    rng = stream(seed, DOMAIN_ACTIVATION)
+    masks = np.empty((0, d), dtype=bool)
+    while len(masks) < ticks:
+        rows = rng.random((ticks - len(masks), d)) < q
+        masks = np.concatenate((masks, rows[rows.any(axis=1)]))
+    return masks
+
+
+_COIN_QS = {"1e-4": 1e-4, "0.3": 0.3, "vector": [0.02, 0.3, 0.001, 0.6, 0.05]}
+
+
+@pytest.mark.parametrize("q", _COIN_QS)
+def test_bernoulli_masks_read_ahead_keep_their_bits_in_any_cut(q):
+    # the fill reads coin rows ahead, sized from the kept-row rate, and
+    # carries the kept rows left over to the next block: the masks are
+    # those of a fill that draws only the rows still missing, and of the
+    # one-row-at-a-time reference, however the ticks are cut into blocks
+    d, q = 5, _COIN_QS[q]
+    ticks = 60 if np.size(q) == 1 and q < 0.01 else 3000
+    policy = BernoulliActivation(q=q)
+    want = _missing_rows_masks(policy.q, d, 3, ticks)
+    oracle = reference.ReferenceSchedule(policy, d, seed=3, steps=HarmonicSteps())
+    assert np.array_equal(np.array([oracle.tick(t)[0] for t in range(ticks)]), want)
+    for cut in [(1,), (7, 1, 300), (ticks,), (2, ticks)]:
+        sampler, got = make_activation_sampler(policy, d, seed=3), []
+        for size in itertools.cycle(cut):
+            got.append(sampler.take(min(size, ticks - sum(map(len, got)))))
+            if sum(map(len, got)) == ticks:
+                break
+        assert np.array_equal(np.concatenate(got), want), cut
+
+
+def test_kept_rate_of_tiny_and_certain_coins():
+    assert kept_rate(np.array([1e-6]), 2) == pytest.approx(2e-6 - 1e-12, rel=1e-12)
+    assert kept_rate(np.array([1.0, 0.5]), 2) == 1.0
+    assert kept_rate(np.array([5e-324]), 3) > 0
+
+
+def test_tiny_bernoulli_q_run_finishes():
+    # a tick takes 1 / (1 - (1 - q)**2), about 5e5, coin rows at d = 2 and
+    # q = 1e-6.  Drawn only as many as were still missing, up to 20 a call,
+    # a 20-tick run took 12.2 s; read ahead in batches, 0.3 s (2-core x86
+    # host, numpy 2.4.6)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("from asyncsa import BernoulliActivation, QuadraticObjective, RunConfig, run_light\n"
+            "run_light(RunConfig(dimension=2, horizon=20, seed=0, "
+            "objective=QuadraticObjective(matrices='random'), "
+            "activation=BernoulliActivation(q=1e-6)))")
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=6,
+                   env={**os.environ, "PYTHONPATH": path})
