@@ -22,13 +22,14 @@ pulled back radially onto the inner sphere.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from ._rng import DOMAIN_INIT, DOMAIN_INSTANCE, stream
+from ._rng import CHUNK, DOMAIN_ERROR, DOMAIN_INIT, DOMAIN_INSTANCE, stream
 from .config import (
     BellmanObjective,
     GradientObjective,
@@ -318,12 +319,14 @@ class StochasticModels:
 class TickSample:
     """Every input of one tick that does not depend on the iterate.
 
-    ``step`` holds every agent's step size a(nu(n, i)), read from its
-    count of activations before tick n.
-    ``tau[j, c]`` is the age of component j in the c-th view the tick
-    reads: agent ``reads[c]``'s, or agent c's when ``reads`` is None.
-    ``all_active`` is set when the activation policy activates every agent
-    on every tick; the update then skips the mask.
+    ``active`` is the tick's mask of active agents.  ``tau[j, c]`` is the
+    age of component j in the c-th view the tick reads: agent
+    ``reads[c]``'s, or agent c's when ``reads`` is None.  ``step``,
+    ``eps`` and ``noise`` hold the same agents' step sizes a(nu(n, i)),
+    read from each one's count of activations before tick n, errors and
+    noise: every agent's, or only those of ``reads``.  ``all_active`` is
+    set when the activation policy activates every agent on every tick;
+    the update then skips the mask.
     """
 
     active: np.ndarray
@@ -337,10 +340,13 @@ class TickSample:
 
 @dataclass(eq=False, slots=True)
 class TickBlock:
-    """The drawn inputs of ticks ``start``, ``start + 1``, ..., one row per
-    tick, as in :class:`TickSample`; ``tau`` is None under zero delays.
-    With ``reads`` set, ``tau`` and ``reads`` hold one entry per tick: its
-    views of one block of the read views' ages and of their agents."""
+    """The drawn inputs of ticks ``start``, ``start + 1``, ..., as in
+    :class:`TickSample`; ``tau`` is None under zero delays.  Without
+    ``ends`` each array holds one row per tick.  With ``ends``, a block of
+    a chain that reads by columns, ``active`` still does, but ``step``,
+    ``eps``, ``noise``, ``reads`` (their agents) and the columns of ``tau``
+    hold one entry per cell read, tick by tick: tick ``start + k``'s run
+    from ``ends[k]`` to ``ends[k + 1]``."""
 
     start: int
     active: np.ndarray
@@ -348,7 +354,18 @@ class TickBlock:
     tau: np.ndarray | None
     eps: np.ndarray
     noise: np.ndarray
-    reads: list | np.ndarray | None = None
+    reads: np.ndarray | None = None
+    ends: list | None = None
+
+    def tail(self, k: int) -> TickBlock:
+        """Ticks ``start + k ..`` of the block, as copies."""
+        if self.ends is None:  # np.array copies an array's rows
+            return TickBlock(self.start + k, *(None if a is None else np.array(a[k:]) for a in (
+                self.active, self.step, self.tau, self.eps, self.noise)))
+        c = self.ends[k]
+        return TickBlock(self.start + k, self.active[k:].copy(), self.step[c:].copy(),
+                         self.tau[:, c:].copy(), self.eps[c:].copy(), self.noise[c:].copy(),
+                         self.reads[c:].copy(), [end - c for end in self.ends[k:]])
 
 
 # (tick, agent) cells per block of drawn ticks: hundreds of ticks at small d,
@@ -360,68 +377,97 @@ BLOCK_CELLS = 1024
 # reads only their columns: their ages, views and drive components.  Its
 # extra numpy calls pay only where enough cells are skipped.  With either
 # path forced (round-robin run_light of a random quadratic, best of 7 runs
-# of 4000 ticks, two runs, 2-core x86 host), one active agent reads columns
-# 12-15% slower at d = 12, within 3% at 16 and 8-11%, 12-19%, 25-32% faster
-# at 20, 24, 32 (geometric or stale-refresh); a quarter active, 23%, 11-13%,
-# 5-9% and 1-2% slower at 12, 16, 20, 24 and 8-9% faster at 32.  The cut
-# stays: no benchmark workload runs a d between 5 and 100.
+# of 4000 ticks, two runs, 2-core x86 host, geometric or stale-refresh
+# delays), one active agent read columns 0-6% slower at d = 12 and 10-11%,
+# 12-18%, 23-30% and 36-49% faster at 16, 20, 24 and 32 (one run's d = 16
+# read 6% slower to 20% faster); a quarter active, 15-33% slower at 12,
+# 3% slower to 8% faster at 16, 3-13% and 17-50% faster at 24 and 32, and
+# 23% slower to 6% faster at 20.  The cut stays: no benchmark workload
+# runs a d between 5 and 100.
 COLUMN_GATHER_CELLS = 2048
+
+# Bytes a tick block of a chain that reads by columns may hold, counted at
+# the chain's expected cells per tick: the active mask, and for each cell
+# read its view's ages, its step size, error and noise and its two indices.
+# Every pair stream is called once a block, at about 1 us a call on top of
+# its draws, so longer blocks pay: at d = 100 (9900 streams, one agent
+# active) a draw took 6.3 ns in 838-tick blocks and 5.4 in 2048-tick ones.
+# This budget gives that chain 2427-tick blocks.  A block is never shorter
+# than a block of full age matrices, so no chain calls its streams more
+# often than it would reading them whole.
+COLUMN_BLOCK_BYTES = 5 * 2**18
 
 
 def _reads_columns(bundle: RuntimeBundle) -> bool:
-    """Whether some ticks of the chain may read only their active agents' views."""
-    return not bundle.schedule.all_active and bundle.d * bundle.d >= COLUMN_GATHER_CELLS
+    """Whether some ticks of the chain may read only their active agents'
+    views: a chain with delays, not all active, and wide enough."""
+    return (not bundle.schedule.all_active and bundle.d * bundle.d >= COLUMN_GATHER_CELLS
+            and not bundle.models.delays.always_zero)
+
+
+def _tick_rows(bundle: RuntimeBundle) -> int:
+    """Ticks per drawn block: ``BLOCK_CELLS`` cells, or for a chain that
+    reads by columns ``COLUMN_BLOCK_BYTES``, at most CHUNK ticks."""
+    d, delays = bundle.d, bundle.models.delays
+    if not _reads_columns(bundle):
+        return BLOCK_CELLS // d
+    cell = d * delays.dtype.itemsize + 5 * 8
+    tick = d + max(1.0, bundle.schedule.active_share * d) * cell
+    return max(delays.rows, min(CHUNK, int(COLUMN_BLOCK_BYTES // tick)))
+
+
+def _read_cells(active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (tick, agent) cells that ticks with these masks read: a tick
+    with at most a quarter of its agents active reads their views, any
+    other tick every agent's."""
+    full = 4 * np.count_nonzero(active, axis=1) > active.shape[1]
+    return np.nonzero(active | full[:, None] if full.any() else active)
 
 
 def draw_block(n: int, size: int, bundle: RuntimeBundle) -> TickBlock:
     """The inputs of ticks ``n .. n + size - 1``, the next rows of every
     stream; the activation counters move once, past the last of them.
-    A tick that reads only its active agents' columns (see
-    ``COLUMN_GATHER_CELLS``) gets ages for those columns only."""
-    models, d = bundle.models, bundle.d
-    active, step = bundle.schedule.take(size)
-    tau = reads = None
-    if not models.delays.always_zero:
-        columns = None  # the agents whose ages each tick reads, if not all
-        if _reads_columns(bundle):
-            columns = active | (4 * np.count_nonzero(active, axis=1) > d)[:, None]
-        tau = models.delays.take(size, columns)
-        if columns is not None:  # cut the (d, cells) block into ticks
-            ends = np.cumsum(np.count_nonzero(columns, axis=1)).tolist()
-            spans, agents = list(zip([0, *ends], ends)), np.nonzero(columns)[1]
-            reads = [agents[a:b] if b - a < d else None for a, b in spans]
-            tau = [tau[:, a:b] for a, b in spans]
-    return TickBlock(n, active, step, tau, models.errors.take(size),
-                     models.noise.take(size), reads)
+    On a chain that reads by columns (see ``COLUMN_GATHER_CELLS``), only
+    the cells its ticks read are kept."""
+    models, schedule = bundle.models, bundle.schedule
+    if not _reads_columns(bundle):
+        active, step = schedule.take(size)
+        tau = None if models.delays.always_zero else models.delays.take(size)
+        return TickBlock(n, active, step, tau, models.errors.take(size),
+                         models.noise.take(size))
+    active, step, cells = schedule.take(size, _read_cells)
+    ends = np.searchsorted(cells[0], np.arange(size + 1)).tolist()
+    return TickBlock(n, active, step, models.delays.take(size, cells),
+                     models.errors.take(size, cells), models.noise.take(size, cells),
+                     cells[1], ends)
 
 
 def draw_tick(n: int, bundle: RuntimeBundle) -> TickSample:
     """Tick ``n``'s inputs, one row of ``bundle.block``.
 
-    Ticks are drawn in order by :func:`draw_block`, about ``BLOCK_CELLS``
-    (tick, agent) cells at a time, cut at the horizon; a chain that reads
-    by columns takes the ticks its delay sampler asks for (``tick_rows``).
-    That tick block is also the block each activation, error and noise
-    stream draws (see ``_rng.Rows``).
+    Ticks are drawn in order by :func:`draw_block`, ``_tick_rows`` ticks
+    at a time, cut at the horizon.  That tick block is also the block each
+    activation, error and noise stream draws (see ``_rng.Rows``).
     A block's last row is served as copies, so a caller holding only the
     latest sample keeps no spent block alive.
     """
     block = bundle.block
     if block is None or not 0 <= (k := n - block.start) < len(block.active):
         block = bundle.block = None  # release the spent block before the fills
-        rows = _reads_columns(bundle) and bundle.models.delays.tick_rows
-        rows = rows or BLOCK_CELLS // bundle.d
-        block = bundle.block = draw_block(n, max(1, min(rows, bundle.horizon - n)), bundle)
+        block = bundle.block = draw_block(n, max(1, min(_tick_rows(bundle), bundle.horizon - n)),
+                                          bundle)
         k = 0
     if k + 1 == len(block.active):  # the last row: copies, so no sample holds the block
-        # (np.array copies an array's rows, and stacks a list's one entry)
-        block = bundle.block = TickBlock(n, *(None if a is None else np.array(a[k:]) for a in (
-            block.active, block.step, block.tau, block.eps, block.noise, block.reads)))
+        block = bundle.block = block.tail(k)
         k = 0
-    tau, reads = block.tau, block.reads
-    return TickSample(block.active[k], block.step[k], None if tau is None else tau[k],
-                      block.eps[k], block.noise[k], None if reads is None else reads[k],
-                      bundle.schedule.all_active)
+    ends = block.ends
+    if ends is None:
+        tau = block.tau
+        return TickSample(block.active[k], block.step[k], None if tau is None else tau[k],
+                          block.eps[k], block.noise[k], None, bundle.schedule.all_active)
+    a, b = ends[k], ends[k + 1]
+    return TickSample(block.active[k], block.step[a:b], block.tau[:, a:b], block.eps[a:b],
+                      block.noise[a:b], block.reads[a:b] if b - a < bundle.d else None)
 
 
 def apply_tick(history: IterateHistory, field: Field, sample: TickSample,
@@ -449,8 +495,7 @@ def apply_tick(history: IterateHistory, field: Field, sample: TickSample,
         x_new = x + delta if sample.all_active else np.where(sample.active, x + delta, x)
     else:
         x_new = x.copy()
-        x_new[agents] += sample.step[agents] * (drive + sample.eps[agents]
-                                                + sample.noise[agents])
+        x_new[agents] += sample.step * (drive + sample.eps + sample.noise)
     # x . 0 is NaN exactly when some component of x is not finite
     if not math.isfinite(x_new.dot(history._zeros)):
         bad = int(np.flatnonzero(~np.isfinite(x_new))[0])
@@ -573,6 +618,17 @@ def _meta(cfg: RunConfig, bundle: RuntimeBundle, projected0: bool) -> dict:
             "initial_projection": projected0}
 
 
+def _error_rows(cfg: RunConfig, domain: int = DOMAIN_ERROR):
+    """Every tick's whole error vector of ``cfg``'s stream in ``domain``,
+    drawn anew: a chain that reads by columns keeps only the cells it
+    reads, and an error stream's draws do not depend on the iterate."""
+    d = cfg.dimension
+    errors = make_error_sampler(cfg.errors, d, cfg.seed, cfg.horizon, domain)
+    size = max(1, BLOCK_CELLS // d)
+    for start in range(0, cfg.horizon, size):
+        yield from errors.take(min(size, cfg.horizon - start))
+
+
 def run(cfg: RunConfig) -> RunTrace:
     """Execute a full traced run.
 
@@ -587,8 +643,6 @@ def run(cfg: RunConfig) -> RunTrace:
     history = IterateHistory(x0, window=N)
 
     active_tr = np.zeros((N + 1, d), dtype=bool)
-    step_tr = np.zeros((N + 1, d))
-    eps_tr = np.zeros(N + 1)
     res_tr = np.zeros(N + 1)
     proj_tr = np.zeros(N + 1, dtype=bool)
 
@@ -596,17 +650,23 @@ def run(cfg: RunConfig) -> RunTrace:
     zero_delay = bundle.models.delays.always_zero
 
     def trace(upto: int) -> RunTrace:
-        """Rows 0..upto; the last one holds the residual of the latest iterate."""
+        """Rows 0..upto; the last one holds the residual of the latest
+        iterate.  Step sizes are read from the counters and error sizes
+        from the errors drawn anew."""
         with np.errstate(over="ignore", invalid="ignore"):
             res_tr[upto] = float(np.linalg.norm(field.vector(history.latest)))
         counters = np.zeros((upto + 1, d), dtype=np.int64)
         np.cumsum(active_tr[:upto], axis=0, dtype=np.int64, out=counters[1:])
+        step = np.zeros((upto + 1, d))
+        step[:upto] = bundle.schedule.steps.a_of(counters[:upto])
+        eps = np.zeros(upto + 1)
+        eps[:upto] = [euclidean(row) for row in itertools.islice(_error_rows(cfg), upto)]
         return RunTrace(
             meta=_meta(cfg, bundle, projected0),
             x=history.snapshot(upto),
             active=active_tr[: upto + 1],
-            step=step_tr[: upto + 1],
-            eps_norm=eps_tr[: upto + 1],
+            step=step,
+            eps_norm=eps,
             residual=res_tr[: upto + 1],
             projected=proj_tr[: upto + 1],
             counters=counters,
@@ -616,8 +676,6 @@ def run(cfg: RunConfig) -> RunTrace:
         with np.errstate(over="ignore", invalid="ignore"):
             for n, sample, drive, projected in tick_loop(history, bundle, bundle.region):
                 active_tr[n] = sample.active
-                step_tr[n] = sample.step
-                eps_tr[n] = euclidean(sample.eps)
                 # without delays the tick's drive is already field(x_n)
                 if not zero_delay:
                     drive = field.vector(history.value(n))

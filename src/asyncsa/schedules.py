@@ -13,7 +13,7 @@ Conventions
   kept.
 * AgentSchedule binds a run's step policy and reads the masks a run of
   ticks at a time with ``take``: each tick's step sizes are read from the
-  counters before that tick.
+  counters before that tick, for every agent or only the cells a run reads.
 * Every policy keeps a(n) in (0, 1]; constants are accepted for
   diagnostics only.
 """
@@ -241,15 +241,27 @@ class AgentSchedule:
             else float(np.broadcast_to(policy.q, d).mean()) / kept_rate(policy.q, d)
         )
 
-    def take(self, size: int):
+    def take(self, size: int, cells=None):
         """The next ``size`` ticks' ``(active, step)``: active masks and step
-        sizes read from the counts before each tick.  ``counters`` moves
+        sizes read from the counts before each tick.  With ``cells``, a
+        function of the masks that gives the (tick, agent) index arrays of
+        the cells the ticks read, in tick order, ``step`` holds only those
+        cells' step sizes and the cells come third.  ``counters`` moves
         once, past the last of them."""
         active = self.sampler.take(size)
-        before = np.cumsum(active, axis=0, dtype=np.int64)
-        before += self.counters - active
-        self.counters = before[-1] + active[-1]
-        return active, self.steps.a_of(before)
+        if cells is None:
+            before = np.cumsum(active, axis=0, dtype=np.int64)
+            before += self.counters - active
+            self.counters = before[-1] + active[-1]
+            return active, self.steps.a_of(before)
+        t, agent = read = cells(active)
+        on_t, on = np.nonzero(active)
+        key = on * size + on_t  # the active cells, by agent and then tick
+        key.sort()
+        before = np.searchsorted(key, agent * size + t) - np.searchsorted(key, agent * size)
+        before += self.counters[agent]
+        self.counters = self.counters + np.bincount(on, minlength=self.d)
+        return active, self.steps.a_of(before), read
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,9 @@ import numpy as np
 
 from ._rng import DOMAIN_CHECK, DOMAIN_ERROR_ALT, stream
 from .config import RunConfig
-from .core import _history, _meta, _start, apply_tick, build_runtime, tick_loop
+from .core import _error_rows, _history, _meta, _start, apply_tick, build_runtime, tick_loop
 from .errors import ConfigError
 from .norms import EuclideanNorm, Norm, weighted_norm
-from .stochastics import make_error_sampler
 from .trace import write_table
 
 __all__ = [
@@ -66,16 +65,16 @@ def run_paired(cfg: RunConfig, coupled_errors: bool = True) -> PairedRun:
     if cfg.projection is None:
         raise ConfigError("paired runs need a projection region in the config")
     bundle = build_runtime(cfg)
-    region, N, d = bundle.region, bundle.horizon, bundle.d
+    region, N = bundle.region, bundle.horizon
     norm = region.norm
 
     x0_proj, projected0 = _start(bundle)
     projection_ticks: list[int] = [-1] if projected0 else []
 
     hist_raw, hist_proj = _history(bundle.x0, bundle), _history(x0_proj, bundle)
-    alt_errors = None if coupled_errors else make_error_sampler(
-        cfg.errors, d, cfg.seed, N, domain=DOMAIN_ERROR_ALT)
-    alt_eps, alt_start = (), 0  # the second errors of the chain's drawn block
+    # both chains' whole error vectors, drawn anew: a chain that reads by
+    # columns keeps only the cells it reads
+    errors = None if coupled_errors else zip(_error_rows(cfg), _error_rows(cfg, DOMAIN_ERROR_ALT))
 
     gap = np.zeros(N + 1)
     step_bound = np.zeros(N)
@@ -85,19 +84,17 @@ def run_paired(cfg: RunConfig, coupled_errors: bool = True) -> PairedRun:
     # both chains consume the one drawn sample of each tick
     with np.errstate(over="ignore", invalid="ignore"):
         for n, sample, _, _ in tick_loop(hist_raw, bundle, None):
-            if alt_errors is None:
+            reads = sample.reads
+            if errors is None:
                 sample_proj = sample
             else:
-                if n - alt_start == len(alt_eps):  # tick n starts a drawn block
-                    alt_eps = ()  # hold no spent rows while take draws
-                    block = bundle.block
-                    alt_start, alt_eps = n, alt_errors.take(
-                        block.start + len(block.active) - n)
-                eps2 = alt_eps[n - alt_start]
-                sample_proj = replace(sample, eps=eps2)
-                error_gap[n] = weighted_norm(sample.eps - eps2, norm)
+                eps, eps2 = next(errors)
+                sample_proj = replace(sample, eps=eps2 if reads is None else eps2[reads])
+                error_gap[n] = weighted_norm(eps - eps2, norm)
             _, projected = apply_tick(hist_proj, bundle.field, sample_proj, region)
-            step_bound[n] = float(sample.step[sample.active].max())
+            # a tick that reads some agents' cells reads exactly the active ones
+            step_bound[n] = float((sample.step if reads is not None
+                                   else sample.step[sample.active]).max())
             if projected:
                 projection_ticks.append(n)
             gap[n + 1] = weighted_norm(hist_raw.latest - hist_proj.latest, norm)

@@ -20,21 +20,24 @@ the horizon.  A block of full delay matrices holds at most
 ``_rng.DELAY_BLOCK_BYTES``.  Ages are ``int64``, except the ages of every
 drawn delay kind at a d where a CHUNK-row ``int64`` block would pass that
 cap (d > 45): those are ``int32`` (``int64`` past a horizon of 2**31
-ticks).  Every drawn delay kind is drawn a block of ticks at a time, one
-source component at a time into a small reused float64 scratch, and only
-the ages a reader asks for are kept: full matrices, or the columns a tick
-reads, which are drawn without ``Rows``.  Geometric ages are the bits of
-numpy's ``geometric``; below its branch threshold (a mean above 2) numpy
-inverts one standard exponential per draw, so those pairs draw the
-exponentials in bulk and the inversion runs on the ages kept.
-Stale-refresh ages follow a recursion, but only through each view's last
-refresh, so a source's block of coins becomes a block of ages at once.
+ticks).  Every drawn delay kind is drawn a block of ticks at a time, a
+group of one source component's pairs at a time into a small reused
+float64 scratch, and only the ages a reader asks for are kept: full
+matrices, or the cells the ticks read, which are drawn without ``Rows``.
+Geometric ages are the bits of numpy's ``geometric``; below its branch
+threshold (a mean above 2) numpy inverts one standard exponential per
+draw, so those pairs draw the exponentials in bulk and the inversion runs
+on the ages kept.  Stale-refresh ages follow a recursion, but only
+through each view's last refresh, so a source's block of coins becomes a
+block of ages at once.
 
-Error samplers enforce their declared bound on every sample: each block
-is checked before any of its rows is served.  Componentwise-uniform and
-constant errors are checked vectorised by their largest component;
-norm-ball errors row by row in their own norm.  Noise samplers have zero
-mean conditional on the past and components bounded by their level.
+Error and noise samplers serve whole rows, or only the cells a chain
+reads, drawn in sub-blocks of ``CUT_BYTES``.  Error samplers enforce their
+declared bound on every sample: each block or sub-block is checked before
+any of its rows is served.  Componentwise-uniform and constant errors are
+checked vectorised by their largest component; norm-ball errors row by row
+in their own norm.  Noise samplers have zero mean conditional on the past
+and components bounded by their level.
 """
 
 from __future__ import annotations
@@ -171,6 +174,13 @@ def _iid_ages(raw, ticks, scale):
     return np.minimum(ages, ticks, out=ages)
 
 
+# Most bytes of the float64 scratch that one source's pairs draw a block of
+# ticks into: they draw a group of pairs at a time.  At d = 100 a whole
+# source of a 2427-tick column block would take 1.8 MiB, and groups of 13
+# pairs take 247 KiB.
+DELAY_SCRATCH_BYTES = 256 * 2**10
+
+
 class _PairDelays(Rows):
     """Per-tick (d, d) age matrices of every delay kind, read in tick order
     with ``take``; ``matrix(n)`` reads one, tick n's when the ticks before
@@ -179,11 +189,14 @@ class _PairDelays(Rows):
     most its horizon.  Without ``draw`` (zero delays) the sampler is
     ``always_zero``: it builds no pair stream and serves ``int64`` zeros.
 
-    ``draw(rng, j, i, out)`` writes the next ``len(out)`` draws of pair
-    (j, i), from its own stream, to the float64 row ``out`` of a reused
-    (d, ticks) scratch that holds source j's draws.  Kinds differ only in
-    how those become ages, computed in float64, where every age up to the
-    tick is exact, and then cast to ``dtype``:
+    ``draw(rngs, rows, j, lo)`` writes the next ``rows.shape[1]`` draws of
+    pair (j, lo + k) from its own generator ``rngs[k]`` to the float64 row
+    ``rows[k]``, one generator call per pair and block.  Source j's pairs
+    (j, i) draw a group of agents i at a time, row i - g of a reused
+    scratch of at most ``DELAY_SCRATCH_BYTES`` for the group from agent g;
+    the rows of agents that are not j's pairs hold no pair's draws.  Kinds
+    differ only in how draws become ages, computed in float64, where every
+    age up to the tick is exact, and then cast to ``dtype``:
 
     - i.i.d.: a draw is an age, or ``ceil(draw / scale[j, i]) - 1`` with a
       (d, d) ``scale``, clamped to its tick, so no larger draw is cast;
@@ -196,14 +209,13 @@ class _PairDelays(Rows):
 
     ``take(size)`` serves full matrices from drawn blocks of ``rows``
     ticks, at most ``DELAY_BLOCK_BYTES`` of 8-byte cells; ``take(size,
-    columns)`` draws ``size`` ticks itself, without ``Rows``, and keeps the
-    cells marked in a (size, d) mask: column c of the (d, cells) result is
-    the view of cell c in ``np.nonzero`` order, C-ordered as einsum gathers
-    views.  A run that reads by columns takes ``tick_rows`` ticks at a
-    time, one call per pair stream a block as in a full read.  Read one
-    way, not both.  Each source writes its row of every cell kept, also the
+    cells)`` draws ``size`` ticks itself, without ``Rows``, and keeps only
+    the cells ``(ticks, agents)`` (index arrays in tick order, as
+    ``np.nonzero`` gives them): column c of the (d, cells) result is the
+    view of cell c, C-ordered as einsum gathers views.  Read one way, not
+    both.  Each source writes its row of every cell of a group, also the
     [j, i] it does not own (i < j if ``symmetric``), which source i, run
-    after it, rewrites.
+    after it, rewrites; a self-view is set to 0 last.
 
     ``int32`` holds every drawn age up to a horizon of 2**31.  It is used
     only where the byte cap would cut a CHUNK-row ``int64`` block: at small
@@ -211,15 +223,16 @@ class _PairDelays(Rows):
     """
 
     matrix = Rows.next
-    always_zero, reach, tick_rows, dtype = True, 0, None, np.dtype(np.int64)  # zero delays'
+    always_zero, reach, dtype = True, 0, np.dtype(np.int64)  # zero delays'
 
     def __init__(self, d: int, seed: int, horizon: int, draw=None, scale=None, p_c=None,
                  symmetric=False, reach=None):
+        self.d = d
         self.rows = max(1, min(CHUNK, DELAY_BLOCK_BYTES // (d * d * 8)))
         if draw is None:  # zero delays: nothing to build
             fill = constant(np.zeros((d, d), dtype=np.int64))
         else:
-            self.always_zero, self.tick_rows = False, self.rows
+            self.always_zero = False
             self.reach = horizon if reach is None else min(reach, horizon)
             fill = self._pair_streams(d, seed, horizon, draw, scale, p_c, symmetric)
         super().__init__(fill, horizon, self.rows)
@@ -236,66 +249,78 @@ class _PairDelays(Rows):
         sources = [(j, lo, list(itertools.islice(rngs, d - lo - (lo <= j))))
                    for j, lo in enumerate(lows)]
         sources = [source for source in reversed(sources) if source[2]]
-        scratch, tick = np.zeros((d, 0)), 0  # tick: the first one of the next draw
+        scratch, tick = np.zeros((0, 0)), 0  # tick: the first one of the next draw
         carried = None if p_c is None else np.zeros((d, d))  # each coin pair's latest age
 
         def refresh(coins, ticks, p, age):
-            """A source's coins of ``ticks`` to ages, in place, given its
+            """A group's coins of ``ticks`` to ages, in place, given its
             pairs' ``p`` and carried ``age``."""
             last = np.where(coins < p[:, None], ticks, ticks[0] - 1.0 - age[:, None])
             np.maximum.accumulate(last, axis=1, out=last)
             np.subtract(ticks, last, out=coins)
             age[:] = coins[:, -1]
 
-        def ages(size, columns=None):
+        def ages(size, cells=None):
             nonlocal scratch, tick
             fresh = int(p_c is not None and tick == 0)  # tick 0 reads no coin
             if fresh == size:  # nothing to draw: tick 0's views are fresh
                 tick += size
-                return np.zeros((size, d, d) if columns is None
-                                else (d, np.count_nonzero(columns)), dtype)
+                return np.zeros((size, d, d) if cells is None else (d, len(cells[0])), dtype)
             if scratch.shape[1] < size:  # the first draw is the largest
-                scratch = np.zeros((d, size))  # tick 0's coins: 0, below every p_c
-            raw, ticks = scratch[:, :size], np.arange(tick, tick + size, dtype=float)
-            fill, tick = raw[:, fresh:], tick + size
-            if columns is None:  # every cell: source j's ticks to out[:, j, :]
-                out, src, cells, at = np.empty((size, d, d), dtype), raw.T, ..., ticks[:, None]
-                dest, scales, selves = out.transpose(1, 0, 2), scale, (..., *np.diag_indices(d))
-
-                def mirror(j, lo):  # pair (j, i)'s ages to out[:, i, j]
-                    np.copyto(out[:, lo:, j], raw[lo:].T, casting="unsafe")
+                # tick 0's coins: 0, below every p_c
+                scratch = np.zeros((max(1, min(d, DELAY_SCRATCH_BYTES // (8 * size))), size))
+            width, stride = scratch.shape  # agents g .. g + width - 1 draw into rows 0, 1, ...
+            ticks = np.arange(tick, tick + size, dtype=float)
+            tick += size
+            if cells is None:  # every cell: pair (j, i)'s ages to out[:, j, i]
+                out, selves = np.empty((size, d, d), dtype), (..., *np.diag_indices(d))
             else:  # cell c to column c of a (d, cells) block
-                t, agent = np.nonzero(columns)
-                dest = out = np.empty((d, len(t)), dtype)
-                src, cells, at, selves = raw, (agent, t), ticks[t], (agent, np.arange(len(t)))
-                scales = scale if scale is None else scale[:, agent]
-
-                def mirror(j, lo):  # pair (j, i)'s ages to row i of agent j's cells
-                    mine = np.flatnonzero(agent == j)
-                    out[lo:, mine] = raw[lo:, t[mine]]
+                t, agent = cells
+                out, selves = np.empty((d, len(t)), dtype), (agent, np.arange(len(t)))
+                at = np.argsort(agent, kind="stable")  # the cells by agent, then tick
+                by_agent, by_t = agent[at], t[at]
+                first = np.searchsorted(by_agent, np.arange(d + 1)).tolist()
+                spot = by_agent % width * stride + by_t  # each cell's draw in its group's rows
+                flat, got = scratch.reshape(-1), np.empty(len(t))
             for j, lo, own in sources:
-                for i, rng in zip(itertools.chain(range(lo, j), range(j + 1, d)), own):
-                    draw(rng, j, i, fill[i])
-                if p_c is None:  # i.i.d. draws: the read cells' ages
-                    got = _iid_ages(src[cells], at, None if scale is None else scales[j])
-                else:  # coins: every tick's ages, so that each pair carries its own
-                    refresh(raw[lo:], ticks, p_c[j, lo:], carried[j, lo:])
-                    got = src[cells]
-                np.copyto(dest[j], got, casting="unsafe")
-                if symmetric:
-                    mirror(j, lo)
+                k = 0  # own[k] draws the next pair
+                for g in range(lo - lo % width, d, width):  # a group of agents
+                    h = min(g + width, d)
+                    rows = scratch[:h - g, :size]  # a row not drawn holds no pair's draws
+                    for a, b in ((max(g, lo), min(h, j)), (max(g, lo, j + 1), h)):
+                        if a < b:
+                            draw(own[k:k + b - a], rows[a - g:b - g, fresh:], j, a)
+                            k += b - a
+                    if p_c is not None:  # coins: every tick's ages, so that each pair carries its own
+                        refresh(rows, ticks, p_c[j, g:h], carried[j, g:h])
+                    a = max(g, lo)  # the group's first pair
+                    if cells is None:
+                        ages = rows.T if p_c is not None else _iid_ages(
+                            rows.T, ticks[:, None], None if scale is None else scale[j, g:h])
+                        np.copyto(out[:, j, g:h], ages, casting="unsafe")
+                        if symmetric:  # and to out[:, i, j]
+                            np.copyto(out[:, a:h, j], ages[:, a - g:], casting="unsafe")
+                        continue
+                    c = slice(first[g], first[h])
+                    flat.take(spot[c], out=got[c], mode="clip")
+                    if symmetric:  # pair (j, i)'s ages to row i of agent j's cells
+                        mine = slice(first[j], first[j + 1])
+                        out[a:h, at[mine]] = rows[a - g:, by_t[mine]]
+                if cells is not None:  # source j's row of every cell kept
+                    out[j, at] = got if p_c is not None else _iid_ages(
+                        got, ticks[by_t], None if scale is None else scale[j, by_agent])
             out[selves] = 0  # no pair stream draws a self-view
             return out
 
         self._ages = ages
         return lambda start, size: ages(size)
 
-    def _ages(self, size: int, columns: np.ndarray) -> np.ndarray:
-        """Zero delays' ages of the cells marked in ``columns``."""
-        return np.zeros((columns.shape[1], np.count_nonzero(columns)), self.dtype)
+    def _ages(self, size: int, cells) -> np.ndarray:
+        """Zero delays' ages of ``cells``."""
+        return np.zeros((self.d, len(cells[0])), self.dtype)
 
-    def take(self, size: int, columns: np.ndarray | None = None) -> np.ndarray:
-        return super().take(size) if columns is None else self._ages(size, columns)
+    def take(self, size: int, cells=None) -> np.ndarray:
+        return super().take(size) if cells is None else self._ages(size, cells)
 
 
 def make_delay_sampler(model: DelayModel, d: int, seed: int, horizon: int):
@@ -306,8 +331,12 @@ def make_delay_sampler(model: DelayModel, d: int, seed: int, horizon: int):
         return _PairDelays(d, seed, horizon)
     if isinstance(model, UniformDelays):
         high = model.tau_max + 1
-        return _PairDelays(d, seed, horizon, lambda rng, j, i, out: np.copyto(
-            out, rng.integers(0, high, size=out.size)), reach=model.tau_max)
+
+        def integers(rngs, rows, j, lo):
+            for rng, row in zip(rngs, rows):
+                row[:] = rng.integers(0, high, size=len(row))
+
+        return _PairDelays(d, seed, horizon, integers, reach=model.tau_max)
     if isinstance(model, GeometricDelays):
         # below its threshold numpy's geometric(p) is ceil(E / s), E a standard
         # exponential and s = -log1p(-p) by the C log1p that math.log1p calls
@@ -316,16 +345,27 @@ def make_delay_sampler(model: DelayModel, d: int, seed: int, horizon: int):
         scale = np.array([1.0 if hit else -math.log1p(-q)
                           for q, hit in zip(p.flat, search.flat)]).reshape(d, d)
 
-        def draw(rng, j, i, out):
-            if search[j, i]:  # a count in {1, 2, ...}, with scale 1
-                np.copyto(out, rng.geometric(p[j, i], size=out.size))
-            else:
-                rng.standard_exponential(out=out)
+        def exponentials(rngs, rows, j, lo):
+            for rng, row in zip(rngs, rows):
+                rng.standard_exponential(out=row)
 
-        return _PairDelays(d, seed, horizon, draw, scale)
+        def mixed(rngs, rows, j, lo):
+            hi = lo + len(rows)
+            for rng, row, hit, q in zip(rngs, rows, search[j, lo:hi].tolist(),
+                                        p[j, lo:hi].tolist()):
+                if hit:  # a count in {1, 2, ...}, with scale 1
+                    row[:] = rng.geometric(q, size=len(row))
+                else:
+                    rng.standard_exponential(out=row)
+
+        return _PairDelays(d, seed, horizon, mixed if search.any() else exponentials, scale)
     if isinstance(model, StaleRefreshDelays):
-        return _PairDelays(d, seed, horizon, lambda rng, j, i, out: rng.random(out=out),
-                           p_c=_pair_matrix_param(model.p_c, d), symmetric=model.symmetric)
+        def coins(rngs, rows, j, lo):
+            for rng, row in zip(rngs, rows):
+                rng.random(out=row)
+
+        return _PairDelays(d, seed, horizon, coins, p_c=_pair_matrix_param(model.p_c, d),
+                           symmetric=model.symmetric)
     raise ConfigError(f"unknown delay model {model!r}")
 
 
@@ -414,11 +454,34 @@ def _max_norm(norm: Norm):
     return lambda rows: max(norm(row) for row in rows)
 
 
+# Most bytes of error or noise rows drawn at once for a read of some cells:
+# each tick block is drawn in sub-blocks of this size, each checked against
+# its bound and cut to the cells read, so a block never holds every row.
+CUT_BYTES = 64 * 2**10
+
+
 class _RowSampler(Rows):
-    """Per-tick vectors, read in tick order with ``take``; ``sample(n)``
+    """Per-tick d-vectors, read in tick order with ``take``; ``sample(n)``
     reads one."""
 
     sample = Rows.next
+
+    def __init__(self, d: int, fill, rows: int = 0, most: int | None = None):
+        super().__init__(fill, rows, most)
+        self._cut = max(1, CUT_BYTES // (8 * d))  # rows a sub-block of a cell read draws
+
+    def take(self, size: int, cells=None) -> np.ndarray:
+        """The next ``size`` rows; with ``cells``, the (tick, agent) index
+        arrays of the cells read, in tick order, only their values."""
+        if cells is None:
+            return super().take(size)
+        t, agent = cells
+        cut, out = self._cut, np.empty(len(t))
+        edges = np.searchsorted(t, np.arange(0, size + cut, cut)).tolist()
+        for k, start in enumerate(range(0, size, cut)):
+            c = slice(edges[k], edges[k + 1])
+            out[c] = super().take(min(cut, size - start))[t[c] - start, agent[c]]
+        return out
 
 
 class _ErrorSampler(_RowSampler):
@@ -426,7 +489,8 @@ class _ErrorSampler(_RowSampler):
     before any of its rows is served; ``worst(block)`` is the block's
     largest norm.  ``rows`` and ``most`` are those of ``Rows``."""
 
-    def __init__(self, bound: float, fill, worst, rows: int = 0, most: int | None = None):
+    def __init__(self, d: int, bound: float, fill, worst, rows: int = 0,
+                 most: int | None = None):
         self.bound = bound = float(bound)
 
         def checked(start, size):
@@ -436,7 +500,7 @@ class _ErrorSampler(_RowSampler):
                 raise AssertionError(f"error sample breached its bound: {top} > {bound}")
             return block
 
-        super().__init__(checked, rows, most)
+        super().__init__(d, checked, rows, most)
 
 
 def make_error_sampler(model: ErrorModel, d: int, seed: int, horizon: int,
@@ -445,23 +509,23 @@ def make_error_sampler(model: ErrorModel, d: int, seed: int, horizon: int,
     at ``horizon``."""
     check_model_shape(model, d)
     if isinstance(model, ZeroErrors):
-        return _ErrorSampler(0.0, constant(np.zeros(d)), _max_abs)
+        return _ErrorSampler(d, 0.0, constant(np.zeros(d)), _max_abs)
     if isinstance(model, FixedBiasErrors):
         bias = model.bias.copy()
         # checked by its largest component, which never exceeds its norm
-        return _ErrorSampler(np.linalg.norm(bias), constant(bias), _max_abs)
+        return _ErrorSampler(d, np.linalg.norm(bias), constant(bias), _max_abs)
     rng = stream(seed, domain)
     if isinstance(model, ComponentUniformErrors):
         half = model.bound / 2.0
         return _ErrorSampler(
-            model.bound, lambda start, size: rng.uniform(0.0, half, size=(size, d)),
+            d, model.bound, lambda start, size: rng.uniform(0.0, half, size=(size, d)),
             _max_abs)
     if isinstance(model, NormBallErrors):
         norm, bound = model.norm, float(model.bound)
         if isinstance(norm, WeightedMaxNorm):
             half = bound * norm.weights
             return _ErrorSampler(
-                bound, lambda start, size: rng.uniform(-half, half, size=(size, d)),
+                d, bound, lambda start, size: rng.uniform(-half, half, size=(size, d)),
                 _max_norm(norm))
 
         def fill(start, size):
@@ -472,7 +536,7 @@ def make_error_sampler(model: ErrorModel, d: int, seed: int, horizon: int,
             radii = bound * rng.random(CHUNK)[:size] ** (1.0 / d)
             return g * radii[:, None]
 
-        return _ErrorSampler(bound, fill, _max_norm(norm), horizon, CHUNK)
+        return _ErrorSampler(d, bound, fill, _max_norm(norm), horizon, CHUNK)
     raise ConfigError(f"unknown error model {model!r}")
 
 
@@ -515,16 +579,16 @@ NoiseModel = ZeroNoise | UniformNoise | RademacherNoise
 def make_noise_sampler(model: NoiseModel, d: int, seed: int):
     """Noise vectors of ticks 0, 1, ...."""
     if isinstance(model, ZeroNoise):
-        return _RowSampler(constant(np.zeros(d)))
+        return _RowSampler(d, constant(np.zeros(d)))
     if not isinstance(model, (UniformNoise, RademacherNoise)):
         raise ConfigError(f"unknown noise model {model!r}")
     rng = stream(seed, DOMAIN_NOISE)
     level = float(model.level)
     if isinstance(model, UniformNoise):
-        return _RowSampler(lambda start, size: rng.uniform(-level, level, size=(size, d)))
+        return _RowSampler(d, lambda start, size: rng.uniform(-level, level, size=(size, d)))
 
     def fill(start, size):
         signs = rng.integers(0, 2, size=(size, d)) * 2 - 1
         return level * signs.astype(float)
 
-    return _RowSampler(fill)
+    return _RowSampler(d, fill)

@@ -50,11 +50,12 @@ from asyncsa import (
     run_paired,
     weighted_norm,
 )
+from asyncsa import core
 from asyncsa._rng import CHUNK, DELAY_BLOCK_BYTES
 from asyncsa.core import COLUMN_GATHER_CELLS, HISTORY_BUFFER, draw_block
 from asyncsa.fields import QuadraticBowl, QuadraticField, ScaledIdentityField, random_pd_matrix
-from asyncsa.schedules import make_activation_sampler
-from asyncsa.stochastics import make_delay_sampler
+from asyncsa.schedules import AgentSchedule, make_activation_sampler
+from asyncsa.stochastics import make_delay_sampler, make_error_sampler, make_noise_sampler
 
 import reference
 
@@ -340,23 +341,27 @@ def test_active_column_update_matches_the_full_gather(d, activation, delays, obj
     # only their views and evaluates only their drive components (every
     # round-robin tick, about a quarter of the Bernoulli ones; at d = 100
     # about a sixth); every new iterate must equal, bit for bit, the update
-    # from every agent's view, with the full age matrices of a twin sampler
+    # from every agent's view, with the full age matrices, step sizes,
+    # errors and noise of twin samplers
     ticks = 300
+    steps, errors, noise = HarmonicSteps(c=5.0), ComponentUniformErrors(bound=0.2), \
+        UniformNoise(level=0.1)
     bundle = build_runtime(RunConfig(
         dimension=d, horizon=ticks, seed=8, objective=_COLUMN_OBJECTIVES[objective](d),
-        steps=HarmonicSteps(c=5.0), activation=activation, delays=delays,
-        errors=ComponentUniformErrors(bound=0.2), noise=UniformNoise(level=0.1)))
-    twin = make_delay_sampler(delays, d, seed=8, horizon=ticks)
+        steps=steps, activation=activation, delays=delays, errors=errors, noise=noise))
+    twins = (AgentSchedule(activation, d, 8, steps), make_delay_sampler(delays, d, 8, ticks),
+             make_error_sampler(errors, d, 8, ticks), make_noise_sampler(noise, d, 8))
     history = IterateHistory(bundle.x0, window=ticks)
     field = bundle.field
     for n in range(ticks):
         sample = draw_tick(n, bundle)
         assert not sample.all_active
+        (active,), (step,) = twins[0].take(1)
+        tau, eps, noise_row = (twin.take(1)[0] for twin in twins[1:])
+        assert _bits(sample.active) == _bits(active), n
         x = history.latest.copy()
-        views = history.gather(n, twin.take(1)[0])
-        want = np.where(sample.active,
-                        x + sample.step * (field.vector_views(views) + sample.eps + sample.noise),
-                        x)
+        views = history.gather(n, tau)
+        want = np.where(active, x + step * (field.vector_views(views) + eps + noise_row), x)
         apply_tick(history, field, sample)
         assert _bits(history.latest) == _bits(want), n
 
@@ -405,6 +410,13 @@ def _check_served_ages(bundle, twin, ticks: int) -> int:
     return columns_read
 
 
+def _block_ticks(cfg: RunConfig) -> int:
+    """Ticks per drawn block of ``cfg``'s delays: the tick block of a chain
+    that reads by columns, else a block of full age matrices."""
+    bundle = build_runtime(cfg)
+    return core._tick_rows(bundle) if core._reads_columns(bundle) else bundle.models.delays.rows
+
+
 @pytest.mark.parametrize("delays", _READ_DELAYS)
 @pytest.mark.parametrize("d, activation", [
     (3, RoundRobin(k=1)),                  # small d: every tick reads full matrices
@@ -416,13 +428,12 @@ def test_drawn_ages_of_read_columns_match_the_full_matrices(d, activation, delay
     # the ages of its active agents' views only, and every other tick full
     # matrices.  Either way each served age equals that of a twin sampler
     # read with plain take.  The ticks run past the first delay block (4096
-    # rows at d = 3, 3640 at d = 48, 838 at d = 100).
-    rows = min(CHUNK, DELAY_BLOCK_BYTES // (d * d * 8))
-    ticks = rows + 50
+    # rows at d = 3, 3640 at d = 48, 2427 at d = 100).
     model = _READ_DELAYS[delays](d)
-    bundle = build_runtime(RunConfig(
-        dimension=d, horizon=ticks, seed=9, objective=ScaledIdentityObjective(gain=-1.0),
-        activation=activation, delays=model))
+    cfg = RunConfig(dimension=d, horizon=1, seed=9, objective=ScaledIdentityObjective(gain=-1.0),
+                    activation=activation, delays=model)
+    ticks = _block_ticks(cfg) + 50
+    bundle = build_runtime(replace(cfg, horizon=ticks))
     twin = make_delay_sampler(model, d, seed=9, horizon=ticks)
     columns_read = _check_served_ages(bundle, twin, ticks)
     assert columns_read == {3: 0, 100: ticks}.get(d, columns_read)
@@ -441,16 +452,18 @@ _BLOCK_DELAYS = {
                          ids=lambda a: a.kind)
 @pytest.mark.parametrize("d", [48, 100])
 def test_served_ages_match_the_full_matrices_across_delay_blocks(d, activation, delays):
-    # A wide chain's ticks read their ages from blocks of its delay rows
-    # (3640 at d = 48, 838 at d = 100), drawn for the read columns only.
-    # The horizon crosses two delay blocks and cuts a third mid-block.  Round-robin
+    # A wide chain's ticks read their ages from tick blocks drawn for the
+    # read cells only (4096 ticks at d = 48 and 3640 with Bernoulli
+    # activation, 2427 at d = 100 and 838 with Bernoulli activation).  The
+    # horizon crosses two blocks and cuts a third mid-block.  Round-robin
     # ticks read one column each; Bernoulli blocks mix column and full ticks.
     delays = _BLOCK_DELAYS[delays](d)
-    rows = min(CHUNK, DELAY_BLOCK_BYTES // (d * d * 8))
+    cfg = RunConfig(dimension=d, horizon=1, seed=12,
+                    objective=ScaledIdentityObjective(gain=-1.0), activation=activation,
+                    delays=delays)
+    rows = _block_ticks(cfg)
     ticks = 2 * rows + rows // 2
-    bundle = build_runtime(RunConfig(
-        dimension=d, horizon=ticks, seed=12, objective=ScaledIdentityObjective(gain=-1.0),
-        activation=activation, delays=delays))
+    bundle = build_runtime(replace(cfg, horizon=ticks))
     twin = make_delay_sampler(delays, d, seed=12, horizon=ticks)
     columns_read = _check_served_ages(bundle, twin, ticks)
     if isinstance(activation, RoundRobin):
@@ -474,6 +487,54 @@ def test_huge_geometric_means_reach_back_to_tick_zero_in_read_columns(d):
         want[act, np.arange(len(act))] = 0
         assert np.array_equal(sample.reads, act), n
         assert _bits(sample.tau) == _bits(want), n
+
+
+_CUT_DELAYS = {**_READ_DELAYS, "stale-refresh-symmetric-matrix": lambda d: StaleRefreshDelays(
+    p_c=0.2 + 0.1 * (np.add.outer(np.arange(d), np.arange(d)) % 7), symmetric=True)}
+_CUT_ACTIVATIONS = {"round-robin": RoundRobin(k=1), "bernoulli": BernoulliActivation(q=0.22)}
+# every delay kind with both activations and at both d, each once
+_CUT_CASES = [(d, activation, delays)
+              for k, delays in enumerate(_CUT_DELAYS)
+              for d, activation in ((48, ("round-robin", "bernoulli")[k % 2]),
+                                    (100, ("bernoulli", "round-robin")[k % 2]))]
+
+
+@pytest.mark.parametrize("d, activation, delays", _CUT_CASES)
+def test_column_runs_do_not_depend_on_the_tick_block_length(d, activation, delays,
+                                                            monkeypatch):
+    # A chain that reads by columns draws each pair stream once a tick
+    # block and keeps only the cells its ticks read.  Light runs, and on a
+    # short horizon, where one-tick blocks are cheap, paired runs with
+    # decoupled errors (whose whole rows are drawn anew), must give the
+    # same bits with the block cut anywhere: one tick, 7, 838, the chain's
+    # own length and the whole horizon, and with full matrices read on
+    # every tick.  The long horizon crosses the chain's own block and is a
+    # multiple of none of the lengths.
+    cfg = RunConfig(
+        dimension=d, horizon=15, seed=3, objective=ScaledIdentityObjective(gain=-0.5),
+        steps=PowerSteps(p=0.7, c=2.0), activation=_CUT_ACTIVATIONS[activation],
+        delays=_CUT_DELAYS[delays](d), errors=ComponentUniformErrors(bound=0.3),
+        noise=UniformNoise(level=0.2), projection=ProjectionSpec(r_inner=0.5, r_outer=1.0))
+    own = _block_ticks(cfg)
+
+    def results(horizon):
+        light = run_light(replace(cfg, horizon=horizon, projection=None))
+        got = [_bits(light.final_x), _bits(light.counters)]
+        if horizon == cfg.horizon:
+            paired = run_paired(cfg, coupled_errors=False)
+            got += [_bits(a) for a in (paired.gap, paired.error_gap, paired.step_bound,
+                                       paired.raw_final, paired.proj_final)]
+        return got
+
+    wants = {}
+    for horizon, lengths in ((15, {1, 7}), (own + 101, {838, own + 101} - {own})):
+        wants[horizon] = results(horizon)  # in blocks of the chain's own length
+        for rows in sorted(lengths):
+            monkeypatch.setattr(core, "_tick_rows", lambda bundle: rows)
+            assert results(horizon) == wants[horizon], (horizon, rows)
+            monkeypatch.undo()
+    monkeypatch.setattr(core, "COLUMN_GATHER_CELLS", d * d + 1)  # every tick reads all
+    assert results(15) == wants[15]
 
 
 # SHA-256 of final_x and counters of d = 100 run_light runs, recorded before
@@ -516,22 +577,16 @@ def test_paired_run_reads_step_sizes_once_per_tick(monkeypatch):
     assert len(calls) == 1
 
 
-def test_light_run_holds_no_spent_error_or_noise_block():
-    # A d = 100 round-robin chain reads by columns and draws 838-tick blocks
-    # (its delay sampler's tick_rows); its error and noise streams draw the
-    # same blocks.  Over its set-up and history, the run then peaks at about
-    # one CHUNK-row float64 block: the tick block's steps, counts, errors,
-    # noise and delay scratch are (838, d) arrays of 8-byte cells.  One
-    # CHUNK-row error or noise block more would pass the budget: with a
-    # CHUNK-row block for each, the run peaked 2.7 blocks over them.
-    d = 100
-    block = CHUNK * d * 8
-    cfg = RunConfig(dimension=d, horizon=CHUNK + 1, seed=0,
-                    objective=ScaledIdentityObjective(gain=-1.0),
-                    activation=RoundRobin(k=1), delays=GeometricDelays(mean=3.0),
-                    errors=ComponentUniformErrors(bound=0.2),
-                    noise=UniformNoise(level=0.1))
-    history = (cfg.horizon + 1) * d * 8
+# a d = 100 round-robin k = 1 chain, which reads one view a tick
+_ONE_COLUMN = RunConfig(dimension=100, horizon=CHUNK + 1, seed=0,
+                        objective=ScaledIdentityObjective(gain=-1.0), activation=RoundRobin(k=1),
+                        delays=GeometricDelays(mean=3.0), errors=ComponentUniformErrors(bound=0.2),
+                        noise=UniformNoise(level=0.1))
+
+
+def _traced_light_run(cfg: RunConfig) -> tuple[int, int]:
+    """The bytes ``cfg``'s runtime holds once built, and the traced peak of
+    ``run_light(cfg)`` over the memory held before it."""
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -544,7 +599,42 @@ def test_light_run_holds_no_spent_error_or_noise_block():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
+    return set_up, peak
+
+
+def test_light_run_holds_no_spent_error_or_noise_block():
+    # A d = 100 round-robin chain reads by columns and draws 2427-tick
+    # blocks; its error and noise streams draw the same blocks, in
+    # sub-blocks cut to the cells read.  Over its set-up and history, the
+    # run then peaks well under one CHUNK-row float64 block.  One CHUNK-row
+    # error or noise block more would pass the budget: with a CHUNK-row
+    # block for each, the run peaked 2.7 blocks over them.
+    d = _ONE_COLUMN.dimension
+    block = CHUNK * d * 8
+    history = (_ONE_COLUMN.horizon + 1) * d * 8
+    set_up, peak = _traced_light_run(_ONE_COLUMN)
     assert peak <= set_up + history + 1.5 * block, (peak, set_up, history)
+
+
+def test_column_light_run_holds_only_the_cells_it_reads():
+    # The same chain keeps, of each 2427-tick block, the active masks and
+    # the read cells' ages, step sizes, errors and noise, and its pair
+    # streams draw into a scratch of at most DELAY_SCRATCH_BYTES.  Over its
+    # built runtime, its ticks peaked at 1.88 MiB, history included (2-core
+    # x86 host, numpy 2.4.6); the budget leaves 0.37 MiB of margin.  Blocks
+    # of 838 ticks that held every agent's step sizes, counts, errors and
+    # noise, each an (838, d) array of 8-byte cells, and a (d, 838) delay
+    # scratch peaked at 4.01 MiB.
+    bundle = build_runtime(_ONE_COLUMN)
+    history = core._history(bundle.x0, bundle)
+    tracemalloc.start()
+    try:
+        for _ in core.tick_loop(history, bundle, None):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * 2**20, peak
 
 
 def test_light_run_holds_no_spent_delay_block():
@@ -610,22 +700,22 @@ def test_wide_geometric_light_run_peak_rss_is_its_pair_streams():
 @pytest.mark.parametrize("delays", ["GeometricDelays(mean=3.0)", "StaleRefreshDelays(p_c=0.3)"],
                          ids=["geometric", "stale-refresh"])
 def test_long_wide_run_peak_rss_holds_no_age_block(delays):
-    # A d = 100 round-robin run of 1700 ticks crosses two delay blocks of
-    # 838 ticks.  It holds its pair streams, about 1.04 KiB each, and its
-    # 1701 iterates; each block keeps only the read column's ages.  A block
-    # of every pair's raw float64 draws, or of their int64 stale-refresh
-    # ages (64 MiB), would pass the budget: with one, geometric and
-    # stale-refresh runs grew 51 740 and 79 030 KiB over the import's peak,
-    # against 20 490 and 15 700 KiB without (2-core x86 host, numpy 2.4.6).
-    d, horizon = 100, 1700
+    # A d = 100 round-robin run of 5000 ticks crosses two tick blocks of
+    # 2427 ticks.  It holds its pair streams, about 1.04 KiB each, and its
+    # iterates as changes; each block keeps only the read column's ages.  A
+    # block of every pair's raw float64 draws, or of their int64
+    # stale-refresh ages (64 MiB), would pass the budget: with one, 1700-tick
+    # geometric and stale-refresh runs grew 51 740 and 79 030 KiB over the
+    # import's peak, against 20 490 and 15 700 KiB without; 5000-tick runs
+    # now grow 16 240 and 13 090 KiB (2-core x86 host, numpy 2.4.6).
+    d, horizon = 100, 5000
     baseline, peak = _child_peak_rss_kib(
         "from asyncsa import GeometricDelays, RoundRobin, RunConfig, "
         "ScaledIdentityObjective, StaleRefreshDelays, run_light\n"
         f"run_light(RunConfig(dimension={d}, horizon={horizon}, seed=0, "
         "objective=ScaledIdentityObjective(gain=-1.0), activation=RoundRobin(k=1), "
         f"delays={delays}))")
-    history_kib = (horizon + 1) * d * 8 / 1024
-    budget = baseline + 1.25 * d * (d - 1) + history_kib + 16 * 1024
+    budget = baseline + 1.25 * d * (d - 1) + 16 * 1024
     assert peak <= budget, (peak, baseline, budget)
 
 
