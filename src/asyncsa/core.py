@@ -392,11 +392,10 @@ COLUMN_GATHER_CELLS = 2048
 # Every pair stream is called once a block, at about 1 us a call on top of
 # its draws, so longer blocks pay: at d = 100 (9900 streams, one agent
 # active) a draw took 6.3 ns in 838-tick blocks and 5.4 in 2048-tick ones.
-# This budget gives that chain 2427-tick blocks.  A block is never shorter
+# This budget gives that chain CHUNK-tick blocks.  A block is never shorter
 # than a block of full age matrices, so no chain calls its streams more
 # often than it would reading them whole.
-COLUMN_BLOCK_BYTES = 5 * 2**18
-
+COLUMN_BLOCK_BYTES = 9 * 2**18
 
 def _reads_columns(bundle: RuntimeBundle) -> bool:
     """Whether some ticks of the chain may read only their active agents'

@@ -176,8 +176,8 @@ def _iid_ages(raw, ticks, scale):
 
 # Most bytes of the float64 scratch that one source's pairs draw a block of
 # ticks into: they draw a group of pairs at a time.  At d = 100 a whole
-# source of a 2427-tick column block would take 1.8 MiB, and groups of 13
-# pairs take 247 KiB.
+# source of a 4096-tick column block would take 3.1 MiB, and groups of 8
+# pairs take 256 KiB.
 DELAY_SCRATCH_BYTES = 256 * 2**10
 
 
@@ -281,7 +281,7 @@ class _PairDelays(Rows):
                 by_agent, by_t = agent[at], t[at]
                 first = np.searchsorted(by_agent, np.arange(d + 1)).tolist()
                 spot = by_agent % width * stride + by_t  # each cell's draw in its group's rows
-                flat, got = scratch.reshape(-1), np.empty(len(t))
+                flat, got = scratch.reshape(-1), np.zeros(len(t))
             for j, lo, own in sources:
                 k = 0  # own[k] draws the next pair
                 for g in range(lo - lo % width, d, width):  # a group of agents
@@ -295,11 +295,11 @@ class _PairDelays(Rows):
                         refresh(rows, ticks, p_c[j, g:h], carried[j, g:h])
                     a = max(g, lo)  # the group's first pair
                     if cells is None:
-                        ages = rows.T if p_c is not None else _iid_ages(
+                        kept = rows.T if p_c is not None else _iid_ages(
                             rows.T, ticks[:, None], None if scale is None else scale[j, g:h])
-                        np.copyto(out[:, j, g:h], ages, casting="unsafe")
+                        np.copyto(out[:, j, g:h], kept, casting="unsafe")
                         if symmetric:  # and to out[:, i, j]
-                            np.copyto(out[:, a:h, j], ages[:, a - g:], casting="unsafe")
+                            np.copyto(out[:, a:h, j], kept[:, a - g:], casting="unsafe")
                         continue
                     c = slice(first[g], first[h])
                     flat.take(spot[c], out=got[c], mode="clip")

@@ -428,7 +428,7 @@ def test_drawn_ages_of_read_columns_match_the_full_matrices(d, activation, delay
     # the ages of its active agents' views only, and every other tick full
     # matrices.  Either way each served age equals that of a twin sampler
     # read with plain take.  The ticks run past the first delay block (4096
-    # rows at d = 3, 3640 at d = 48, 2427 at d = 100).
+    # rows at d = 3, 3640 at d = 48, 4096 at d = 100).
     model = _READ_DELAYS[delays](d)
     cfg = RunConfig(dimension=d, horizon=1, seed=9, objective=ScaledIdentityObjective(gain=-1.0),
                     activation=activation, delays=model)
@@ -453,8 +453,8 @@ _BLOCK_DELAYS = {
 @pytest.mark.parametrize("d", [48, 100])
 def test_served_ages_match_the_full_matrices_across_delay_blocks(d, activation, delays):
     # A wide chain's ticks read their ages from tick blocks drawn for the
-    # read cells only (4096 ticks at d = 48 and 3640 with Bernoulli
-    # activation, 2427 at d = 100 and 838 with Bernoulli activation).  The
+    # read cells only (4096 ticks, and with Bernoulli activation 3640 at
+    # d = 48 and 838 at d = 100).  The
     # horizon crosses two blocks and cuts a third mid-block.  Round-robin
     # ticks read one column each; Bernoulli blocks mix column and full ticks.
     delays = _BLOCK_DELAYS[delays](d)
@@ -603,7 +603,7 @@ def _traced_light_run(cfg: RunConfig) -> tuple[int, int]:
 
 
 def test_light_run_holds_no_spent_error_or_noise_block():
-    # A d = 100 round-robin chain reads by columns and draws 2427-tick
+    # A d = 100 round-robin chain reads by columns and draws 4096-tick
     # blocks; its error and noise streams draw the same blocks, in
     # sub-blocks cut to the cells read.  Over its set-up and history, the
     # run then peaks well under one CHUNK-row float64 block.  One CHUNK-row
@@ -617,11 +617,11 @@ def test_light_run_holds_no_spent_error_or_noise_block():
 
 
 def test_column_light_run_holds_only_the_cells_it_reads():
-    # The same chain keeps, of each 2427-tick block, the active masks and
+    # The same chain keeps, of each 4096-tick block, the active masks and
     # the read cells' ages, step sizes, errors and noise, and its pair
     # streams draw into a scratch of at most DELAY_SCRATCH_BYTES.  Over its
-    # built runtime, its ticks peaked at 1.88 MiB, history included (2-core
-    # x86 host, numpy 2.4.6); the budget leaves 0.37 MiB of margin.  Blocks
+    # built runtime, its ticks peaked at 2.81 MiB, history included (2-core
+    # x86 host, numpy 2.4.6); the budget leaves 0.44 MiB of margin.  Blocks
     # of 838 ticks that held every agent's step sizes, counts, errors and
     # noise, each an (838, d) array of 8-byte cells, and a (d, 838) delay
     # scratch peaked at 4.01 MiB.
@@ -634,7 +634,7 @@ def test_column_light_run_holds_only_the_cells_it_reads():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.25 * 2**20, peak
+    assert peak <= 3.25 * 2**20, peak
 
 
 def test_light_run_holds_no_spent_delay_block():
@@ -700,15 +700,15 @@ def test_wide_geometric_light_run_peak_rss_is_its_pair_streams():
 @pytest.mark.parametrize("delays", ["GeometricDelays(mean=3.0)", "StaleRefreshDelays(p_c=0.3)"],
                          ids=["geometric", "stale-refresh"])
 def test_long_wide_run_peak_rss_holds_no_age_block(delays):
-    # A d = 100 round-robin run of 5000 ticks crosses two tick blocks of
-    # 2427 ticks.  It holds its pair streams, about 1.04 KiB each, and its
+    # A d = 100 round-robin run of 9000 ticks crosses two tick blocks of
+    # 4096 ticks.  It holds its pair streams, about 1.04 KiB each, and its
     # iterates as changes; each block keeps only the read column's ages.  A
     # block of every pair's raw float64 draws, or of their int64
     # stale-refresh ages (64 MiB), would pass the budget: with one, 1700-tick
     # geometric and stale-refresh runs grew 51 740 and 79 030 KiB over the
     # import's peak, against 20 490 and 15 700 KiB without; 5000-tick runs
     # now grow 16 240 and 13 090 KiB (2-core x86 host, numpy 2.4.6).
-    d, horizon = 100, 5000
+    d, horizon = 100, 9000
     baseline, peak = _child_peak_rss_kib(
         "from asyncsa import GeometricDelays, RoundRobin, RunConfig, "
         "ScaledIdentityObjective, StaleRefreshDelays, run_light\n"
