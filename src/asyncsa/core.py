@@ -656,10 +656,10 @@ def run(cfg: RunConfig) -> RunTrace:
             res_tr[upto] = float(np.linalg.norm(field.vector(history.latest)))
         counters = np.zeros((upto + 1, d), dtype=np.int64)
         np.cumsum(active_tr[:upto], axis=0, dtype=np.int64, out=counters[1:])
-        step = np.zeros((upto + 1, d))
-        step[:upto] = bundle.schedule.steps.a_of(counters[:upto])
-        eps = np.zeros(upto + 1)
-        eps[:upto] = [euclidean(row) for row in itertools.islice(_error_rows(cfg), upto)]
+        step = bundle.schedule.steps.a_of(counters)
+        step[upto] = 0.0
+        norms = (euclidean(row) for row in itertools.islice(_error_rows(cfg), upto))
+        eps = np.fromiter(itertools.chain(norms, [0.0]), float, upto + 1)
         return RunTrace(
             meta=_meta(cfg, bundle, projected0),
             x=history.snapshot(upto),

@@ -584,9 +584,16 @@ _ONE_COLUMN = RunConfig(dimension=100, horizon=CHUNK + 1, seed=0,
                         noise=UniformNoise(level=0.1))
 
 
-def _traced_light_run(cfg: RunConfig) -> tuple[int, int]:
-    """The bytes ``cfg``'s runtime holds once built, and the traced peak of
-    ``run_light(cfg)`` over the memory held before it."""
+def test_light_run_holds_no_spent_error_or_noise_block():
+    # A d = 100 round-robin chain reads by columns and draws 4096-tick
+    # blocks; its error and noise streams draw the same blocks, in
+    # sub-blocks cut to the cells read.  Over its set-up and history, the
+    # run then peaks well under one CHUNK-row float64 block.  One CHUNK-row
+    # error or noise block more would pass the budget: with a CHUNK-row
+    # block for each, the run peaked 2.7 blocks over them.
+    cfg, d = _ONE_COLUMN, _ONE_COLUMN.dimension
+    block = CHUNK * d * 8
+    history = (cfg.horizon + 1) * d * 8
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -599,20 +606,6 @@ def _traced_light_run(cfg: RunConfig) -> tuple[int, int]:
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    return set_up, peak
-
-
-def test_light_run_holds_no_spent_error_or_noise_block():
-    # A d = 100 round-robin chain reads by columns and draws 4096-tick
-    # blocks; its error and noise streams draw the same blocks, in
-    # sub-blocks cut to the cells read.  Over its set-up and history, the
-    # run then peaks well under one CHUNK-row float64 block.  One CHUNK-row
-    # error or noise block more would pass the budget: with a CHUNK-row
-    # block for each, the run peaked 2.7 blocks over them.
-    d = _ONE_COLUMN.dimension
-    block = CHUNK * d * 8
-    history = (_ONE_COLUMN.horizon + 1) * d * 8
-    set_up, peak = _traced_light_run(_ONE_COLUMN)
     assert peak <= set_up + history + 1.5 * block, (peak, set_up, history)
 
 
@@ -706,8 +699,8 @@ def test_long_wide_run_peak_rss_holds_no_age_block(delays):
     # block of every pair's raw float64 draws, or of their int64
     # stale-refresh ages (64 MiB), would pass the budget: with one, 1700-tick
     # geometric and stale-refresh runs grew 51 740 and 79 030 KiB over the
-    # import's peak, against 20 490 and 15 700 KiB without; 5000-tick runs
-    # now grow 16 240 and 13 090 KiB (2-core x86 host, numpy 2.4.6).
+    # import's peak, against 20 490 and 15 700 KiB without; 9000-tick runs
+    # now grow 17 180 and 13 780 KiB (2-core x86 host, numpy 2.4.6).
     d, horizon = 100, 9000
     baseline, peak = _child_peak_rss_kib(
         "from asyncsa import GeometricDelays, RoundRobin, RunConfig, "
