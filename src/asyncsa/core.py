@@ -391,8 +391,9 @@ COLUMN_GATHER_CELLS = 2048
 # read its view's ages, its step size, error and noise and its two indices.
 # Every pair stream is called once a block, at about 1 us a call on top of
 # its draws, so longer blocks pay: at d = 100 (9900 streams, one agent
-# active) a draw took 6.3 ns in 838-tick blocks and 5.4 in 2048-tick ones.
-# This budget gives that chain CHUNK-tick blocks.  A block is never shorter
+# active) a draw took 6.3-6.9 ns in 838-tick blocks, 5.9-6.5 in 2048-tick
+# and 5.6-6.1 in 4096-tick ones (2-core x86 host, numpy 2.4.6).  This
+# budget gives that chain CHUNK-tick blocks.  A block is never shorter
 # than a block of full age matrices, so no chain calls its streams more
 # often than it would reading them whole.
 COLUMN_BLOCK_BYTES = 9 * 2**18
