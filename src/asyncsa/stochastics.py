@@ -345,11 +345,7 @@ def make_delay_sampler(model: DelayModel, d: int, seed: int, horizon: int):
         scale = np.array([1.0 if hit else -math.log1p(-q)
                           for q, hit in zip(p.flat, search.flat)]).reshape(d, d)
 
-        def exponentials(rngs, rows, j, lo):
-            for rng, row in zip(rngs, rows):
-                rng.standard_exponential(out=row)
-
-        def mixed(rngs, rows, j, lo):
+        def geometric(rngs, rows, j, lo):
             hi = lo + len(rows)
             for rng, row, hit, q in zip(rngs, rows, search[j, lo:hi].tolist(),
                                         p[j, lo:hi].tolist()):
@@ -358,7 +354,7 @@ def make_delay_sampler(model: DelayModel, d: int, seed: int, horizon: int):
                 else:
                     rng.standard_exponential(out=row)
 
-        return _PairDelays(d, seed, horizon, mixed if search.any() else exponentials, scale)
+        return _PairDelays(d, seed, horizon, geometric, scale)
     if isinstance(model, StaleRefreshDelays):
         def coins(rngs, rows, j, lo):
             for rng, row in zip(rngs, rows):
